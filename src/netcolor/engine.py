@@ -6,6 +6,11 @@ proper. Within a round, redraws consume the trial's single random stream
 in ascending vertex order over the unhappy vertices; draws from a
 one-element set do not touch the stream at all. Both conventions are
 load-bearing for reproducibility and are shared by step() and run().
+
+The round-1 coloring is ``rng.randrange(k)`` for each vertex in order.
+:func:`initial_state` reads those MT19937 words in bulk and leaves the
+stream exactly where the per-vertex calls would, which holds for
+k < 2**32, the largest palette GameConfig accepts.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import ContractViolation, IllegalPaletteError
 from .graph import Graph
@@ -35,6 +42,10 @@ class Strategy(Enum):
         return max_degree + 2 if self is Strategy.GREEDY else max_degree + 1
 
 
+# randrange(k) must take one 32-bit word per try for the bulk round-1 read.
+MAX_K = 2**32
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Everything a single trial needs besides the graph.
@@ -53,8 +64,8 @@ class GameConfig:
     initial: tuple[int, ...] | None = None
 
     def validate(self, g: Graph) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not 1 <= self.k < MAX_K:
+            raise ValueError(f"k must be >= 1 and < 2**32, got {self.k}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.enforce_k_bound:
@@ -119,22 +130,34 @@ def neighbor_colors(g: Graph, s: ColoringState, v: int) -> frozenset[int]:
     return frozenset(s.colors[u] for u in g.neighbors(v))
 
 
+# Below this many vertices a Python scan beats numpy's per-call overhead.
+VECTOR_SCAN_MIN = 32
+
+
 def unhappy_vertices(g: Graph, s: ColoringState) -> list[int]:
     """Ascending list of vertices with at least one same-colored neighbor."""
     colors = s.colors
-    out = []
-    for v in range(g.n):
-        c = colors[v]
-        for u in g.neighbors(v):
-            if colors[u] == c:
-                out.append(v)
-                break
-    return out
+    if g.n < VECTOR_SCAN_MIN:
+        out = []
+        for v in range(g.n):
+            c = colors[v]
+            for u in g.neighbors(v):
+                if colors[u] == c:
+                    out.append(v)
+                    break
+        return out
+    src, dst = g.arcs()
+    c = np.fromiter(colors, dtype=np.intp, count=g.n)
+    bad = np.zeros(g.n, dtype=bool)
+    bad[src[c[src] == c[dst]]] = True
+    return np.flatnonzero(bad).tolist()
 
 
 def is_proper(g: Graph, colors: tuple[int, ...]) -> bool:
     """True iff no edge is monochromatic."""
-    return all(colors[u] != colors[v] for u, v in g.edges())
+    src, dst = g.arcs()
+    c = np.fromiter(colors, dtype=np.intp, count=g.n)
+    return not np.any(c[src] == c[dst])
 
 
 def _available_list(
@@ -184,12 +207,42 @@ def _draw(rng: random.Random, avail: list[int]) -> int:
     return avail[rng.randrange(len(avail))]
 
 
+# Fewer draws than this are taken one randrange call at a time.
+BULK_DRAW_MIN = 16
+
+
+def _randrange_many(rng: random.Random, k: int, count: int) -> list[int]:
+    """The next count values of rng.randrange(k), read from bulk words.
+
+    randrange(k) takes 32-bit words w until w >> (32 - k.bit_length()) < k,
+    and getrandbits(32 * m) returns the next m words little-endian first.
+    Every value takes at least one word, so a block of as many words as
+    values still owed is used up whole: the stream ends where count
+    randrange calls would leave it.
+    """
+    shift = 32 - k.bit_length()
+    out: list[int] = []
+    need = count
+    while need >= BULK_DRAW_MIN:
+        block = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        values = np.frombuffer(block, dtype="<u4") >> shift
+        accepted = values[values < k].tolist()
+        out += accepted
+        need -= len(accepted)
+    out += [rng.randrange(k) for _ in range(need)]
+    return out
+
+
 def initial_state(g: Graph, cfg: GameConfig, rng: random.Random) -> ColoringState:
-    """Round-1 coloring: the configured assignment or i.i.d. uniform draws."""
+    """Round-1 coloring: the configured assignment or i.i.d. uniform draws.
+
+    The draws are rng.randrange(k) for vertices 0..n-1 in order, read in
+    bulk; the colors and the stream's next word are the same as with one
+    call per vertex.
+    """
     if cfg.initial is not None:
         return ColoringState(tuple(cfg.initial), 1)
-    k = cfg.k
-    return ColoringState(tuple(rng.randrange(k) for _ in range(g.n)), 1)
+    return ColoringState(tuple(_randrange_many(rng, cfg.k, g.n)), 1)
 
 
 def step(

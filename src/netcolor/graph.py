@@ -3,12 +3,21 @@
 Vertices are dense zero-based integers so hot loops can index arrays
 directly. Graphs are immutable after construction and safe to share
 across worker processes.
+
+G(n, p) is defined by Python's ``random.Random(seed)``: one ``random()``
+call per pair, pairs in (u, v) order. :func:`erdos_renyi` reads the same
+MT19937 words in bulk through numpy, so its graphs are the ones the
+per-pair loop gives, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
+
+import numpy as np
 
 from .errors import GraphFormatError
 
@@ -22,7 +31,7 @@ class Graph:
     :func:`read_edge_list`; the constructor trusts its arguments.
     """
 
-    __slots__ = ("n", "edge_count", "_adj")
+    __slots__ = ("n", "edge_count", "_adj", "_arcs")
 
     def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...], edge_count: int):
         self.n = n
@@ -32,6 +41,25 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of v."""
         return self._adj[v]
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge in both orientations as read-only (src, dst) arrays.
+
+        Sorted by src, then dst: the CSR layout of the adjacency. Built on
+        first use and cached.
+        """
+        try:
+            return self._arcs
+        except AttributeError:
+            pass
+        degrees = np.fromiter(map(len, self._adj), dtype=np.intp, count=self.n)
+        src = np.repeat(np.arange(self.n, dtype=np.intp), degrees)
+        dst = np.fromiter(
+            itertools.chain.from_iterable(self._adj), dtype=np.intp, count=2 * self.edge_count
+        )
+        src.flags.writeable = dst.flags.writeable = False
+        self._arcs = (src, dst)
+        return self._arcs
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -125,17 +153,52 @@ def star_graph(n: int) -> Graph:
     return from_edge_list([(0, v) for v in range(1, n)], n)
 
 
+# Pairs decided per numpy call; two 64-bit words each, so 1 MB at a time.
+PAIR_CHUNK = 1 << 16
+
+
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with each unordered pair included independently.
 
-    Deterministic for fixed (n, p, seed).
+    Pair (u, v), u < v, taken in lexicographic order, is an edge iff the
+    next ``random.Random(seed).random()`` is below p. That call turns two
+    MT19937 words into ``(a * 2**26 + b) * 2**-53`` with ``a = w0 >> 5``
+    and ``b = w1 >> 6``; the integer ``a * 2**26 + b`` is compared with
+    ``p * 2**53`` here, which is the same test. The words are read in
+    chunks of PAIR_CHUNK pairs, so memory stays bounded for any n.
     """
     _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise GraphFormatError(f"edge probability must be in [0, 1], got {p}")
-    rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    # For an integer x, x < p * 2**53 iff x < ceil(p * 2**53); both are exact.
+    bound = math.ceil(p * 2.0**53)
+    # Pairs whose first word alone decides "no edge": a > (bound - 1) >> 26.
+    first_word_limit = (((bound - 1) >> 26) + 1) << 5
+    bitgen = mt19937_at(random.Random(seed))
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2  # index of pair (u, u + 1)
+    total = n * (n - 1) // 2
+    pairs: list[tuple[int, int]] = []
+    for lo in range(0, total, PAIR_CHUNK):
+        words = bitgen.random_raw(2 * min(PAIR_CHUNK, total - lo))
+        w0, w1 = words[0::2], words[1::2]
+        cand = np.flatnonzero(w0 < first_word_limit)
+        x = ((w0[cand] >> 5) << 26) | (w1[cand] >> 6)
+        hit = cand[x < bound] + lo
+        u = np.searchsorted(row_start, hit, side="right") - 1
+        pairs += zip(u.tolist(), (hit - row_start[u] + u + 1).tolist())
     return from_edge_list(pairs, n)
+
+
+def mt19937_at(rng: random.Random) -> np.random.MT19937:
+    """A numpy MT19937 whose next word is the next word rng would use."""
+    internal = rng.getstate()[1]
+    bitgen = np.random.MT19937(0)
+    bitgen.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
+    }
+    return bitgen
 
 
 def generate(kind: str, n: int, p: float | None = None, seed: int | None = None) -> Graph:

@@ -12,6 +12,7 @@ from netcolor import (
     Strategy,
     available_set,
     complete_graph,
+    erdos_renyi,
     from_edge_list,
     initial_state,
     is_happy,
@@ -24,6 +25,7 @@ from netcolor import (
     stick_set,
     unhappy_vertices,
 )
+from netcolor.oracle import _unhappy_list
 
 TRIANGLE = complete_graph(3)
 
@@ -242,10 +244,7 @@ def test_happiness_is_monotone(gc):
         assert r.min_available >= 2
 
 
-@settings(deadline=None, max_examples=40)
-@given(graph_and_config())
-def test_run_matches_stepwise_reference(gc):
-    g, c = gc
+def assert_run_matches_steps(g, c):
     r = run(g, c)
     rng = random.Random(c.seed)
     state = initial_state(g, c, rng)
@@ -258,6 +257,35 @@ def test_run_matches_stepwise_reference(gc):
     assert list(r.history) == records
     expected_tau = state.round if not records[-1].unhappy else None
     assert r.tau == expected_tau
+
+
+@settings(deadline=None, max_examples=40)
+@given(graph_and_config())
+def test_run_matches_stepwise_reference(gc):
+    assert_run_matches_steps(*gc)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("n, p", [(40, 0.15), (120, 0.05)])
+def test_run_matches_stepwise_reference_on_vectorized_scans(n, p, strategy):
+    # n >= VECTOR_SCAN_MIN, so the scans take the numpy path.
+    g = erdos_renyi(n, p, seed=n)
+    for seed in range(5):
+        c = GameConfig(
+            k=strategy.min_colors(g.max_degree()), strategy=strategy, seed=seed, max_rounds=500
+        )
+        assert_run_matches_steps(g, c)
+
+
+@pytest.mark.parametrize("n", [2, 31, 32, 200])
+def test_scans_agree_with_oracle_twin(n):
+    g = erdos_renyi(n, min(1.0, 6 / n), seed=n)
+    rng = random.Random(n)
+    for k in (2, 4, 8):
+        colors = tuple(rng.randrange(k) for _ in range(n))
+        expected = _unhappy_list(g, colors)
+        assert unhappy_vertices(g, ColoringState(colors, 1)) == expected
+        assert is_proper(g, colors) == (not expected)
 
 
 @settings(deadline=None, max_examples=40)

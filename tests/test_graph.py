@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -168,3 +170,22 @@ def test_roundtrip_identity(g, tmp_path_factory):
 @given(st.integers(1, 30))
 def test_complete_graph_degree(n):
     assert complete_graph(n).max_degree() == n - 1
+
+
+def test_arcs_are_cached_read_only_csr():
+    g = from_edge_list([(2, 0), (0, 1), (3, 1)], 4)
+    src, dst = g.arcs()
+    assert src.tolist() == [0, 0, 1, 1, 2, 3]
+    assert dst.tolist() == [1, 2, 0, 3, 0, 1]
+    assert g.arcs()[0] is src
+    assert not src.flags.writeable and not dst.flags.writeable
+    edgeless = from_edge_list([], 3).arcs()
+    assert edgeless[0].size == edgeless[1].size == 0
+
+
+def test_graph_with_cached_arcs_pickles_equal():
+    g = erdos_renyi(60, 0.1, seed=2)
+    g.arcs()
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g
+    assert h.arcs()[1].tolist() == g.arcs()[1].tolist()
