@@ -207,10 +207,6 @@ def _draw(rng: random.Random, avail: list[int]) -> int:
     return avail[rng.randrange(len(avail))]
 
 
-# Fewer draws than this are taken one randrange call at a time.
-BULK_DRAW_MIN = 16
-
-
 def _randrange_many(rng: random.Random, k: int, count: int) -> list[int]:
     """The next count values of rng.randrange(k), read from bulk words.
 
@@ -223,13 +219,12 @@ def _randrange_many(rng: random.Random, k: int, count: int) -> list[int]:
     shift = 32 - k.bit_length()
     out: list[int] = []
     need = count
-    while need >= BULK_DRAW_MIN:
+    while need:
         block = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         values = np.frombuffer(block, dtype="<u4") >> shift
         accepted = values[values < k].tolist()
         out += accepted
         need -= len(accepted)
-    out += [rng.randrange(k) for _ in range(need)]
     return out
 
 

@@ -191,7 +191,12 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 
 def mt19937_at(rng: random.Random) -> np.random.MT19937:
-    """A numpy MT19937 whose next word is the next word rng would use."""
+    """A numpy MT19937 whose next word is the next word rng would use.
+
+    ``rng.getrandbits(32 * m).to_bytes(...)`` yields the same words, but on
+    x86-64 it takes 2.3 ms per 2**17 words against 0.6 ms for
+    ``random_raw``, which made the n = 8000 sweep graph about 3x slower.
+    """
     internal = rng.getstate()[1]
     bitgen = np.random.MT19937(0)
     bitgen.state = {

@@ -111,6 +111,10 @@ def test_initial_state_seed_determinism():
 def test_config_validation():
     with pytest.raises(ValueError, match="k must be"):
         cfg(0, Strategy.FRUGAL).validate(TRIANGLE)
+    # one randrange(k) try must fit in one 32-bit word
+    with pytest.raises(ValueError, match="k must be"):
+        cfg(2**32, Strategy.FRUGAL).validate(TRIANGLE)
+    cfg(2**32 - 1, Strategy.FRUGAL).validate(TRIANGLE)
     with pytest.raises(ValueError, match="max_rounds"):
         cfg(3, Strategy.FRUGAL, max_rounds=0).validate(TRIANGLE)
     with pytest.raises(IllegalPaletteError):

@@ -11,7 +11,6 @@ import random
 import numpy as np
 import pytest
 
-from netcolor import GameConfig, Strategy, complete_graph
 from netcolor.graph import mt19937_at
 
 
@@ -58,9 +57,3 @@ def test_mt19937_copied_from_getstate_continues_the_stream(skip):
     assert bitgen.random_raw(1500).tolist() == expected
     assert bitgen.random_raw(1).dtype == np.uint64
 
-
-def test_palette_needing_more_than_one_word_per_try_is_refused():
-    g = complete_graph(3)
-    GameConfig(k=2**32 - 1, strategy=Strategy.FRUGAL, seed=0).validate(g)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        GameConfig(k=2**32, strategy=Strategy.FRUGAL, seed=0).validate(g)
