@@ -1,7 +1,8 @@
 """Command-line front end: run, sweep, verify, bounds, gen.
 
 Exit codes: 0 success, 1 failed check or runtime failure, 2 usage or
-configuration error. Options can also come from a flat key=value config
+configuration error, 141 when the reader of the output closes it early
+(as ``| head`` does). Options can also come from a flat key=value config
 file; explicit flags win over the file.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bounds import frugal_bounds, greedy_bound, max_expectation_bound, mu
@@ -330,11 +332,24 @@ _COMMANDS = {
 }
 
 
+# 128 + SIGPIPE: the status a shell reports for a writer whose reader left.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout must fail here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe early; that is not a fault of the run.
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ContractViolation, EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

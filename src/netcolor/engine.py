@@ -8,9 +8,16 @@ one-element set do not touch the stream at all. Both conventions are
 load-bearing for reproducibility and are shared by step() and run().
 
 The round-1 coloring is ``rng.randrange(k)`` for each vertex in order.
-:func:`initial_state` reads those MT19937 words in bulk and leaves the
-stream exactly where the per-vertex calls would, which holds for
-k < 2**32, the largest palette GameConfig accepts.
+A redraw from an available set of size a is ``rng.randrange(a)`` and
+takes the set's r-th smallest color. :func:`initial_state` and run()'s
+rounds read those MT19937 words in bulk and leave the stream exactly
+where the per-call loops would, which holds for k < 2**32, the largest
+palette GameConfig accepts.
+
+step() and available_set() enumerate each available set in full
+(:func:`_available_list`); they are the reference. run() picks the r-th
+color by rank from the neighbors' colors instead, in O(degree) whatever
+k is, and its tests pin it to step() draw for draw.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ class Strategy(Enum):
         return max_degree + 2 if self is Strategy.GREEDY else max_degree + 1
 
 
-# randrange(k) must take one 32-bit word per try for the bulk round-1 read.
+# randrange(k) must take one 32-bit word per try for the bulk reads.
 MAX_K = 2**32
 
 
@@ -163,10 +170,11 @@ def is_proper(g: Graph, colors: tuple[int, ...]) -> bool:
 def _available_list(
     colors, neighbors_v, own: int, strategy: Strategy, k: int
 ) -> list[int]:
-    """Sorted candidate colors for a redraw; the single sampling-law choke point.
+    """Sorted candidate colors for a redraw, enumerated over range(k).
 
-    All engine paths (available_set, step, run) route through here so a
-    fault injected at this seam is visible to every consumer.
+    available_set and step draw from this list, and the verification
+    suite's fault injections patch it; run() selects the same colors by
+    rank without building the list and is tested against step().
     """
     used = {colors[u] for u in neighbors_v}
     free = [c for c in range(k) if c not in used]
@@ -278,8 +286,11 @@ def run(
     vertex ever turns unhappy, which no legal configuration can cause;
     it consumes no randomness, so results are unaffected.
 
-    The loop only re-examines vertices whose neighborhood changed, which
-    is exact because colors change nowhere else. A timeout is a value
+    A round only re-examines the neighborhoods of the vertices that
+    redrew, which is exact because colors change nowhere else. Rounds
+    with at least VECTOR_ROUND_MIN unhappy vertices run in numpy
+    (:func:`_vector_round`), smaller ones in Python (:func:`_scalar_round`);
+    both draw the same colors as :func:`step`. A timeout is a value
     (tau=None), not an error.
     """
     if retention not in ("full", "counts"):
@@ -287,9 +298,8 @@ def run(
     cfg.validate(g)
     rng = random.Random(cfg.seed)
     first = initial_state(g, cfg, rng)
-    colors = list(first.colors)
-    adj = [g.neighbors(v) for v in range(g.n)]
-    n, k, strategy = g.n, cfg.k, cfg.strategy
+    colors: list[int] | np.ndarray = list(first.colors)
+    n = g.n
     keep_sets = retention == "full"
 
     unhappy = unhappy_vertices(g, first)
@@ -299,37 +309,23 @@ def run(
     min_available: int | None = None
     rnd = 1
     while unhappy and rnd < cfg.max_rounds:
-        changes = []
-        for v in unhappy:
-            avail = _available_list(colors, adj[v], colors[v], strategy, k)
-            if not avail:
-                raise ContractViolation(
-                    f"empty available set at vertex {v} in round {rnd}"
-                )
-            if min_available is None or len(avail) < min_available:
-                min_available = len(avail)
-            changes.append((v, _draw(rng, avail)))
-        was_unhappy = set(unhappy)
-        for v, c in changes:
-            colors[v] = c
-        nxt: set[int] = set()
-        for v, _ in changes:
-            cv = colors[v]
-            for u in adj[v]:
-                if colors[u] == cv:
-                    nxt.add(v)
-                    if u not in was_unhappy:
-                        # cannot happen while draws avoid neighbor colors
-                        if paranoid:
-                            raise ContractViolation(
-                                f"happy vertex {u} lost happiness in round {rnd + 1}"
-                            )
-                        nxt.add(u)
-        unhappy = sorted(nxt)
+        # colors is a list in scalar rounds and an array in vector rounds
+        if len(unhappy) >= VECTOR_ROUND_MIN:
+            if isinstance(colors, list):
+                colors = np.array(colors, dtype=np.int64)
+            unhappy, low = _vector_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
+        else:
+            if not isinstance(colors, list):
+                colors = colors.tolist()
+            unhappy, low = _scalar_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
+        if min_available is None or low < min_available:
+            min_available = low
         rnd += 1
         history.append(
             RoundRecord(rnd, frozenset(unhappy) if keep_sets else None, n - len(unhappy))
         )
+    if not isinstance(colors, list):
+        colors = colors.tolist()
     tau = rnd if not unhappy else None
     return TrialResult(
         tau=tau,
@@ -338,3 +334,156 @@ def run(
         seed=cfg.seed,
         min_available=min_available,
     )
+
+
+# Rounds with at least this many unhappy vertices redraw in numpy; below
+# it the per-call cost of numpy exceeds the Python loop's.
+VECTOR_ROUND_MIN = 32
+
+
+def _scalar_round(
+    g: Graph,
+    colors: list[int],
+    unhappy: list[int],
+    cfg: GameConfig,
+    rng: random.Random,
+    rnd: int,
+    paranoid: bool,
+) -> tuple[list[int], int]:
+    """One round in Python; returns (next unhappy list, smallest set size).
+
+    colors is updated in place. The excluded set E is the neighbors'
+    colors, minus v's own under Frugal. The r-th smallest color outside
+    E, r = randrange(k - |E|), is the r-th entry of the sorted available
+    list, found by a walk of sorted(E) in O(degree) rather than a scan
+    of range(k).
+    """
+    k = cfg.k
+    frugal = cfg.strategy is Strategy.FRUGAL
+    low = k
+    changes = []
+    for v in unhappy:
+        used = {colors[u] for u in g.neighbors(v)}
+        if frugal:
+            used.discard(colors[v])
+        size = k - len(used)
+        if size < 1:
+            raise ContractViolation(f"empty available set at vertex {v} in round {rnd}")
+        if size < low:
+            low = size
+        # singleton sets skip the stream, as in _draw
+        c = rng.randrange(size) if size > 1 else 0
+        for e in sorted(used):
+            if e > c:
+                break
+            c += 1
+        changes.append((v, c))
+    was_unhappy = set(unhappy)
+    for v, c in changes:
+        colors[v] = c
+    nxt: set[int] = set()
+    for v, cv in changes:
+        for u in g.neighbors(v):
+            if colors[u] == cv:
+                nxt.add(v)
+                if u not in was_unhappy:
+                    # cannot happen while draws avoid neighbor colors
+                    if paranoid:
+                        raise ContractViolation(
+                            f"happy vertex {u} lost happiness in round {rnd + 1}"
+                        )
+                    nxt.add(u)
+    return sorted(nxt), low
+
+
+def _vector_round(
+    g: Graph,
+    colors: np.ndarray,
+    unhappy: list[int],
+    cfg: GameConfig,
+    rng: random.Random,
+    rnd: int,
+    paranoid: bool,
+) -> tuple[list[int], int]:
+    """:func:`_scalar_round` in numpy over the CSR rows of the unhappy vertices.
+
+    Each excluded set E comes from sort-deduplicating row * k + neighbor
+    color. With E's elements e_0 < e_1 < ... the r-th color outside E is
+    r + #{j : e_j - j <= r}; as e_j - j never decreases along a row, one
+    searchsorted over row * k + e_j - j counts it for every row at once.
+    """
+    k = cfg.k
+    offsets, dst = g.offsets(), g.arcs()[1]
+    verts = np.array(unhappy, dtype=np.intp)
+    m = len(verts)
+    starts = offsets[verts]
+    lens = offsets[verts + 1] - starts
+    ends = np.cumsum(lens)
+    rows = np.repeat(np.arange(m), lens)
+    arcs = np.arange(ends[-1]) + (starts - ends + lens)[rows]
+    nbrs = dst[arcs]
+    own = colors[verts]
+    nbr_colors = colors[nbrs]
+    keys = rows * k + nbr_colors  # below 2**63: rows < n and colors < k < 2**32
+    if cfg.strategy is Strategy.FRUGAL:
+        keys = keys[nbr_colors != own[rows]]
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    key_rows = keys // k
+    excluded = np.bincount(key_rows, minlength=m)
+    sizes = k - excluded
+    low = int(sizes.min())
+    if low < 1:
+        v = unhappy[int(np.argmin(sizes))]
+        raise ContractViolation(f"empty available set at vertex {v} in round {rnd}")
+    ranks = np.zeros(m, dtype=np.int64)
+    drawn = sizes > 1
+    ranks[drawn] = _randrange_each(rng, sizes[drawn])
+    row_starts = np.cumsum(excluded) - excluded
+    # row * k + e_j - j, where j is the key's position within its row
+    shifted = keys - np.arange(len(keys)) + row_starts[key_rows]
+    below = np.searchsorted(shifted, np.arange(m) * k + ranks, side="right") - row_starts
+    new = ranks + below
+    colors[verts] = new
+    clash = new[rows] == colors[nbrs]
+    hit = np.zeros(m, dtype=bool)
+    hit[rows[clash]] = True
+    nxt = verts[hit]
+    if nxt.size:
+        was_unhappy = np.zeros(g.n, dtype=bool)
+        was_unhappy[verts] = True
+        lost = nbrs[clash & ~was_unhappy[nbrs]]
+        if lost.size:
+            # cannot happen while draws avoid neighbor colors
+            if paranoid:
+                raise ContractViolation(
+                    f"happy vertex {lost[0]} lost happiness in round {rnd + 1}"
+                )
+            nxt = np.union1d(nxt, lost)
+    return nxt.tolist(), low
+
+
+def _randrange_each(rng: random.Random, bounds: np.ndarray) -> np.ndarray:
+    """rng.randrange(b) for each b of bounds in order, read from bulk words.
+
+    The words are the ones :func:`_randrange_many` reads, but the bound
+    can change from one value to the next, so a Python loop tries each
+    word against the value it falls to: w >> s < b is w < b << s. As
+    there, each block has as many words as values still owed and is used
+    up whole, so the stream ends where per-value randrange calls leave it.
+    """
+    shifts = 32 - np.frexp(bounds)[1]  # frexp's exponent is the bit length
+    limits = (bounds << shifts).tolist()
+    count = len(limits)
+    accepted: list[int] = []
+    i = 0
+    while i < count:
+        need = count - i
+        block = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        for w in np.frombuffer(block, dtype="<u4").tolist():
+            if w < limits[i]:
+                accepted.append(w)
+                i += 1
+    return np.array(accepted, dtype=np.int64) >> shifts

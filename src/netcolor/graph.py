@@ -31,7 +31,7 @@ class Graph:
     :func:`read_edge_list`; the constructor trusts its arguments.
     """
 
-    __slots__ = ("n", "edge_count", "_adj", "_arcs")
+    __slots__ = ("n", "edge_count", "_adj", "_arcs", "_offsets", "_max_degree")
 
     def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...], edge_count: int):
         self.n = n
@@ -57,18 +57,33 @@ class Graph:
         dst = np.fromiter(
             itertools.chain.from_iterable(self._adj), dtype=np.intp, count=2 * self.edge_count
         )
-        src.flags.writeable = dst.flags.writeable = False
+        offsets = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(degrees, out=offsets[1:])
+        for a in (src, dst, offsets):
+            a.flags.writeable = False
         self._arcs = (src, dst)
+        self._offsets = offsets
         return self._arcs
+
+    def offsets(self) -> np.ndarray:
+        """Read-only CSR row offsets: v's arcs are ``offsets[v]:offsets[v + 1]``."""
+        try:
+            return self._offsets
+        except AttributeError:
+            self.arcs()
+            return self._offsets
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def max_degree(self) -> int:
-        """Largest vertex degree; 0 for an edgeless graph."""
-        if self.n == 0:
-            return 0
-        return max(len(a) for a in self._adj)
+        """Largest vertex degree; 0 for an edgeless graph. Cached."""
+        try:
+            return self._max_degree
+        except AttributeError:
+            pass
+        self._max_degree = max(map(len, self._adj), default=0)
+        return self._max_degree
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v."""

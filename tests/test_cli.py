@@ -1,12 +1,24 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import netcolor
 from netcolor import read_edge_list, complete_graph, cycle_graph, write_edge_list
-from netcolor.cli import UsageError, load_config, main
+from netcolor.cli import EXIT_BROKEN_PIPE, UsageError, load_config, main
+
+# `python -m netcolor.cli` on the package under test, installed or not
+CLI = [sys.executable, "-m", "netcolor.cli"]
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(netcolor.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 
 def run_cli(*argv):
@@ -201,11 +213,27 @@ def test_sweep_writes_table(tmp_path):
 
 def test_module_is_runnable_as_script():
     proc = subprocess.run(
-        [sys.executable, "-m", "netcolor.cli", "bounds", "--n", "10"],
-        capture_output=True, text=True,
+        CLI + ["bounds", "--n", "10"], capture_output=True, text=True, env=CLI_ENV
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 10
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_reader_closing_the_pipe_early_is_quiet():
+    # two trapped greedy trials write ~600 kB of rounds CSV, far beyond a pipe buffer
+    proc = subprocess.Popen(
+        CLI + ["run", "--family", "complete", "--n", "3", "--strategy", "greedy", "--k", "3",
+               "--allow-illegal-k", "--trials", "2", "--seed", "0", "--max-rounds", "30000",
+               "--rounds-out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV,
+    )
+    assert proc.stdout.readline() == b"trial,round,unhappy_count\n"
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert err == b""
 
 
 @pytest.mark.skipif(shutil.which("netcolor") is None, reason="console script not on PATH")

@@ -1,5 +1,8 @@
 import random
+import re
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +28,7 @@ from netcolor import (
     stick_set,
     unhappy_vertices,
 )
+from netcolor import engine
 from netcolor.oracle import _unhappy_list
 
 TRIANGLE = complete_graph(3)
@@ -248,37 +252,127 @@ def test_happiness_is_monotone(gc):
         assert r.min_available >= 2
 
 
-def assert_run_matches_steps(g, c):
-    r = run(g, c)
+def stepwise_reference(g, c):
+    """(final state, history, tau, min_available) from step() and available_set()."""
     rng = random.Random(c.seed)
     state = initial_state(g, c, rng)
     unhappy = frozenset(unhappy_vertices(g, state))
     records = [RoundRecord(1, unhappy, g.n - len(unhappy))]
+    sizes = []
     while records[-1].unhappy and state.round < c.max_rounds:
+        prev = state
         state, rec = step(g, state, c, rng)
+        sizes += [len(available_set(g, prev, v, c.strategy, c.k)) for v in records[-1].unhappy]
         records.append(rec)
-    assert r.final_state == state
-    assert list(r.history) == records
-    expected_tau = state.round if not records[-1].unhappy else None
-    assert r.tau == expected_tau
+    tau = state.round if not records[-1].unhappy else None
+    return state, records, tau, min(sizes, default=None)
+
+
+def assert_run_matches_steps(g, c, paranoid=False):
+    try:
+        expected = stepwise_reference(g, c)
+    except ContractViolation as exc:
+        with pytest.raises(ContractViolation, match=f"^{re.escape(str(exc))}$"):
+            run(g, c, paranoid=paranoid)
+        return
+    r = run(g, c, paranoid=paranoid)
+    assert (r.final_state, list(r.history), r.tau, r.min_available) == expected
+    assert {type(x) for x in r.final_state.colors} <= {int}
 
 
 @settings(deadline=None, max_examples=40)
 @given(graph_and_config())
 def test_run_matches_stepwise_reference(gc):
     assert_run_matches_steps(*gc)
+    # every round of these small graphs through the numpy round as well
+    with mock.patch.object(engine, "VECTOR_ROUND_MIN", 1):
+        assert_run_matches_steps(*gc)
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
 @pytest.mark.parametrize("n, p", [(40, 0.15), (120, 0.05)])
 def test_run_matches_stepwise_reference_on_vectorized_scans(n, p, strategy):
-    # n >= VECTOR_SCAN_MIN, so the scans take the numpy path.
+    # n >= VECTOR_SCAN_MIN, so the scans take the numpy path; at n = 120 the
+    # rounds start above VECTOR_ROUND_MIN unhappy vertices and fall below it.
     g = erdos_renyi(n, p, seed=n)
-    for seed in range(5):
-        c = GameConfig(
-            k=strategy.min_colors(g.max_degree()), strategy=strategy, seed=seed, max_rounds=500
-        )
-        assert_run_matches_steps(g, c)
+    for k in (strategy.min_colors(g.max_degree()), 1000, 2**32 - 1):
+        for seed in range(5):
+            c = GameConfig(k=k, strategy=strategy, seed=seed, max_rounds=500)
+            assert_run_matches_steps(g, c, paranoid=seed % 2 == 0)
+
+
+def disjoint(parts, n):
+    """Disjoint union of graphs on n vertices each, given as edge lists."""
+    edges = [(i * n + a, i * n + b) for i, part in enumerate(parts) for a, b in part]
+    return from_edge_list(edges, n * len(parts))
+
+
+K3 = ((0, 1), (0, 2), (1, 2))
+STAR4 = ((0, 1), (0, 2), (0, 3))
+
+
+@pytest.mark.parametrize(
+    "g, strategy, k, initial, max_rounds",
+    [
+        # greedy two-cycles: 2 unhappy vertices per triangle in every round
+        pytest.param(disjoint([K3] * 16, 3), Strategy.GREEDY, 3, (0, 0, 1) * 16, 30,
+                     id="greedy-trap-at-threshold"),
+        pytest.param(disjoint([K3] * 15 + [((0, 1),)], 3), Strategy.GREEDY, 3,
+                     (0, 0, 1) * 15 + (0, 0, 2), 30, id="greedy-trap-falls-below-threshold"),
+        # forced (stream-free) moves mixed with real draws below the threshold
+        pytest.param(disjoint([K3] * 14 + [((0, 1),)], 3), Strategy.GREEDY, 3,
+                     (0, 0, 1) * 14 + (0, 0, 2), 30, id="greedy-trap-below-threshold"),
+        # the last center sees all three colors: an empty greedy set
+        pytest.param(disjoint([STAR4] * 16, 4), Strategy.GREEDY, 3, (0, 0, 1, 1) * 15 + (0, 0, 1, 2),
+                     10, id="greedy-palette-covered-vector"),
+        pytest.param(disjoint([STAR4] * 2, 4), Strategy.GREEDY, 3, (0, 0, 1, 1, 0, 0, 1, 2),
+                     10, id="greedy-palette-covered-scalar"),
+        pytest.param(erdos_renyi(60, 0.1, seed=3), Strategy.FRUGAL, 1000, (0,) * 60, 500,
+                     id="frugal-k1000-all-equal"),
+        pytest.param(erdos_renyi(60, 0.1, seed=3), Strategy.GREEDY, 1000, (7,) * 60, 500,
+                     id="greedy-k1000-all-equal"),
+    ],
+)
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_run_matches_stepwise_reference_on_crafted_starts(g, strategy, k, initial, max_rounds, paranoid):
+    c = GameConfig(k=k, strategy=strategy, seed=4, max_rounds=max_rounds,
+                   enforce_k_bound=False, initial=initial)
+    assert_run_matches_steps(g, c, paranoid=paranoid)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("copies", [1, 12])
+def test_largest_palette_redraws_by_rank(copies, strategy):
+    # range(k) would hold 2**32 - 1 colors; ranks need none of them
+    g = disjoint([K3] * copies, 3)
+    k = 2**32 - 1
+    c = GameConfig(k=k, strategy=strategy, seed=9, initial=(0,) * g.n)
+    r = run(g, c)
+    ref = random.Random(9)
+    if strategy is Strategy.FRUGAL:
+        expected = tuple(ref.randrange(k) for _ in range(g.n))
+    else:
+        expected = tuple(1 + ref.randrange(k - 1) for _ in range(g.n))
+    assert r.tau == 2
+    assert r.final_state.colors == expected
+    assert r.min_available == (k if strategy is Strategy.FRUGAL else k - 1)
+
+
+@pytest.mark.parametrize(
+    "seed, bounds",
+    [
+        (21, [2] * 50),
+        (21, [3, 2**32 - 1, 17, 2, 1000, 2**31 + 1, 5] * 40),
+        (21, [9]),
+        # the first word of seed 0 as a 32-bit bound: that word is rejected
+        (0, [random.Random(0).getrandbits(32), 6]),
+    ],
+)
+def test_randrange_each_matches_randrange_calls(seed, bounds):
+    rng, ref = random.Random(seed), random.Random(seed)
+    drawn = engine._randrange_each(rng, np.array(bounds, dtype=np.int64))
+    assert drawn.tolist() == [ref.randrange(b) for b in bounds]
+    assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("n", [2, 31, 32, 200])

@@ -179,13 +179,20 @@ def test_arcs_are_cached_read_only_csr():
     assert dst.tolist() == [1, 2, 0, 3, 0, 1]
     assert g.arcs()[0] is src
     assert not src.flags.writeable and not dst.flags.writeable
-    edgeless = from_edge_list([], 3).arcs()
-    assert edgeless[0].size == edgeless[1].size == 0
+    offsets = g.offsets()
+    assert offsets.tolist() == [0, 2, 4, 5, 6]
+    assert g.offsets() is offsets and not offsets.flags.writeable
+    edgeless = from_edge_list([], 3)
+    assert edgeless.offsets().tolist() == [0, 0, 0, 0]
+    assert edgeless.arcs()[0].size == edgeless.arcs()[1].size == 0
 
 
 def test_graph_with_cached_arcs_pickles_equal():
     g = erdos_renyi(60, 0.1, seed=2)
     g.arcs()
+    g.max_degree()
     h = pickle.loads(pickle.dumps(g))
     assert h == g
     assert h.arcs()[1].tolist() == g.arcs()[1].tolist()
+    assert h.offsets().tolist() == g.offsets().tolist()
+    assert h.max_degree() == g.max_degree() == max(map(g.degree, range(g.n)))

@@ -1,11 +1,13 @@
 """The CPython ``random`` facts the bulk stream readers rely on.
 
-erdos_renyi and initial_state read MT19937 words in bulk instead of
-calling random() and randrange(k) one at a time. That gives the same
-output only while the facts below hold; a Python release that changes
-any of them must fail here, not drift silently.
+erdos_renyi, initial_state and the engine's later rounds read MT19937
+words in bulk instead of calling random() and randrange(k) one at a
+time. That gives the same output only while the facts below hold; a
+Python release that changes any of them must fail here, not drift
+silently.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -19,17 +21,23 @@ def words(seed, count):
     return [rng.getrandbits(32) for _ in range(count)]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 16, 17, 19, 64, 100])
+@pytest.mark.parametrize(
+    "k",
+    [1, 2, 3, 4, 16, 17, 19, 64, 100,
+     # a new bound on every call, as the engine's later rounds draw
+     pytest.param((5, 2**32 - 1, 2, 19, 2**31 + 1, 1000, 3), id="mixed")],
+)
 def test_randrange_is_getrandbits_rejection_on_single_words(k):
+    bounds = list(itertools.islice(itertools.cycle(k if isinstance(k, tuple) else (k,)), 1000))
     stream = iter(words(3, 4000))
-    shift = 32 - k.bit_length()
     expected = []
-    while len(expected) < 1000:
-        w = next(stream) >> shift
-        if w < k:
-            expected.append(w)
+    for b in bounds:
+        shift = 32 - b.bit_length()
+        while (w := next(stream) >> shift) >= b:
+            pass
+        expected.append(w)
     rng = random.Random(3)
-    assert [rng.randrange(k) for _ in range(1000)] == expected
+    assert [rng.randrange(b) for b in bounds] == expected
 
 
 def test_random_is_res53_of_two_words():
