@@ -15,9 +15,10 @@ where the per-call loops would, which holds for k < 2**32, the largest
 palette GameConfig accepts.
 
 step() and available_set() enumerate each available set in full
-(:func:`_available_list`); they are the reference. run() picks the r-th
-color by rank from the neighbors' colors instead, in O(degree) whatever
-k is, and its tests pin it to step() draw for draw.
+(:func:`_available_list`) and refuse palettes above ENUMERATION_CAP;
+they are the reference. run() picks the r-th color by rank from the
+neighbors' colors instead, in O(degree) whatever k is, and its tests
+pin it to step() draw for draw.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ContractViolation, IllegalPaletteError
+from .errors import ENUMERATION_CAP, ContractViolation, EnumerationLimitError, IllegalPaletteError
 from .graph import Graph
 
 
@@ -174,8 +175,14 @@ def _available_list(
 
     available_set and step draw from this list, and the verification
     suite's fault injections patch it; run() selects the same colors by
-    rank without building the list and is tested against step().
+    rank without building the list and is tested against step(). A
+    palette above ENUMERATION_CAP raises before the list is built.
     """
+    if k > ENUMERATION_CAP:
+        raise EnumerationLimitError(
+            f"palette k = {k} exceeds enumeration cap {ENUMERATION_CAP}; "
+            "step() and available_set() list range(k), run() does not"
+        )
     used = {colors[u] for u in neighbors_v}
     free = [c for c in range(k) if c not in used]
     if strategy is Strategy.GREEDY or own not in used:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration cap."""
+
+# Largest enumeration the package builds in one piece: a joint support of
+# the oracle, or a palette listed over range(k) by the engine's step().
+ENUMERATION_CAP = 10**7
 
 
 class NetcolorError(Exception):

@@ -5,8 +5,17 @@ calling the engine's samplers: the two code paths must stay independent
 so the engine/oracle agreement test retains its power to catch faults
 in either one.
 
-Probabilities are exact Fractions while the enumerated joint support is
-at most EXACT_SUPPORT_CAP outcomes, doubles beyond that.
+The laws and floor probabilities count outcomes as integers and turn
+each count into a probability once: the exact Fraction(count, size)
+while the enumerated joint support (size) is at most EXACT_SUPPORT_CAP
+outcomes, the double count / size beyond that. exact_expected_tau works
+in doubles and solves its absorbing chain with one sparse solve.
+
+Both strategies are equivariant under any permutation of the palette:
+renaming colors renames the available sets and leaves every draw
+uniform. Probabilities of happiness therefore depend on a coloring only
+up to renaming, and two_round_happiness_prob memoizes on colorings
+relabeled by first appearance (:func:`_relabel`).
 """
 
 from __future__ import annotations
@@ -19,12 +28,10 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import ColoringState, GameConfig, Strategy
-from .errors import ContractViolation, EnumerationLimitError
+from .errors import ENUMERATION_CAP, ContractViolation, EnumerationLimitError
 from .graph import Graph
 
-ENUMERATION_CAP = 10**7
 EXACT_SUPPORT_CAP = 10**4
-DENSE_SOLVER_MAX = 2000
 
 # Tail floor for the available-set size after one round.
 AVAILABLE_SIZE_FLOOR = Fraction(1, 16)
@@ -84,11 +91,58 @@ def _unhappy_list(g: Graph, colors) -> list[int]:
 
 def _available(colors, nbrs, own: int, strategy: Strategy, k: int) -> tuple[int, ...]:
     # Independent twin of the engine's candidate computation; keep it that way.
+    if k > ENUMERATION_CAP:
+        raise EnumerationLimitError(
+            f"palette k = {k} exceeds enumeration cap {ENUMERATION_CAP}; "
+            "available sets are listed over range(k)"
+        )
     used = {colors[u] for u in nbrs}
     free = [c for c in range(k) if c not in used]
     if strategy is Strategy.GREEDY or own not in used:
         return tuple(free)
     return tuple(sorted(free + [own]))
+
+
+def _joint_draws(g: Graph, colors, movers, strategy: Strategy, k: int, cap: int, what: str):
+    """Available sets of the movers and the size of their joint support.
+
+    Raises on an empty set and when the joint support exceeds cap, before
+    anything is enumerated; what names the support in the message.
+    """
+    avails = [_available(colors, g.neighbors(u), colors[u], strategy, k) for u in movers]
+    for u, a in zip(movers, avails):
+        if not a:
+            raise ContractViolation(f"empty available set at vertex {u} in coloring {tuple(colors)}")
+    size = math.prod(len(a) for a in avails)
+    if size > cap:
+        raise EnumerationLimitError(f"{what} {size} exceeds enumeration cap {cap}")
+    return avails, size
+
+
+def _next_colorings(g: Graph, colors, movers, strategy: Strategy, k: int, cap: int, what: str):
+    """Per-vertex options of one round and the size of their product.
+
+    Happy vertices keep their color and the unhappy movers range over
+    their sorted available sets, so itertools.product(*options) lists
+    every next coloring once, each with probability 1/size, in sorted
+    order.
+    """
+    avails, size = _joint_draws(g, colors, movers, strategy, k, cap, what)
+    options = [(c,) for c in colors]
+    for u, a in zip(movers, avails):
+        options[u] = a
+    return options, size
+
+
+def _prob(count: int, size: int):
+    """count outcomes out of size: exact up to EXACT_SUPPORT_CAP, a double beyond."""
+    return Fraction(count, size) if size <= EXACT_SUPPORT_CAP else count / size
+
+
+def _relabel(colors) -> tuple[int, ...]:
+    """colors renamed 0, 1, 2, ... in order of first appearance: (2, 0, 2) -> (0, 1, 0)."""
+    names: dict[int, int] = {}
+    return tuple(names.setdefault(c, len(names)) for c in colors)
 
 
 def partition_neighbors(g: Graph, s: ColoringState, v: int) -> NeighborPartition:
@@ -110,39 +164,17 @@ def partition_neighbors(g: Graph, s: ColoringState, v: int) -> NeighborPartition
     )
 
 
-def _joint_size(avails) -> int:
-    size = 1
-    for a in avails:
-        size *= len(a)
-    return size
-
-
 def one_round_distribution(
     g: Graph, s: ColoringState, strategy: Strategy, k: int, *, cap: int = ENUMERATION_CAP
 ) -> Distribution:
     """Exact law of the next state: happy vertices stick, unhappy draw jointly."""
     colors = s.colors
-    movers = _unhappy_list(g, colors)
-    avails = [_available(colors, g.neighbors(v), colors[v], strategy, k) for v in movers]
-    for v, a in zip(movers, avails):
-        if not a:
-            raise ContractViolation(f"empty available set at vertex {v}")
-    size = _joint_size(avails)
-    if size > cap:
-        raise EnumerationLimitError(f"joint support {size} exceeds enumeration cap {cap}")
-    exact = size <= EXACT_SUPPORT_CAP
-    p = Fraction(1, size) if exact else 1.0 / size
-    acc: dict[tuple[int, ...], object] = {}
-    base = list(colors)
-    for draws in itertools.product(*avails):
-        for v, c in zip(movers, draws):
-            base[v] = c
-        key = tuple(base)
-        acc[key] = acc.get(key, 0) + p
-    support = tuple(
-        (ColoringState(c, s.round + 1), acc[c]) for c in sorted(acc)
+    options, size = _next_colorings(
+        g, colors, _unhappy_list(g, colors), strategy, k, cap, "joint support"
     )
-    return Distribution(support=support, kind="coloring", exact=exact)
+    p = _prob(1, size)
+    support = tuple((ColoringState(c, s.round + 1), p) for c in itertools.product(*options))
+    return Distribution(support=support, kind="coloring", exact=size <= EXACT_SUPPORT_CAP)
 
 
 @dataclass(frozen=True)
@@ -178,36 +210,30 @@ def available_size_distribution(
     part = partition_neighbors(g, s, v)
     nbrs = g.neighbors(v)
     movers = sorted(u for u in set(nbrs) | {v} if _is_unhappy(g, colors, u))
-    avails = [_available(colors, g.neighbors(u), colors[u], strategy, k) for u in movers]
-    for u, a in zip(movers, avails):
-        if not a:
-            raise ContractViolation(f"empty available set at vertex {u}")
-    size = _joint_size(avails)
-    if size > cap:
-        raise EnumerationLimitError(f"joint support {size} exceeds enumeration cap {cap}")
-    exact = size <= EXACT_SUPPORT_CAP
-    p = Fraction(1, size) if exact else 1.0 / size
+    avails, size = _joint_draws(g, colors, movers, strategy, k, cap, "joint support")
     pos = {u: i for i, u in enumerate(movers)}
-    acc: dict[int, object] = {}
+    own_at = pos[v]
+    moving = [pos[u] for u in nbrs if u in pos]
+    fixed = {colors[u] for u in nbrs if u not in pos}
+    counts: dict[int, int] = {}
     for draws in itertools.product(*avails):
-        own_new = draws[pos[v]]
-        c_new = {draws[pos[u]] if u in pos else colors[u] for u in nbrs}
-        a_size = (k - len(c_new)) + (1 if own_new in c_new else 0)
-        acc[a_size] = acc.get(a_size, 0) + p
+        c_new = fixed.union([draws[i] for i in moving])
+        a_size = k - len(c_new) + (draws[own_at] in c_new)
+        counts[a_size] = counts.get(a_size, 0) + 1
     dist = Distribution(
-        support=tuple(sorted(acc.items())), kind="available_size", exact=exact
+        support=tuple((sz, _prob(c, size)) for sz, c in sorted(counts.items())),
+        kind="available_size",
+        exact=size <= EXACT_SUPPORT_CAP,
     )
     threshold = Fraction(k - part.f, 5)
-    prob = sum((q for sz, q in dist.support if sz >= threshold), Fraction(0) if exact else 0.0)
-    floor = AVAILABLE_SIZE_FLOOR
-    holds = prob >= (floor if exact else float(floor))
+    prob = _prob(sum(c for sz, c in counts.items() if sz >= threshold), size)
     return AvailableSizeCheck(
         distribution=dist,
         threshold=threshold,
         prob_at_least=prob,
-        floor=floor,
+        floor=AVAILABLE_SIZE_FLOOR,
         f=part.f,
-        holds=holds,
+        holds=prob >= AVAILABLE_SIZE_FLOOR,
     )
 
 
@@ -248,68 +274,70 @@ def two_round_happiness_prob(
     must give the identical value. Both rounds only involve draws inside
     v's closed 2-neighborhood, so everything else marginalizes away.
 
-    cache maps second-round subproblems to their probability; share one
-    dict across calls on the same graph to amortize corpus scans.
+    The result is Fraction(count, size) over the round-one joint support
+    (count sums the favourable round-two fractions), and the double
+    nearest to it when size exceeds EXACT_SUPPORT_CAP.
+
+    cache memoizes results for one graph; share one dict across calls on
+    the same graph to amortize corpus scans. Results are keyed
+    ("two_round", v, strategy, k, cap, shortcut, relabeled coloring) and
+    round-two subproblems ("round_two", v, strategy, k, cap, relabeled
+    colors of the 2-ball), where relabeled means renamed by first
+    appearance; both strategies are equivariant under renaming colors, so
+    colorings that differ only by color names share an entry.
     """
     colors = s.colors
     if not _is_unhappy(g, colors, v):
         return Fraction(1)
+    if cache is None:
+        cache = {}
+    key = ("two_round", v, strategy, k, cap, shortcut, _relabel(colors))
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     ball1 = [v, *g.neighbors(v)]
     ball2 = sorted({w for u in ball1 for w in (u, *g.neighbors(u))})
     movers1 = [u for u in ball2 if _is_unhappy(g, colors, u)]
-    avails1 = [_available(colors, g.neighbors(u), colors[u], strategy, k) for u in movers1]
-    for u, a in zip(movers1, avails1):
-        if not a:
-            raise ContractViolation(f"empty available set at vertex {u}")
-    size1 = _joint_size(avails1)
-    if size1 > cap:
-        raise EnumerationLimitError(f"round-one joint support {size1} exceeds enumeration cap {cap}")
-    exact = size1 <= EXACT_SUPPORT_CAP
-    p1 = Fraction(1, size1) if exact else 1.0 / size1
-    if cache is None:
-        cache = {}
-    total = Fraction(0) if exact else 0.0
+    avails1, size1 = _joint_draws(g, colors, movers1, strategy, k, cap, "round-one joint support")
+    happy = 0
+    # round-two support size -> favourable round-two draws summed over outcomes
+    favourable: dict[int, int] = {}
     work = list(colors)
     for draws in itertools.product(*avails1):
         for u, c in zip(movers1, draws):
             work[u] = c
         if shortcut and not _is_unhappy(g, work, v):
-            total += p1
-        else:
-            key = (v, strategy, k, exact, tuple(work[u] for u in ball2))
-            hit = cache.get(key)
-            if hit is None:
-                hit = _second_round_prob(g, work, v, ball1, strategy, k, cap, exact)
-                cache[key] = hit
-            total += p1 * hit
-    return total
+            happy += 1
+            continue
+        sub = ("round_two", v, strategy, k, cap, _relabel([work[u] for u in ball2]))
+        counts = cache.get(sub)
+        if counts is None:
+            counts = cache[sub] = _second_round_counts(g, work, v, ball1, strategy, k, cap)
+        count, size2 = counts
+        favourable[size2] = favourable.get(size2, 0) + count
+    den = math.lcm(*favourable)
+    num = happy * den + sum(c * (den // size2) for size2, c in favourable.items())
+    prob = Fraction(num, size1 * den)
+    result = prob if size1 <= EXACT_SUPPORT_CAP else float(prob)
+    cache[key] = result
+    return result
 
 
-def _second_round_prob(g, colors1, v, ball1, strategy, k, cap, exact):
-    """P(v happy after one more round from colors1); draws restricted to ball1."""
+def _second_round_counts(g, colors1, v, ball1, strategy, k, cap) -> tuple[int, int]:
+    """(draws leaving v happy, all draws) of one more round from colors1, within ball1."""
     movers = [u for u in ball1 if _is_unhappy(g, colors1, u)]
-    avails = [_available(colors1, g.neighbors(u), colors1[u], strategy, k) for u in movers]
-    for u, a in zip(movers, avails):
-        if not a:
-            raise ContractViolation(f"empty available set at vertex {u}")
-    size = _joint_size(avails)
-    if size > cap:
-        raise EnumerationLimitError(f"round-two joint support {size} exceeds enumeration cap {cap}")
-    p = Fraction(1, size) if exact else 1.0 / size
+    avails, size = _joint_draws(g, colors1, movers, strategy, k, cap, "round-two joint support")
     pos = {u: i for i, u in enumerate(movers)}
-    nbrs = g.neighbors(v)
-    total = Fraction(0) if exact else 0.0
+    own_at = pos.get(v)
+    # Neighbors that stay put are happy, so they hold no color v can hold
+    # after this round; only the moving neighbors can clash with v.
+    moving = [pos[u] for u in g.neighbors(v) if u in pos]
+    count = 0
     for draws in itertools.product(*avails):
-        own = draws[pos[v]] if v in pos else colors1[v]
-        ok = True
-        for u in nbrs:
-            cu = draws[pos[u]] if u in pos else colors1[u]
-            if cu == own:
-                ok = False
-                break
-        if ok:
-            total += p
-    return total
+        own = colors1[v] if own_at is None else draws[own_at]
+        if all(draws[i] != own for i in moving):
+            count += 1
+    return count, size
 
 
 @dataclass(frozen=True)
@@ -330,11 +358,13 @@ def exact_expected_tau(
 ) -> ExpectedTau:
     """Expected tau of the game's absorbing chain, counting the start as round 1.
 
-    Explores colorings reachable from the initial distribution, solves
-    (I - Q) x = 1 over the transient states (dense below 2000 states,
-    value iteration above; residual <= 1e-10 either way), and returns
-    1 + sum of initial mass times x. States that cannot reach a proper
-    coloring make the expectation infinite; their count is reported.
+    Explores colorings reachable from the initial distribution (a state
+    with a joint support of size outcomes moves to each with probability
+    1 / size), builds I - Q over the transient states as one
+    scipy.sparse CSR matrix, solves (I - Q) x = 1 with spsolve (the
+    residual must be <= 1e-10), and returns 1 + sum of initial mass times
+    x. States that cannot reach a proper coloring make the expectation
+    infinite; their count is reported.
     """
     cfg.validate(g)
     n, k = g.n, cfg.k
@@ -346,9 +376,10 @@ def exact_expected_tau(
         w = 1.0 / k**n
         init = [(c, w) for c in itertools.product(range(k), repeat=n)]
 
-    transitions: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
+    # state -> (its successors, the probability of each)
+    transitions: dict[tuple[int, ...], tuple[list[tuple[int, ...]], float]] = {}
     absorbing: set[tuple[int, ...]] = set()
-    rev: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    rev: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     stack = [c for c, _ in init]
     seen = set(stack)
     while stack:
@@ -357,26 +388,13 @@ def exact_expected_tau(
         if not movers:
             absorbing.add(state)
             continue
-        avails = [_available(state, g.neighbors(u), state[u], cfg.strategy, k) for u in movers]
-        for u, a in zip(movers, avails):
-            if not a:
-                raise ContractViolation(f"empty available set at vertex {u} in state {state}")
-        size = _joint_size(avails)
-        if size > transition_cap:
-            raise EnumerationLimitError(
-                f"transition fan-out {size} exceeds enumeration cap {transition_cap}"
-            )
-        p = 1.0 / size
-        succ: dict[tuple[int, ...], float] = {}
-        base = list(state)
-        for draws in itertools.product(*avails):
-            for u, c in zip(movers, draws):
-                base[u] = c
-            key = tuple(base)
-            succ[key] = succ.get(key, 0.0) + p
-        transitions[state] = list(succ.items())
+        options, size = _next_colorings(
+            g, state, movers, cfg.strategy, k, transition_cap, "transition fan-out"
+        )
+        succ = list(itertools.product(*options))
+        transitions[state] = (succ, 1.0 / size)
         for t in succ:
-            rev.setdefault(t, set()).add(state)
+            rev.setdefault(t, []).append(state)
             if t not in seen:
                 seen.add(t)
                 stack.append(t)
@@ -399,36 +417,25 @@ def exact_expected_tau(
     m = len(transient)
     if m == 0:
         return ExpectedTau(1.0, len(seen), 0)
-    if m < DENSE_SOLVER_MAX:
-        a = np.eye(m)
-        for state, succ in transitions.items():
-            i = index[state]
-            for t, p in succ:
-                j = index.get(t)
-                if j is not None:
-                    a[i, j] -= p
-        b = np.ones(m)
-        x = np.linalg.solve(a, b)
-        residual = float(np.max(np.abs(a @ x - b)))
-    else:
-        rows = [
-            [(index[t], p) for t, p in transitions[state] if t in index]
-            for state in transient
-        ]
-        x = np.zeros(m)
-        for _ in range(10**6):
-            new = np.ones(m)
-            for i, row in enumerate(rows):
-                acc = 1.0
-                for j, p in row:
-                    acc += p * x[j]
-                new[i] = acc
-            residual = float(np.max(np.abs(new - x)))
-            x = new
-            if residual <= 1e-10:
-                break
-        residual = _residual(rows, x)
-    if residual > 1e-10:
+    # Imported here: scipy.sparse costs every other command about 0.4 s.
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import spsolve
+
+    rows, cols, vals = list(range(m)), list(range(m)), [1.0] * m
+    for state, (succ, p) in transitions.items():
+        i = index[state]
+        for t in succ:
+            j = index.get(t)
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+                vals.append(-p)
+    a = csr_array((vals, (rows, cols)), shape=(m, m))
+    b = np.ones(m)
+    x = spsolve(a, b)
+    residual = float(np.max(np.abs(a @ x - b)))
+    # a NaN residual (singular solve) fails this test as well
+    if not residual <= 1e-10:
         raise ContractViolation(f"absorption solve residual {residual} above 1e-10")
 
     expected = 1.0
@@ -437,13 +444,3 @@ def exact_expected_tau(
         if i is not None:
             expected += w * float(x[i])
     return ExpectedTau(expected, len(seen), 0)
-
-
-def _residual(rows, x) -> float:
-    worst = 0.0
-    for i, row in enumerate(rows):
-        acc = 1.0
-        for j, p in row:
-            acc += p * x[j]
-        worst = max(worst, abs(acc - x[i]))
-    return worst

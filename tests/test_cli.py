@@ -219,6 +219,26 @@ def test_module_is_runnable_as_script():
     assert json.loads(proc.stdout)["n"] == 10
 
 
+def test_package_is_runnable_with_python_m():
+    proc = subprocess.run(
+        [sys.executable, "-m", "netcolor", "verify", "--level", "full"],
+        capture_output=True, text=True, env=CLI_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["passed"] is True
+    assert [c["details"].get("checked") for c in report["checks"][:2]] == [612, 612]
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # the exact chain solve imports scipy.sparse itself; an eager import would
+    # add its load time to every command
+    code = "import sys, netcolor, netcolor.cli; print('scipy.sparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CLI_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
 def test_reader_closing_the_pipe_early_is_quiet():
     # two trapped greedy trials write ~600 kB of rounds CSV, far beyond a pipe buffer

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from netcolor import (
     ColoringState,
     ContractViolation,
+    EnumerationLimitError,
     GameConfig,
     IllegalPaletteError,
     RoundRecord,
@@ -83,6 +84,25 @@ def test_available_set_empty_greedy_raises():
     s = ColoringState((0, 0, 1, 2), 1)
     with pytest.raises(ContractViolation, match="empty available set"):
         available_set(star, s, 0, Strategy.GREEDY, 3)
+
+
+def test_step_and_available_set_refuse_palettes_above_the_enumeration_cap(monkeypatch):
+    s = ColoringState((0, 0, 0), 1)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "ENUMERATION_CAP", 3)
+        assert available_set(TRIANGLE, s, 0, Strategy.FRUGAL, 3) == frozenset({0, 1, 2})
+        with pytest.raises(EnumerationLimitError, match="k = 4 "):
+            available_set(TRIANGLE, s, 0, Strategy.FRUGAL, 4)
+    # range(2**32 - 1) would take tens of GB; the guard raises before building it
+    k = 2**32 - 1
+    rng = random.Random(0)
+    before = rng.getstate()
+    with pytest.raises(EnumerationLimitError, match=f"k = {k} "):
+        step(TRIANGLE, s, cfg(k, Strategy.FRUGAL), rng)
+    assert rng.getstate() == before
+    with pytest.raises(EnumerationLimitError, match=f"k = {k} "):
+        available_set(TRIANGLE, s, 0, Strategy.GREEDY, k)
+    assert run(TRIANGLE, cfg(k, Strategy.FRUGAL, initial=(0, 0, 0))).tau == 2
 
 
 def test_initial_state_given():

@@ -19,9 +19,11 @@ from netcolor import (
     one_round_distribution,
     partition_neighbors,
     path_graph,
+    star_graph,
     two_round_floor_holds,
     two_round_happiness_prob,
 )
+from netcolor.verification import CORPUS, conflicted_colorings
 
 TRIANGLE = complete_graph(3)
 S001 = ColoringState((0, 0, 1), 1)
@@ -170,6 +172,86 @@ def test_two_round_cache_is_shareable():
     assert a == b == Fraction(3, 4)
 
 
+MEMO_INSTANCES = [(inst.name, inst.graph, inst.k) for inst in CORPUS] + [
+    ("complete4_k4", complete_graph(4), 4),
+    ("star5_k5", star_graph(5), 5),
+]
+
+
+@pytest.mark.parametrize("shortcut", [True, False])
+@pytest.mark.parametrize("name,g,k", MEMO_INSTANCES, ids=[m[0] for m in MEMO_INSTANCES])
+def test_two_round_memo_matches_uncached(name, g, k, shortcut):
+    cache = {}
+    cases = 0
+    for colors in conflicted_colorings(g, k):
+        s = ColoringState(colors, 1)
+        for v in range(g.n):
+            if not any(colors[u] == colors[v] for u in g.neighbors(v)):
+                continue
+            shared = two_round_happiness_prob(
+                g, s, v, Strategy.FRUGAL, k, shortcut=shortcut, cache=cache
+            )
+            alone = two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k, shortcut=shortcut)
+            assert isinstance(shared, Fraction) and shared == alone, (colors, v)
+            cases += 1
+    assert sum(1 for key in cache if key[0] == "two_round") < cases
+
+
+FLOOR_INSTANCES = [
+    (TRIANGLE, 3, Strategy.FRUGAL),
+    (TRIANGLE, 4, Strategy.GREEDY),
+    (cycle_graph(4), 3, Strategy.FRUGAL),
+    (cycle_graph(4), 4, Strategy.GREEDY),
+    (path_graph(3), 3, Strategy.FRUGAL),
+    (star_graph(5), 5, Strategy.FRUGAL),
+]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_floor_probabilities_do_not_depend_on_color_names(data):
+    g, k, strategy = data.draw(st.sampled_from(FLOOR_INSTANCES))
+    colors = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n)))
+    rename = data.draw(st.permutations(range(k)))
+    renamed = tuple(rename[c] for c in colors)
+    s, t = ColoringState(colors, 1), ColoringState(renamed, 1)
+    for v in range(g.n):
+        if not any(colors[u] == colors[v] for u in g.neighbors(v)):
+            continue
+        a = available_size_distribution(g, s, v, strategy, k)
+        b = available_size_distribution(g, t, v, strategy, k)
+        assert a.distribution == b.distribution and a.prob_at_least == b.prob_at_least
+        assert two_round_happiness_prob(g, s, v, strategy, k) == two_round_happiness_prob(
+            g, t, v, strategy, k
+        )
+
+
+def test_two_round_memo_respects_a_smaller_cap():
+    # v = 0 of cycle4 at (0, 0, 1, 1), k = 3: the round-one joint support has
+    # 16 outcomes and the largest round-two support 27
+    g, s = cycle_graph(4), ColoringState((0, 0, 1, 1), 1)
+    cache = {}
+    full = two_round_happiness_prob(g, s, 0, Strategy.FRUGAL, 3, cache=cache)
+    assert two_round_happiness_prob(g, s, 0, Strategy.FRUGAL, 3, cap=27, cache=cache) == full
+    # an empty cache, the warm one, and the warm one after a refused call
+    for memo in ({}, cache, cache):
+        with pytest.raises(EnumerationLimitError, match="round-two joint support 27"):
+            two_round_happiness_prob(g, s, 0, Strategy.FRUGAL, 3, cap=16, cache=memo)
+    with pytest.raises(EnumerationLimitError, match="round-one joint support 16"):
+        two_round_happiness_prob(g, s, 0, Strategy.FRUGAL, 3, cap=15, cache=cache)
+
+
+def test_oracle_refuses_palettes_above_the_enumeration_cap(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "ENUMERATION_CAP", 3)
+        assert one_round_distribution(TRIANGLE, S001, Strategy.FRUGAL, 3).exact
+        with pytest.raises(EnumerationLimitError, match="k = 4 "):
+            one_round_distribution(TRIANGLE, S001, Strategy.FRUGAL, 4)
+    k = 2**32 - 1
+    with pytest.raises(EnumerationLimitError, match=f"k = {k} "):
+        one_round_distribution(TRIANGLE, ColoringState((0, 0, 0), 1), Strategy.FRUGAL, k)
+
+
 def test_two_round_floor_comparison():
     assert two_round_floor_holds(Fraction(1, 16))
     assert not two_round_floor_holds(Fraction(1, 10**5))
@@ -243,12 +325,33 @@ def test_expected_tau_state_cap():
         exact_expected_tau(g, cfg)
 
 
-def test_expected_tau_iterative_solver_matches_dense(monkeypatch):
+def test_expected_tau_sparse_solve_pins():
+    # 1995 and 2061 transient states: the two chains the benchmark solves
+    for g, want in ((path_graph(7), 2.900177909149061), (cycle_graph(7), 3.142665499803556)):
+        res = exact_expected_tau(g, GameConfig(k=3, strategy=Strategy.FRUGAL, seed=0))
+        assert (res.reachable_states, res.trapped_states) == (3**7, 0)
+        assert abs(res.expected - want) <= 1e-9
+
+
+def test_expected_tau_residual_check_can_fail(monkeypatch):
+    import scipy.sparse.linalg
+
+    real = scipy.sparse.linalg.spsolve
     cfg = GameConfig(k=3, strategy=Strategy.FRUGAL, seed=0)
-    dense = exact_expected_tau(TRIANGLE, cfg)
-    monkeypatch.setattr(oracle, "DENSE_SOLVER_MAX", 1)
-    iterative = exact_expected_tau(TRIANGLE, cfg)
-    assert abs(dense.expected - iterative.expected) <= 1e-8
+
+    def perturbed(by):
+        def solve(a, b):
+            x = real(a, b)
+            x[0] += by
+            return x
+
+        return solve
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", perturbed(1e-12))
+    assert abs(exact_expected_tau(TRIANGLE, cfg).expected - 21 / 8) <= 1e-9
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", perturbed(1e-6))
+    with pytest.raises(ContractViolation, match="residual"):
+        exact_expected_tau(TRIANGLE, cfg)
 
 
 def test_expected_tau_matches_simulation_mean():
