@@ -2,8 +2,13 @@
 
 Exit codes: 0 success, 1 failed check or runtime failure, 2 usage or
 configuration error, 141 when the reader of the output closes it early
-(as ``| head`` does). Options can also come from a flat key=value config
-file; explicit flags win over the file.
+(as ``| head`` does).
+
+``run`` and ``sweep`` also read options from ``--config FILE``. Each
+``key = value`` line of the file is read as the flag ``--key=value`` and
+placed before the command line's own flags, so argparse checks file values
+exactly like flags and an explicit flag wins. Switches take a true or false
+word; an unknown key exits 2.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import os
 import sys
 
-from .bounds import frugal_bounds, greedy_bound, max_expectation_bound, mu
+from .bounds import frugal_bounds, greedy_bound, max_expectation_bound
 from .campaign import (
     K_RULES,
     ExperimentSpec,
@@ -35,29 +40,21 @@ class UsageError(Exception):
 _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
 
-_COERCE = {
-    "n": str,
-    "p": float,
-    "k": int,
-    "graph_seed": int,
-    "trials": int,
-    "seed": int,
-    "max_rounds": int,
-    "jobs": int,
-    "avg_degree": float,
-    "allow_illegal_k": "bool",
-    "failure_prob": float,
-}
 
+def load_config(path: str, options: dict) -> list[str]:
+    """Read `key = value` lines as the argv tokens `--key=value`.
 
-def load_config(path: str, allowed: set[str]) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, blanks are skipped."""
-    out: dict = {}
+    `options` is ``vars()`` of the parsed command line: its keys are the
+    allowed keys, and a key whose value is a bool is a switch, which a true
+    word turns on and a false word leaves off. '#' starts a comment, blank
+    lines are skipped, and a later line wins over an earlier one.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
+    tokens: list[str] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -67,39 +64,19 @@ def load_config(path: str, allowed: set[str]) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
         value = value.strip()
-        if key not in allowed:
+        if key not in options or key in ("command", "config"):
             raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-        out[key] = _coerce(key, value, f"{path}:{lineno}")
-    return out
-
-
-def _coerce(key: str, value: str, where: str):
-    kind = _COERCE.get(key, str)
-    if kind == "bool":
-        low = value.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise UsageError(f"{where}: {key} expects a boolean, got {value!r}")
-    try:
-        return kind(value)
-    except ValueError:
-        raise UsageError(f"{where}: {key} expects {kind.__name__}, got {value!r}") from None
-
-
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    raw = vars(args)
-    merged = dict(defaults)
-    if raw.get("config"):
-        merged.update(load_config(raw["config"], set(defaults)))
-    for key, value in raw.items():
-        if key in ("command", "config") or key not in defaults:
-            continue
-        if value is not None:
-            merged[key] = value
-    return merged
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(options[key], bool):
+            tokens.append(f"{flag}={value}")  # '=' keeps an empty or '-' value a value
+        elif value.lower() in _BOOL_TRUE:
+            tokens.append(flag)
+        elif value.lower() in _BOOL_FALSE:
+            # no flag turns a switch off, so drop the ones earlier lines set
+            tokens = [tok for tok in tokens if tok != flag]
+        else:
+            raise UsageError(f"{path}:{lineno}: {key} expects a boolean, got {value!r}")
+    return tokens
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,43 +86,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_flags(sp, n_help):
-        sp.add_argument("--graph", help="edge-list file to load")
-        sp.add_argument("--family", choices=FAMILIES, help="generator family")
-        sp.add_argument("--n", help=n_help)
-        sp.add_argument("--p", type=float, help="edge probability for erdos_renyi")
-        sp.add_argument("--graph-seed", type=int, help="generator seed (default: --seed)")
+    # the flags `run` and `sweep` share
+    campaign = argparse.ArgumentParser(add_help=False)
+    campaign.add_argument("--p", type=float,
+                          help="edge probability for erdos_renyi (sweep: overrides --avg-degree)")
+    campaign.add_argument("--graph-seed", type=int, help="generator seed (default: --seed)")
+    campaign.add_argument("--k", type=int, help="explicit palette size")
+    campaign.add_argument("--k-rule", choices=K_RULES, help="derive k from the max degree")
+    campaign.add_argument("--strategy", choices=[s.value for s in Strategy])
+    campaign.add_argument("--trials", type=int, default=100)
+    campaign.add_argument("--seed", type=int, default=0, help="base seed; trial i uses seed+i")
+    campaign.add_argument("--max-rounds", type=int, default=10**6)
+    campaign.add_argument("--jobs", type=int, default=1)
+    campaign.add_argument("--config", help="key=value config file; flags win")
 
-    run_p = sub.add_parser("run", help="run one Monte Carlo campaign")
-    graph_flags(run_p, "vertex count for generated graphs")
-    run_p.add_argument("--k", type=int, help="explicit palette size")
-    run_p.add_argument("--k-rule", choices=K_RULES, help="derive k from the max degree")
-    run_p.add_argument("--strategy", choices=[s.value for s in Strategy])
-    run_p.add_argument("--trials", type=int)
-    run_p.add_argument("--seed", type=int, help="base seed; trial i uses seed+i")
-    run_p.add_argument("--max-rounds", type=int)
-    run_p.add_argument("--allow-illegal-k", action="store_true", default=None)
-    run_p.add_argument("--retention", choices=["full", "counts"])
+    run_p = sub.add_parser("run", parents=[campaign], help="run one Monte Carlo campaign")
+    run_p.add_argument("--graph", help="edge-list file to load")
+    run_p.add_argument("--family", choices=FAMILIES, help="generator family")
+    run_p.add_argument("--n", help="vertex count for generated graphs")
+    run_p.add_argument("--allow-illegal-k", action="store_true")
+    run_p.add_argument("--retention", choices=["full", "counts"], default="counts")
     run_p.add_argument("--out", help="per-trial CSV path")
     run_p.add_argument("--rounds-out", help="per-round unhappy-count CSV path")
-    run_p.add_argument("--jobs", type=int)
-    run_p.add_argument("--config", help="key=value config file; flags win")
 
-    sweep_p = sub.add_parser("sweep", help="campaigns across sizes, with bound column")
-    sweep_p.add_argument("--family", choices=FAMILIES)
+    sweep_p = sub.add_parser(
+        "sweep", parents=[campaign], help="campaigns across sizes, with bound column"
+    )
+    sweep_p.add_argument("--family", choices=FAMILIES, default="erdos_renyi")
     sweep_p.add_argument("--n", help="comma-separated sizes, e.g. 64,256,1024")
-    sweep_p.add_argument("--p", type=float, help="fixed edge probability (overrides --avg-degree)")
-    sweep_p.add_argument("--avg-degree", type=float, help="hold expected degree constant (default 8)")
-    sweep_p.add_argument("--graph-seed", type=int)
-    sweep_p.add_argument("--k", type=int)
-    sweep_p.add_argument("--k-rule", choices=K_RULES)
-    sweep_p.add_argument("--strategy", choices=[s.value for s in Strategy])
-    sweep_p.add_argument("--trials", type=int)
-    sweep_p.add_argument("--seed", type=int)
-    sweep_p.add_argument("--max-rounds", type=int)
-    sweep_p.add_argument("--jobs", type=int)
+    sweep_p.add_argument("--avg-degree", type=float, default=8.0,
+                         help="hold expected degree constant (default %(default)s)")
     sweep_p.add_argument("--out", help="table CSV path (default: stdout)")
-    sweep_p.add_argument("--config", help="key=value config file; flags win")
 
     verify_p = sub.add_parser("verify", help="run the built-in verification suite")
     verify_p.add_argument("--level", choices=["fast", "full"], default="fast")
@@ -166,119 +137,79 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUN_DEFAULTS = {
-    "graph": None,
-    "family": None,
-    "n": None,
-    "p": None,
-    "graph_seed": None,
-    "k": None,
-    "k_rule": None,
-    "strategy": None,
-    "trials": 100,
-    "seed": 0,
-    "max_rounds": 10**6,
-    "allow_illegal_k": False,
-    "retention": "counts",
-    "out": None,
-    "rounds_out": None,
-    "jobs": 1,
-}
-
-_SWEEP_DEFAULTS = {
-    "family": "erdos_renyi",
-    "n": None,
-    "p": None,
-    "avg_degree": 8.0,
-    "graph_seed": None,
-    "k": None,
-    "k_rule": None,
-    "strategy": None,
-    "trials": 100,
-    "seed": 0,
-    "max_rounds": 10**6,
-    "jobs": 1,
-    "out": None,
-}
-
-
-def _load_graph(opts: dict):
-    if opts["graph"] and opts["family"]:
+def _load_graph(args: argparse.Namespace):
+    if args.graph and args.family:
         raise UsageError("give either --graph or --family, not both")
-    if opts["graph"]:
+    if args.graph:
         try:
-            return read_edge_list(opts["graph"])
+            return read_edge_list(args.graph)
         except FileNotFoundError:
-            raise UsageError(f"graph file not found: {opts['graph']}") from None
-    if opts["family"]:
-        if opts["n"] is None:
+            raise UsageError(f"graph file not found: {args.graph}") from None
+    if args.family:
+        if args.n is None:
             raise UsageError("--family needs --n")
         try:
-            n = int(opts["n"])
+            n = int(args.n)
         except ValueError:
-            raise UsageError(f"--n expects an integer, got {opts['n']!r}") from None
-        seed = opts["graph_seed"]
-        if opts["family"] == "erdos_renyi" and seed is None:
-            seed = opts["seed"]
-        return generate(opts["family"], n, p=opts["p"], seed=seed)
+            raise UsageError(f"--n expects an integer, got {args.n!r}") from None
+        seed = args.graph_seed
+        if args.family == "erdos_renyi" and seed is None:
+            seed = args.seed
+        return generate(args.family, n, p=args.p, seed=seed)
     raise UsageError("a graph is required: --graph FILE or --family NAME --n N")
 
 
-def _strategy(opts: dict) -> Strategy:
-    if opts["strategy"] is None:
+def _strategy(args: argparse.Namespace) -> Strategy:
+    if args.strategy is None:
         raise UsageError("--strategy is required (greedy or frugal)")
-    return Strategy(opts["strategy"])
+    return Strategy(args.strategy)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    opts = _merge(args, _RUN_DEFAULTS)
-    g = _load_graph(opts)
-    strategy = _strategy(opts)
+    g = _load_graph(args)
+    strategy = _strategy(args)
     spec = ExperimentSpec(
         graph=g,
-        k=resolve_k(g, strategy, k=opts["k"], k_rule=opts["k_rule"]),
+        k=resolve_k(g, strategy, k=args.k, k_rule=args.k_rule),
         strategy=strategy,
-        trials=opts["trials"],
-        base_seed=opts["seed"],
-        max_rounds=opts["max_rounds"],
-        retention=opts["retention"],
-        allow_illegal_k=opts["allow_illegal_k"],
+        trials=args.trials,
+        base_seed=args.seed,
+        max_rounds=args.max_rounds,
+        retention=args.retention,
+        allow_illegal_k=args.allow_illegal_k,
     )
-    result = run_campaign(
-        spec, jobs=opts["jobs"], out=opts["out"], rounds_out=opts["rounds_out"]
-    )
+    result = run_campaign(spec, jobs=args.jobs, out=args.out, rounds_out=args.rounds_out)
     print(json.dumps(result.summary.to_dict(), indent=2))
     print(result.summary.human_line(), file=sys.stderr)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = _merge(args, _SWEEP_DEFAULTS)
-    if opts["n"] is None:
+    if args.n is None:
         raise UsageError("sweep needs --n with comma-separated sizes (may be empty)")
-    text = str(opts["n"]).strip()
+    text = args.n.strip()
     try:
         ns = [int(tok) for tok in text.split(",") if tok.strip()] if text else []
     except ValueError:
-        raise UsageError(f"--n expects comma-separated integers, got {opts['n']!r}") from None
-    strategy = _strategy(opts)
+        raise UsageError(f"--n expects comma-separated integers, got {args.n!r}") from None
+    strategy = _strategy(args)
     rows = sweep(
         ns,
-        opts["family"],
+        args.family,
         strategy,
-        k=opts["k"],
-        k_rule=opts["k_rule"],
-        trials=opts["trials"],
-        base_seed=opts["seed"],
-        p=opts["p"],
-        avg_degree=opts["avg_degree"],
-        graph_seed=opts["graph_seed"],
-        max_rounds=opts["max_rounds"],
-        jobs=opts["jobs"],
+        k=args.k,
+        k_rule=args.k_rule,
+        trials=args.trials,
+        base_seed=args.seed,
+        p=args.p,
+        avg_degree=args.avg_degree,
+        graph_seed=args.graph_seed,
+        max_rounds=args.max_rounds,
+        jobs=args.jobs,
     )
     table = format_sweep_csv(rows)
-    if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(table)
     else:
         sys.stdout.write(table)
@@ -338,8 +269,13 @@ EXIT_BROKEN_PIPE = 141
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the file's options go first, so the command line's flags win
+            tokens = load_config(args.config, vars(args))
+            args = parser.parse_args([args.command, *tokens, *argv[1:]])
         status = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout must fail here, not at exit
         return status

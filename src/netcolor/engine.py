@@ -74,6 +74,9 @@ class GameConfig:
     def validate(self, g: Graph) -> None:
         if not 1 <= self.k < MAX_K:
             raise ValueError(f"k must be >= 1 and < 2**32, got {self.k}")
+        if self.seed < 0:
+            # random.Random(s) seeds with abs(s): seeds -s and s would repeat a stream
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.enforce_k_bound:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import netcolor
 from netcolor import read_edge_list, complete_graph, cycle_graph, write_edge_list
-from netcolor.cli import EXIT_BROKEN_PIPE, UsageError, load_config, main
+from netcolor.cli import EXIT_BROKEN_PIPE, UsageError, _build_parser, load_config, main
 
 # `python -m netcolor.cli` on the package under test, installed or not
 CLI = [sys.executable, "-m", "netcolor.cli"]
@@ -101,6 +102,9 @@ def test_run_allows_illegal_k_timeouts(capsys):
         ("sweep", "--strategy", "frugal"),  # sweep without --n
         ("sweep", "--n", "4,oops", "--strategy", "frugal", "--family", "cycle"),
         ("bounds", "--n", "0"),
+        ("run", "--family", "cycle", "--n", "40", "--strategy", "frugal",
+         "--seed", "-3"),  # seeds -s and s would give the same stream
+        ("sweep", "--family", "cycle", "--n", "4", "--strategy", "frugal", "--seed", "-1"),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -131,36 +135,82 @@ def test_config_file_supplies_options(tmp_path, capsys):
     assert payload["n"] == 3
 
 
+# what main hands load_config for a bare `run`
+RUN_OPTIONS = vars(_build_parser().parse_args(["run"]))
+
+
 def test_config_file_errors():
     with pytest.raises(UsageError, match="not found"):
-        load_config("/nonexistent/exp.cfg", {"trials"})
+        load_config("/nonexistent/exp.cfg", RUN_OPTIONS)
     assert run_cli("run", "--config", "/nonexistent/exp.cfg") == 2
 
 
-def test_config_rejects_unknown_and_malformed(tmp_path):
+def test_config_rejects_unknown_and_malformed(tmp_path, capsys):
     bad_key = tmp_path / "a.cfg"
     bad_key.write_text("velocity = 9\n")
-    with pytest.raises(UsageError, match="unknown option 'velocity'"):
-        load_config(str(bad_key), {"trials"})
+    with pytest.raises(UsageError, match=re.escape(f"{bad_key}:1: unknown option 'velocity'")):
+        load_config(str(bad_key), RUN_OPTIONS)
     bad_line = tmp_path / "b.cfg"
-    bad_line.write_text("just some words\n")
-    with pytest.raises(UsageError, match="expected 'key = value'"):
-        load_config(str(bad_line), {"trials"})
-    bad_val = tmp_path / "c.cfg"
-    bad_val.write_text("trials = many\n")
-    with pytest.raises(UsageError, match="expects int"):
-        load_config(str(bad_val), {"trials"})
+    bad_line.write_text("# header\njust some words\n")
+    with pytest.raises(UsageError, match=re.escape(f"{bad_line}:2: expected 'key = value'")):
+        load_config(str(bad_line), RUN_OPTIONS)
+    nested = tmp_path / "n.cfg"
+    nested.write_text("config = other.cfg\n")
+    with pytest.raises(UsageError, match="unknown option 'config'"):
+        load_config(str(nested), RUN_OPTIONS)
     assert run_cli("run", "--config", str(bad_key)) == 2
+    assert f"{bad_key}:1" in capsys.readouterr().err
+    # values are checked by argparse, exactly like flags, before any graph is built
+    bad_val = tmp_path / "c.cfg"
+    for line in ("trials = many", "retention = bogus"):
+        bad_val.write_text(f"family = complete\nn = 3\nstrategy = frugal\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", str(bad_val))
+        assert exc.value.code == 2
 
 
 def test_config_bool_coercion(tmp_path):
     cfg = tmp_path / "d.cfg"
     cfg.write_text("allow-illegal-k = yes\n")
-    opts = load_config(str(cfg), {"allow_illegal_k"})
-    assert opts == {"allow_illegal_k": True}
+    assert load_config(str(cfg), RUN_OPTIONS) == ["--allow-illegal-k"]
+    cfg.write_text("allow_illegal_k = no\n")
+    assert load_config(str(cfg), RUN_OPTIONS) == []
+    cfg.write_text("allow_illegal_k = on\nallow_illegal_k = off\n")  # the last line wins
+    assert load_config(str(cfg), RUN_OPTIONS) == []
     cfg.write_text("allow_illegal_k = maybe\n")
     with pytest.raises(UsageError, match="boolean"):
-        load_config(str(cfg), {"allow_illegal_k"})
+        load_config(str(cfg), RUN_OPTIONS)
+
+
+def test_config_allows_illegal_k_end_to_end(tmp_path, capsys):
+    cfg = tmp_path / "trap.cfg"
+    cfg.write_text(
+        "family = complete\nn = 3\nstrategy = greedy\nk = 3\n"
+        "allow_illegal_k = true\nmax_rounds = 50\ntrials = 20\n"
+    )
+    assert run_cli("run", "--config", str(cfg)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["k"] == 3 and payload["timeouts"] == 18
+
+
+def test_sweep_config_with_flag_override(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("family = cycle\nn = 3,4\nstrategy = frugal\ntrials = 7\n")
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--trials", "11", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [row[0] for row in rows] == ["3", "4"]
+    assert [row[4] for row in rows] == ["11", "11"]  # the trials column
+
+
+def test_readme_config_example_loads(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config files", 1)[1]
+    example = section.split("```\n", 2)[1]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(example)
+    assert run_cli("run", "--config", str(cfg), "--trials", "5") == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 5
 
 
 def test_verify_fast(tmp_path, capsys):

@@ -141,6 +141,10 @@ def test_config_validation():
     cfg(2**32 - 1, Strategy.FRUGAL).validate(TRIANGLE)
     with pytest.raises(ValueError, match="max_rounds"):
         cfg(3, Strategy.FRUGAL, max_rounds=0).validate(TRIANGLE)
+    # random.Random(-s) is random.Random(s)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        cfg(3, Strategy.FRUGAL, seed=-1).validate(TRIANGLE)
+    cfg(3, Strategy.FRUGAL, seed=0).validate(TRIANGLE)
     with pytest.raises(IllegalPaletteError):
         cfg(2, Strategy.FRUGAL).validate(TRIANGLE)
     with pytest.raises(IllegalPaletteError):
