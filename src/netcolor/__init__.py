@@ -29,6 +29,7 @@ from .campaign import (
 from .engine import (
     ColoringState,
     GameConfig,
+    History,
     RoundRecord,
     Strategy,
     TrialResult,

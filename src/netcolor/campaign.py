@@ -15,6 +15,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import frugal_bounds
 from .engine import GameConfig, Strategy, TrialResult, is_proper, run
 from .errors import ContractViolation
@@ -189,7 +191,7 @@ def run_campaign(
     if out is not None:
         write_trials_csv(out, results)
     if rounds_out is not None:
-        write_rounds_csv(rounds_out, results, spec.graph.n)
+        write_rounds_csv(rounds_out, results)
     return CampaignResult(summary=summary, results=tuple(results))
 
 
@@ -232,13 +234,25 @@ def write_trials_csv(path: str, results) -> None:
             fh.write(f"{i},{r.seed},{tau},{timeout},{r.final_state.round}\n")
 
 
-def write_rounds_csv(path: str, results, n: int) -> None:
-    """Long-format per-round unhappy counts: trial,round,unhappy_count."""
+# Rows of the rounds CSV formatted per write.
+ROUNDS_BLOCK = 8192
+
+
+def write_rounds_csv(path: str, results) -> None:
+    """Long-format per-round unhappy counts: trial,round,unhappy_count.
+
+    Each block of rows is one %-format over (round, count) pairs read from
+    the history's counts array, with no record built per round.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("trial,round,unhappy_count\n")
         for i, r in enumerate(results):
-            for rec in r.history:
-                fh.write(f"{i},{rec.round},{n - rec.happy_count}\n")
+            counts = r.history.counts
+            for lo in range(0, len(counts), ROUNDS_BLOCK):
+                block = counts[lo : lo + ROUNDS_BLOCK]
+                rounds = np.arange(lo + 1, lo + 1 + len(block))
+                pairs = np.column_stack((rounds, block)).ravel().tolist()
+                fh.write(f"{i},%d,%d\n" * len(block) % tuple(pairs))
 
 
 SWEEP_COLUMNS = (

@@ -19,13 +19,33 @@ step() and available_set() enumerate each available set in full
 they are the reference. run() picks the r-th color by rank from the
 neighbors' colors instead, in O(degree) whatever k is, and its tests
 pin it to step() draw for draw.
+
+Forced orbits. A round in which every unhappy vertex has a one-element
+set draws nothing: its outcome depends on the coloring alone and the
+stream is left untouched. So once a coloring repeats within an unbroken
+run of such rounds, every later round repeats with it. run() watches
+each run of no-draw rounds with Brent's cycle finder (one stored
+coloring, reset by any round that draws) and, on a repeat of period p,
+jumps over every whole period left before max_rounds, then plays the
+fewer than p rounds that remain. This is the greedy trap at k = Delta + 1
+(and a frugal fixed point at an illegal k): a timed-out trial costs
+O(orbit entry + period) rounds, not O(max_rounds). At a legal k every
+available set has at least two colors, so the finder never fires.
+
+History. A trial's per-round records live in a :class:`History`: the
+unhappy counts as one integer array and, under full retention, each
+distinct unhappy set once plus an index array. RoundRecords are built
+on access.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -113,6 +133,62 @@ class RoundRecord:
     happy_count: int
 
 
+class History(Sequence):
+    """The RoundRecords of rounds 1..len of one trial, held as arrays.
+
+    counts[i] is the number of unhappy vertices in round i + 1. Under full
+    retention sets holds each distinct unhappy set once and ids[i] is the
+    position of round i + 1's set in it; under counts retention both are
+    None. Records are built on access; a slice is a tuple of them. Two
+    histories are equal when their records are.
+    """
+
+    __slots__ = ("n", "counts", "sets", "ids")
+
+    def __init__(self, n: int, counts, sets: tuple[frozenset[int], ...] | None = None, ids=None):
+        self.n = n
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.counts.flags.writeable = False
+        self.sets = sets
+        self.ids = None if ids is None else np.asarray(ids, dtype=np.int64)
+        if self.ids is not None:
+            self.ids.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = range(len(self))[i]  # bounds and negative indices as for a tuple
+        unhappy = None if self.sets is None else self.sets[self.ids[i]]
+        return RoundRecord(i + 1, unhappy, self.n - int(self.counts[i]))
+
+    def __iter__(self):
+        n = self.n
+        sets = repeat(None) if self.sets is None else map(self.sets.__getitem__, self.ids.tolist())
+        for i, (count, unhappy) in enumerate(zip(self.counts.tolist(), sets), 1):
+            yield RoundRecord(i, unhappy, n - count)
+
+    def _key(self):
+        happy = (self.n - self.counts).tobytes()
+        return happy, None if self.sets is None else [self.sets[j] for j in self.ids.tolist()]
+
+    def __eq__(self, other):
+        if not isinstance(other, History):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key()[0])
+
+    def __reduce__(self):
+        return History, (self.n, self.counts, self.sets, self.ids)
+
+    def __repr__(self) -> str:
+        return f"History(n={self.n}, rounds={len(self)}, sets={self.sets is not None})"
+
+
 @dataclass(frozen=True)
 class TrialResult:
     """Outcome of one trial.
@@ -124,7 +200,7 @@ class TrialResult:
     """
 
     tau: int | None
-    history: tuple[RoundRecord, ...]
+    history: History
     final_state: ColoringState
     seed: int
     min_available: int | None
@@ -147,7 +223,11 @@ VECTOR_SCAN_MIN = 32
 
 def unhappy_vertices(g: Graph, s: ColoringState) -> list[int]:
     """Ascending list of vertices with at least one same-colored neighbor."""
-    colors = s.colors
+    return _scan(g, s.colors)
+
+
+def _scan(g: Graph, colors) -> list[int]:
+    """unhappy_vertices of a coloring held as a sequence or an int64 array."""
     if g.n < VECTOR_SCAN_MIN:
         out = []
         for v in range(g.n):
@@ -158,9 +238,10 @@ def unhappy_vertices(g: Graph, s: ColoringState) -> list[int]:
                     break
         return out
     src, dst = g.arcs()
-    c = np.fromiter(colors, dtype=np.intp, count=g.n)
+    if not isinstance(colors, np.ndarray):
+        colors = np.fromiter(colors, dtype=np.int64, count=g.n)
     bad = np.zeros(g.n, dtype=bool)
-    bad[src[c[src] == c[dst]]] = True
+    bad[src[colors[src] == colors[dst]]] = True
     return np.flatnonzero(bad).tolist()
 
 
@@ -225,7 +306,7 @@ def _draw(rng: random.Random, avail: list[int]) -> int:
     return avail[rng.randrange(len(avail))]
 
 
-def _randrange_many(rng: random.Random, k: int, count: int) -> list[int]:
+def _randrange_many(rng: random.Random, k: int, count: int) -> np.ndarray:
     """The next count values of rng.randrange(k), read from bulk words.
 
     randrange(k) takes 32-bit words w until w >> (32 - k.bit_length()) < k,
@@ -235,15 +316,23 @@ def _randrange_many(rng: random.Random, k: int, count: int) -> list[int]:
     randrange calls would leave it.
     """
     shift = 32 - k.bit_length()
-    out: list[int] = []
-    need = count
-    while need:
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        need = count - done
         block = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         values = np.frombuffer(block, dtype="<u4") >> shift
-        accepted = values[values < k].tolist()
-        out += accepted
-        need -= len(accepted)
+        accepted = values[values < k]
+        out[done : done + len(accepted)] = accepted
+        done += len(accepted)
     return out
+
+
+def _initial_colors(g: Graph, cfg: GameConfig, rng: random.Random) -> np.ndarray:
+    """The round-1 coloring of :func:`initial_state` as an int64 array."""
+    if cfg.initial is not None:
+        return np.array(cfg.initial, dtype=np.int64)
+    return _randrange_many(rng, cfg.k, g.n)
 
 
 def initial_state(g: Graph, cfg: GameConfig, rng: random.Random) -> ColoringState:
@@ -253,9 +342,7 @@ def initial_state(g: Graph, cfg: GameConfig, rng: random.Random) -> ColoringStat
     bulk; the colors and the stream's next word are the same as with one
     call per vertex.
     """
-    if cfg.initial is not None:
-        return ColoringState(tuple(cfg.initial), 1)
-    return ColoringState(tuple(_randrange_many(rng, cfg.k, g.n)), 1)
+    return ColoringState(tuple(_initial_colors(g, cfg, rng).tolist()), 1)
 
 
 def step(
@@ -292,54 +379,88 @@ def run(
     """Play until the coloring is proper or max_rounds is hit.
 
     retention="full" keeps the unhappy set of every round; "counts"
-    keeps only per-round happy counts. paranoid=True raises if a happy
-    vertex ever turns unhappy, which no legal configuration can cause;
-    it consumes no randomness, so results are unaffected.
+    keeps only per-round unhappy counts. Either way the history is a
+    :class:`History` of arrays. paranoid=True raises if a happy vertex
+    ever turns unhappy, which no legal configuration can cause; it
+    consumes no randomness, so results are unaffected.
 
     A round only re-examines the neighborhoods of the vertices that
     redrew, which is exact because colors change nowhere else. Rounds
     with at least VECTOR_ROUND_MIN unhappy vertices run in numpy
     (:func:`_vector_round`), smaller ones in Python (:func:`_scalar_round`);
-    both draw the same colors as :func:`step`. A timeout is a value
-    (tau=None), not an error.
+    both draw the same colors as :func:`step`.
+
+    Rounds that draw nothing are deterministic, so each unbroken run of
+    them is watched for a repeated coloring with Brent's cycle finder
+    (R. P. Brent, BIT 20, 1980): one anchor coloring, moved at powers of
+    two and dropped by any round that draws. On a repeat of period p,
+    every whole period left before max_rounds is skipped and its history
+    tiled from the period just played; the loop then plays the fewer
+    than p rounds that remain. tau, final_state, min_available and the
+    stream come out as if every round had been played. A timeout is a
+    value (tau=None), not an error.
     """
     if retention not in ("full", "counts"):
         raise ValueError(f"retention must be 'full' or 'counts', got {retention!r}")
     cfg.validate(g)
     rng = random.Random(cfg.seed)
-    first = initial_state(g, cfg, rng)
-    colors: list[int] | np.ndarray = list(first.colors)
     n = g.n
-    keep_sets = retention == "full"
-
-    unhappy = unhappy_vertices(g, first)
-    history = [
-        RoundRecord(1, frozenset(unhappy) if keep_sets else None, n - len(unhappy))
-    ]
+    # colors is a list in scalar rounds and an array in vector rounds
+    colors: list[int] | np.ndarray = _initial_colors(g, cfg, rng)
+    if n < VECTOR_SCAN_MIN:
+        colors = colors.tolist()
+    unhappy = _scan(g, colors)
+    counts = array("q")
+    # under full retention: each distinct unhappy set once, and its index per round
+    sets: dict[frozenset[int], int] | None = {} if retention == "full" else None
+    ids = array("q")
     min_available: int | None = None
+    anchor: tuple[int, ...] | None = None
     rnd = 1
-    while unhappy and rnd < cfg.max_rounds:
-        # colors is a list in scalar rounds and an array in vector rounds
+    while True:
+        counts.append(len(unhappy))
+        if sets is not None:
+            ids.append(sets.setdefault(frozenset(unhappy), len(sets)))
+        if not unhappy or rnd >= cfg.max_rounds:
+            break
         if len(unhappy) >= VECTOR_ROUND_MIN:
             if isinstance(colors, list):
                 colors = np.array(colors, dtype=np.int64)
-            unhappy, low = _vector_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
+            unhappy, low, drew = _vector_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
         else:
             if not isinstance(colors, list):
                 colors = colors.tolist()
-            unhappy, low = _scalar_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
+            unhappy, low, drew = _scalar_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
         if min_available is None or low < min_available:
             min_available = low
         rnd += 1
-        history.append(
-            RoundRecord(rnd, frozenset(unhappy) if keep_sets else None, n - len(unhappy))
-        )
+        if drew:
+            anchor = None
+            continue
+        coloring = tuple(colors) if isinstance(colors, list) else tuple(colors.tolist())
+        if anchor is None:
+            anchor, power, period = coloring, 1, 0
+            continue
+        period += 1
+        if coloring == anchor:
+            # rounds rnd - period .. rnd - 1 are one period, recorded; repeat it
+            reps = (cfg.max_rounds - rnd) // period
+            rnd += reps * period
+            counts.extend(counts[-period:] * reps)
+            if sets is not None:
+                ids.extend(ids[-period:] * reps)
+        elif period == power:
+            anchor, power, period = coloring, 2 * power, 0
     if not isinstance(colors, list):
         colors = colors.tolist()
-    tau = rnd if not unhappy else None
     return TrialResult(
-        tau=tau,
-        history=tuple(history),
+        tau=None if unhappy else rnd,
+        history=History(
+            n,
+            np.frombuffer(counts, dtype=np.int64),
+            None if sets is None else tuple(sets),
+            None if sets is None else np.frombuffer(ids, dtype=np.int64),
+        ),
         final_state=ColoringState(tuple(colors), rnd),
         seed=cfg.seed,
         min_available=min_available,
@@ -359,18 +480,20 @@ def _scalar_round(
     rng: random.Random,
     rnd: int,
     paranoid: bool,
-) -> tuple[list[int], int]:
-    """One round in Python; returns (next unhappy list, smallest set size).
+) -> tuple[list[int], int, bool]:
+    """One round in Python; returns (next unhappy list, smallest set size, drew).
 
-    colors is updated in place. The excluded set E is the neighbors'
-    colors, minus v's own under Frugal. The r-th smallest color outside
-    E, r = randrange(k - |E|), is the r-th entry of the sorted available
-    list, found by a walk of sorted(E) in O(degree) rather than a scan
-    of range(k).
+    drew is False when every set had one color and the stream was left
+    untouched. colors is updated in place. The excluded set E is the
+    neighbors' colors, minus v's own under Frugal. The r-th smallest
+    color outside E, r = randrange(k - |E|), is the r-th entry of the
+    sorted available list, found by a walk of sorted(E) in O(degree)
+    rather than a scan of range(k).
     """
     k = cfg.k
     frugal = cfg.strategy is Strategy.FRUGAL
     low = k
+    drew = False
     changes = []
     for v in unhappy:
         used = {colors[u] for u in g.neighbors(v)}
@@ -382,7 +505,10 @@ def _scalar_round(
         if size < low:
             low = size
         # singleton sets skip the stream, as in _draw
-        c = rng.randrange(size) if size > 1 else 0
+        c = 0
+        if size > 1:
+            c = rng.randrange(size)
+            drew = True
         for e in sorted(used):
             if e > c:
                 break
@@ -403,7 +529,7 @@ def _scalar_round(
                             f"happy vertex {u} lost happiness in round {rnd + 1}"
                         )
                     nxt.add(u)
-    return sorted(nxt), low
+    return sorted(nxt), low, drew
 
 
 def _vector_round(
@@ -414,7 +540,7 @@ def _vector_round(
     rng: random.Random,
     rnd: int,
     paranoid: bool,
-) -> tuple[list[int], int]:
+) -> tuple[list[int], int, bool]:
     """:func:`_scalar_round` in numpy over the CSR rows of the unhappy vertices.
 
     Each excluded set E comes from sort-deduplicating row * k + neighbor
@@ -472,7 +598,7 @@ def _vector_round(
                     f"happy vertex {lost[0]} lost happiness in round {rnd + 1}"
                 )
             nxt = np.union1d(nxt, lost)
-    return nxt.tolist(), low
+    return nxt.tolist(), low, bool(drawn.any())
 
 
 def _randrange_each(rng: random.Random, bounds: np.ndarray) -> np.ndarray:

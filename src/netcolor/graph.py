@@ -185,6 +185,9 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise GraphFormatError(f"edge probability must be in [0, 1], got {p}")
+    if seed < 0:
+        # random.Random(s) seeds with abs(s): seeds -s and s would give one graph
+        raise GraphFormatError(f"graph seed must be >= 0, got {seed}")
     # For an integer x, x < p * 2**53 iff x < ceil(p * 2**53); both are exact.
     bound = math.ceil(p * 2.0**53)
     # Pairs whose first word alone decides "no edge": a > (bound - 1) >> 26.

@@ -146,6 +146,25 @@ def test_parallel_matches_sequential(tmp_path):
     assert a == b
 
 
+def test_trapped_campaign_csvs_match_across_jobs(tmp_path):
+    # the greedy_trap benchmark configuration: forced orbits fast-forwarded in
+    # every conflicted trial, histories pickled back from the workers
+    trap = spec(k=3, strategy=Strategy.GREEDY, trials=10, seed=1, max_rounds=100_000,
+                allow_illegal_k=True)
+    files = {jobs: (tmp_path / f"trials{jobs}.csv", tmp_path / f"rounds{jobs}.csv")
+             for jobs in (1, 2)}
+    results = {jobs: run_campaign(trap, jobs=jobs, out=str(t), rounds_out=str(r))
+               for jobs, (t, r) in files.items()}
+    assert results[1].results == results[2].results
+    assert sum(r.tau is None for r in results[1].results) == 8
+    for a, b in zip(files[1], files[2]):
+        assert a.read_bytes() == b.read_bytes()
+    # the blocked writer gives one row per record, across many blocks
+    rows = "".join(f"{i},{rec.round},{3 - rec.happy_count}\n"
+                   for i, r in enumerate(results[1].results) for rec in r.history)
+    assert files[1][1].read_text() == "trial,round,unhappy_count\n" + rows
+
+
 def test_jobs_validation():
     with pytest.raises(ValueError, match="jobs"):
         run_campaign(spec(trials=5), jobs=0)

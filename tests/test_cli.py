@@ -105,6 +105,12 @@ def test_run_allows_illegal_k_timeouts(capsys):
         ("run", "--family", "cycle", "--n", "40", "--strategy", "frugal",
          "--seed", "-3"),  # seeds -s and s would give the same stream
         ("sweep", "--family", "cycle", "--n", "4", "--strategy", "frugal", "--seed", "-1"),
+        # a negative graph seed would give the graph of |seed|
+        ("gen", "--family", "erdos_renyi", "--n", "30", "--p", "0.2", "--graph-seed", "-7"),
+        ("run", "--family", "erdos_renyi", "--n", "30", "--p", "0.2", "--graph-seed", "-7",
+         "--strategy", "frugal"),
+        ("sweep", "--family", "erdos_renyi", "--n", "30", "--p", "0.2", "--graph-seed", "-7",
+         "--strategy", "frugal"),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

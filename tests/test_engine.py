@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from unittest import mock
@@ -292,15 +293,17 @@ def stepwise_reference(g, c):
     return state, records, tau, min(sizes, default=None)
 
 
-def assert_run_matches_steps(g, c, paranoid=False):
+def assert_run_matches_steps(g, c, paranoid=False, retention="full"):
     try:
-        expected = stepwise_reference(g, c)
+        state, records, tau, low = stepwise_reference(g, c)
     except ContractViolation as exc:
         with pytest.raises(ContractViolation, match=f"^{re.escape(str(exc))}$"):
-            run(g, c, paranoid=paranoid)
+            run(g, c, paranoid=paranoid, retention=retention)
         return
-    r = run(g, c, paranoid=paranoid)
-    assert (r.final_state, list(r.history), r.tau, r.min_available) == expected
+    if retention == "counts":
+        records = [RoundRecord(rec.round, None, rec.happy_count) for rec in records]
+    r = run(g, c, paranoid=paranoid, retention=retention)
+    assert (r.final_state, list(r.history), r.tau, r.min_available) == (state, records, tau, low)
     assert {type(x) for x in r.final_state.colors} <= {int}
 
 
@@ -426,3 +429,98 @@ def test_greedy_always_changes_color(gc):
         for v in movers:
             assert nxt.colors[v] != state.colors[v]
         state = nxt
+
+
+# Forced orbits: starts whose rounds stop drawing and come back to a
+# coloring, so run() skips whole periods. Each case is (graph, strategy, k,
+# initial, seed, orbit entry, period): the coloring of round `entry` recurs
+# every `period` rounds, and run() must equal step() at every max_rounds up
+# to entry + 3 periods + 1. No case has a period above 2, because a forced
+# orbit cannot: a forced frugal player keeps its color, and for greedy the
+# count of (u, v) neighbor pairs where u's color equals v's color of the
+# round before strictly falls whenever a player does not take back its color
+# of two rounds before (its forced color is the only one no neighbor holds),
+# so on an orbit every player repeats with period 1 or 2. The eight-vertex
+# case instead makes the cycle finder move its anchor twice before it meets
+# the repeat.
+FORCED_STARTS = [
+    pytest.param(TRIANGLE, Strategy.GREEDY, 3, (0, 0, 1), 0, 1, 2, id="greedy-k3-period-2"),
+    pytest.param(
+        from_edge_list([(0, 2), (0, 4), (0, 5), (1, 3), (1, 5), (1, 7), (2, 3), (5, 7)], 8),
+        Strategy.GREEDY, 3, (1, 0, 1, 0, 2, 2, 2, 0), 0, 4, 2,
+        id="greedy-8-vertices-entry-4",
+    ),
+    pytest.param(TRIANGLE, Strategy.FRUGAL, 2, (0, 0, 1), 0, 1, 1, id="frugal-k2-fixed-point"),
+    # the edge draws in rounds 1-7 while the triangle alternates
+    pytest.param(
+        disjoint([K3, ((0, 1),)], 3), Strategy.GREEDY, 3, (0, 0, 1, 0, 0, 0), 3, 8, 2,
+        id="trapped-triangle-beside-drawing-edge",
+    ),
+    # K6 less two edges: rounds 1-8 are forced and drawing in turn, so the
+    # coloring of round 2 recurs at rounds 4, 6 and 8 each time across a
+    # draw; rounds 9-13 draw while their colorings alternate; the forced
+    # orbit starts at round 14
+    pytest.param(
+        from_edge_list([(u, v) for u in range(6) for v in range(u + 1, 6)
+                        if (u, v) not in ((1, 2), (3, 5))], 6),
+        Strategy.GREEDY, 3, (0, 1, 0, 1, 0, 0), 1, 14, 2,
+        id="forced-runs-broken-by-draws",
+    ),
+]
+
+
+@pytest.mark.parametrize("g, strategy, k, initial, seed, entry, period", FORCED_STARTS)
+@pytest.mark.parametrize("retention", ["full", "counts"])
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_fast_forward_matches_stepwise_reference(g, strategy, k, initial, seed, entry, period,
+                                                 retention, paranoid):
+    for max_rounds in range(1, entry + 3 * period + 2):
+        c = GameConfig(k=k, strategy=strategy, seed=seed, max_rounds=max_rounds,
+                       enforce_k_bound=False, initial=initial)
+        assert_run_matches_steps(g, c, paranoid, retention)
+        with mock.patch.object(engine, "VECTOR_ROUND_MIN", 1):
+            assert_run_matches_steps(g, c, paranoid, retention)
+
+
+@pytest.mark.parametrize("g, strategy, k, initial, seed, entry, period", FORCED_STARTS[:2])
+def test_fast_forward_engages(g, strategy, k, initial, seed, entry, period, monkeypatch):
+    calls = 0
+    played = engine._scalar_round
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return played(*args)
+
+    monkeypatch.setattr(engine, "_scalar_round", counted)
+    c = GameConfig(k=k, strategy=strategy, seed=seed, max_rounds=10**6,
+                   enforce_k_bound=False, initial=initial)
+    r = run(g, c, retention="counts")
+    assert calls < 50
+    # round 10**6 of the orbit repeats round `same`
+    same = entry + (10**6 - entry) % period
+    last = run(g, GameConfig(k=k, strategy=strategy, seed=seed, max_rounds=same,
+                             enforce_k_bound=False, initial=initial))
+    assert r.tau is None and r.final_state.colors == last.final_state.colors
+    assert r.final_state.round == len(r.history) == 10**6
+    assert r.history[-1] == RoundRecord(10**6, None, last.history[-1].happy_count)
+    assert r.history.counts[-1] == last.history.counts[-1] and r.min_available == 1
+
+
+def test_history_is_an_immutable_sequence():
+    c = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, max_rounds=7,
+                   enforce_k_bound=False, initial=(0, 0, 1))
+    full, counts = run(TRIANGLE, c), run(TRIANGLE, c, retention="counts")
+    records = [RoundRecord(i, frozenset({0, 1}), 1) for i in range(1, 8)]
+    assert list(full.history) == records and len(full.history) == 7
+    assert full.history[-1] == full.history[6] == records[6]
+    assert full.history[2:5] == tuple(records[2:5]) and full.history[::-3] == tuple(records[::-3])
+    assert full.history.sets == (frozenset({0, 1}),)  # one distinct set, seven rounds
+    with pytest.raises(IndexError):
+        full.history[7]
+    assert counts.history[0] == RoundRecord(1, None, 1) and counts.history != full.history
+    assert full.history == run(TRIANGLE, c).history
+    assert len({full.history, run(TRIANGLE, c).history}) == 1
+    assert pickle.loads(pickle.dumps(full)) == full
+    with pytest.raises(ValueError):
+        full.history.counts[0] = 0

@@ -94,6 +94,14 @@ def test_generator_bounds():
         erdos_renyi(10, 1.5, seed=0)
 
 
+def test_erdos_renyi_refuses_negative_seed():
+    # random.Random(-7) replays the stream of seed 7, so -7 would give seed 7's graph
+    with pytest.raises(GraphFormatError, match="graph seed must be >= 0, got -7"):
+        erdos_renyi(30, 0.2, seed=-7)
+    with pytest.raises(GraphFormatError, match="got -1"):
+        generate("erdos_renyi", 30, p=0.2, seed=-1)
+
+
 def test_erdos_renyi_reproducible():
     a = erdos_renyi(40, 0.3, seed=9)
     b = erdos_renyi(40, 0.3, seed=9)
