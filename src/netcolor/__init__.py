@@ -37,10 +37,8 @@ from .engine import (
     initial_state,
     is_happy,
     is_proper,
-    neighbor_colors,
     run,
     step,
-    stick_set,
     unhappy_vertices,
 )
 from .errors import (

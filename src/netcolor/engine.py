@@ -9,16 +9,18 @@ load-bearing for reproducibility and are shared by step() and run().
 
 The round-1 coloring is ``rng.randrange(k)`` for each vertex in order.
 A redraw from an available set of size a is ``rng.randrange(a)`` and
-takes the set's r-th smallest color. :func:`initial_state` and run()'s
+takes the set's r-th smallest color. :func:`initial_state` and the
 rounds read those MT19937 words in bulk and leave the stream exactly
 where the per-call loops would, which holds for k < 2**32, the largest
 palette GameConfig accepts.
 
-step() and available_set() enumerate each available set in full
-(:func:`_available_list`) and refuse palettes above ENUMERATION_CAP;
-they are the reference. run() picks the r-th color by rank from the
-neighbors' colors instead, in O(degree) whatever k is, and its tests
-pin it to step() draw for draw.
+There is one round implementation. Each redraw takes the r-th color
+outside its excluded set (the neighbors' colors, less the player's own
+under Frugal), found by rank in O(degree) whatever k is: in Python for a
+few unhappy vertices, in numpy over CSR rows for many. run() and step()
+play it, the verification suite samples it over stacked copies of a
+graph, and the tests pin it draw for draw to the oracle's independent
+twin of the rules. available_set() lists an excluded set's complement.
 
 Forced orbits. A round in which every unhappy vertex has a one-element
 set draws nothing: its outcome depends on the coloring alone and the
@@ -212,11 +214,6 @@ def is_happy(g: Graph, s: ColoringState, v: int) -> bool:
     return all(s.colors[u] != c for u in g.neighbors(v))
 
 
-def neighbor_colors(g: Graph, s: ColoringState, v: int) -> frozenset[int]:
-    """The set of colors currently held by v's neighbors."""
-    return frozenset(s.colors[u] for u in g.neighbors(v))
-
-
 # Below this many vertices a Python scan beats numpy's per-call overhead.
 VECTOR_SCAN_MIN = 32
 
@@ -252,58 +249,57 @@ def is_proper(g: Graph, colors: tuple[int, ...]) -> bool:
     return not np.any(c[src] == c[dst])
 
 
-def _available_list(
-    colors, neighbors_v, own: int, strategy: Strategy, k: int
-) -> list[int]:
-    """Sorted candidate colors for a redraw, enumerated over range(k).
+def _keeps_own(strategy: Strategy) -> bool:
+    """Whether a player's own color stays out of its excluded set: the rule
+    that sets Frugal apart. Every excluded set is built through it."""
+    return strategy is Strategy.FRUGAL
 
-    available_set and step draw from this list, and the verification
-    suite's fault injections patch it; run() selects the same colors by
-    rank without building the list and is tested against step(). A
-    palette above ENUMERATION_CAP raises before the list is built.
-    """
+
+def _check_cap(k: int) -> None:
     if k > ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"palette k = {k} exceeds enumeration cap {ENUMERATION_CAP}; "
-            "step() and available_set() list range(k), run() does not"
+            "available_set() lists range(k) and step() keeps its limit, run() has none"
         )
-    used = {colors[u] for u in neighbors_v}
-    free = [c for c in range(k) if c not in used]
-    if strategy is Strategy.GREEDY or own not in used:
-        return free
-    out = free + [own]
-    out.sort()
-    return out
 
 
 def available_set(g: Graph, s: ColoringState, v: int, strategy: Strategy, k: int) -> frozenset[int]:
-    """The set an unhappy v samples from next round.
+    """The set an unhappy v samples from next round, listed over range(k).
 
-    Calling this on a happy vertex is a contract violation: happy players
-    stick, and their conventional singleton set is exposed as stick_set.
+    It is the complement of the excluded set the rounds draw from by rank.
+    Calling this on a happy vertex is a contract violation: a happy
+    player keeps its color and draws from no set.
     """
     if is_happy(g, s, v):
         raise ContractViolation(
-            f"available_set called on happy vertex {v}; use stick_set for the singleton convention"
+            f"available_set called on happy vertex {v}; happy players keep their color"
         )
-    out = _available_list(s.colors, g.neighbors(v), s.colors[v], strategy, k)
+    _check_cap(k)
+    used = {s.colors[u] for u in g.neighbors(v)}
+    if _keeps_own(strategy):
+        used.discard(s.colors[v])
+    out = frozenset(c for c in range(k) if c not in used)
     if not out:
         raise ContractViolation(
             f"empty available set at vertex {v}: neighbors cover all {k} colors (palette bound violated)"
         )
-    return frozenset(out)
+    return out
 
 
-def stick_set(s: ColoringState, v: int) -> frozenset[int]:
-    """A happy player's one-element set: it keeps its current color."""
-    return frozenset((s.colors[v],))
+def _draw_ranks(rng: random.Random, sizes):
+    """The rank each redraw takes in its available set; every round draws here.
 
-
-def _draw(rng: random.Random, avail: list[int]) -> int:
-    # Singleton sets skip the stream so forced moves are seed-independent.
-    if len(avail) == 1:
-        return avail[0]
-    return avail[rng.randrange(len(avail))]
+    A set of size s > 1 takes rng.randrange(s). A one-element set takes
+    rank 0 and leaves the stream untouched, so forced moves are
+    seed-independent. A list of sizes gives a list, one call per draw; an
+    int64 array gives an array, read in bulk by :func:`_randrange_each`.
+    """
+    if isinstance(sizes, list):
+        return [rng.randrange(s) if s > 1 else 0 for s in sizes]
+    ranks = np.zeros(len(sizes), dtype=np.int64)
+    drawn = sizes > 1
+    ranks[drawn] = _randrange_each(rng, sizes[drawn])
+    return ranks
 
 
 def _randrange_many(rng: random.Random, k: int, count: int) -> np.ndarray:
@@ -348,22 +344,20 @@ def initial_state(g: Graph, cfg: GameConfig, rng: random.Random) -> ColoringStat
 def step(
     g: Graph, s: ColoringState, cfg: GameConfig, rng: random.Random
 ) -> tuple[ColoringState, RoundRecord]:
-    """One simultaneous round; reference implementation with a full rescan.
+    """One simultaneous round of run()'s rules, then a full rescan.
 
     Returns the successor state (round + 1) and the record of that new
-    state. run() must produce identical trajectories for the same stream.
+    state; the round and its draws are the ones run() plays from s on the
+    same stream. A palette above ENUMERATION_CAP is refused, as by
+    available_set(), when any vertex would redraw.
     """
-    colors = list(s.colors)
-    changes = []
-    for v in unhappy_vertices(g, s):
-        avail = _available_list(colors, g.neighbors(v), colors[v], cfg.strategy, cfg.k)
-        if not avail:
-            raise ContractViolation(
-                f"empty available set at vertex {v} in round {s.round}"
-            )
-        changes.append((v, _draw(rng, avail)))
-    for v, c in changes:
-        colors[v] = c
+    unhappy = unhappy_vertices(g, s)
+    colors = s.colors
+    if unhappy:
+        _check_cap(cfg.k)
+        colors = _play_round(g, list(colors), unhappy, cfg, rng, s.round, False)[0]
+        if not isinstance(colors, list):
+            colors = colors.tolist()
     nxt = ColoringState(tuple(colors), s.round + 1)
     unhappy = frozenset(unhappy_vertices(g, nxt))
     return nxt, RoundRecord(nxt.round, unhappy, g.n - len(unhappy))
@@ -388,7 +382,7 @@ def run(
     redrew, which is exact because colors change nowhere else. Rounds
     with at least VECTOR_ROUND_MIN unhappy vertices run in numpy
     (:func:`_vector_round`), smaller ones in Python (:func:`_scalar_round`);
-    both draw the same colors as :func:`step`.
+    both draw the same colors from the same stream.
 
     Rounds that draw nothing are deterministic, so each unbroken run of
     them is watched for a repeated coloring with Brent's cycle finder
@@ -423,14 +417,7 @@ def run(
             ids.append(sets.setdefault(frozenset(unhappy), len(sets)))
         if not unhappy or rnd >= cfg.max_rounds:
             break
-        if len(unhappy) >= VECTOR_ROUND_MIN:
-            if isinstance(colors, list):
-                colors = np.array(colors, dtype=np.int64)
-            unhappy, low, drew = _vector_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
-        else:
-            if not isinstance(colors, list):
-                colors = colors.tolist()
-            unhappy, low, drew = _scalar_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
+        colors, unhappy, low, drew = _play_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
         if min_available is None or low < min_available:
             min_available = low
         rnd += 1
@@ -472,6 +459,23 @@ def run(
 VECTOR_ROUND_MIN = 32
 
 
+def _play_round(g: Graph, colors, unhappy: list[int], cfg: GameConfig, rng: random.Random,
+                rnd: int, paranoid: bool):
+    """One round by :func:`_vector_round` or :func:`_scalar_round`, whichever fits.
+
+    colors is a list or an int64 array; it is converted to the form the
+    round works on, updated in place and returned first, followed by the
+    round's (next unhappy list, smallest set size, drew).
+    """
+    if len(unhappy) >= VECTOR_ROUND_MIN:
+        if isinstance(colors, list):
+            colors = np.array(colors, dtype=np.int64)
+        return colors, *_vector_round(g.offsets(), g.arcs()[1], colors, unhappy, cfg, rng, rnd, paranoid)
+    if not isinstance(colors, list):
+        colors = colors.tolist()
+    return colors, *_scalar_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
+
+
 def _scalar_round(
     g: Graph,
     colors: list[int],
@@ -486,29 +490,24 @@ def _scalar_round(
     drew is False when every set had one color and the stream was left
     untouched. colors is updated in place. The excluded set E is the
     neighbors' colors, minus v's own under Frugal. The r-th smallest
-    color outside E, r = randrange(k - |E|), is the r-th entry of the
-    sorted available list, found by a walk of sorted(E) in O(degree)
-    rather than a scan of range(k).
+    color outside E, r = randrange(k - |E|), is found by a walk of
+    sorted(E) in O(degree) rather than a scan of range(k).
     """
     k = cfg.k
-    frugal = cfg.strategy is Strategy.FRUGAL
-    low = k
-    drew = False
-    changes = []
+    keep_own = _keeps_own(cfg.strategy)
+    excluded = []
     for v in unhappy:
         used = {colors[u] for u in g.neighbors(v)}
-        if frugal:
+        if keep_own:
             used.discard(colors[v])
-        size = k - len(used)
-        if size < 1:
-            raise ContractViolation(f"empty available set at vertex {v} in round {rnd}")
-        if size < low:
-            low = size
-        # singleton sets skip the stream, as in _draw
-        c = 0
-        if size > 1:
-            c = rng.randrange(size)
-            drew = True
+        excluded.append(used)
+    sizes = [k - len(used) for used in excluded]
+    low = min(sizes)
+    if low < 1:
+        v = unhappy[sizes.index(low)]
+        raise ContractViolation(f"empty available set at vertex {v} in round {rnd}")
+    changes = []
+    for v, used, c in zip(unhappy, excluded, _draw_ranks(rng, sizes)):
         for e in sorted(used):
             if e > c:
                 break
@@ -529,13 +528,14 @@ def _scalar_round(
                             f"happy vertex {u} lost happiness in round {rnd + 1}"
                         )
                     nxt.add(u)
-    return sorted(nxt), low, drew
+    return sorted(nxt), low, max(sizes) > 1
 
 
 def _vector_round(
-    g: Graph,
+    offsets: np.ndarray,
+    dst: np.ndarray,
     colors: np.ndarray,
-    unhappy: list[int],
+    unhappy,
     cfg: GameConfig,
     rng: random.Random,
     rnd: int,
@@ -543,14 +543,15 @@ def _vector_round(
 ) -> tuple[list[int], int, bool]:
     """:func:`_scalar_round` in numpy over the CSR rows of the unhappy vertices.
 
-    Each excluded set E comes from sort-deduplicating row * k + neighbor
-    color. With E's elements e_0 < e_1 < ... the r-th color outside E is
+    The graph comes as its CSR arrays (row offsets, arc targets) and
+    unhappy as a non-empty ascending list or array. Each excluded set E
+    comes from sort-deduplicating row * k + neighbor color. With E's
+    elements e_0 < e_1 < ... the r-th color outside E is
     r + #{j : e_j - j <= r}; as e_j - j never decreases along a row, one
     searchsorted over row * k + e_j - j counts it for every row at once.
     """
     k = cfg.k
-    offsets, dst = g.offsets(), g.arcs()[1]
-    verts = np.array(unhappy, dtype=np.intp)
+    verts = np.asarray(unhappy, dtype=np.intp)
     m = len(verts)
     starts = offsets[verts]
     lens = offsets[verts + 1] - starts
@@ -560,8 +561,8 @@ def _vector_round(
     nbrs = dst[arcs]
     own = colors[verts]
     nbr_colors = colors[nbrs]
-    keys = rows * k + nbr_colors  # below 2**63: rows < n and colors < k < 2**32
-    if cfg.strategy is Strategy.FRUGAL:
+    keys = rows * k + nbr_colors  # below 2**63: rows < 2**31 and colors < k < 2**32
+    if _keeps_own(cfg.strategy):
         keys = keys[nbr_colors != own[rows]]
     keys.sort()
     first = np.ones(len(keys), dtype=bool)
@@ -572,11 +573,9 @@ def _vector_round(
     sizes = k - excluded
     low = int(sizes.min())
     if low < 1:
-        v = unhappy[int(np.argmin(sizes))]
+        v = int(verts[np.argmin(sizes)])
         raise ContractViolation(f"empty available set at vertex {v} in round {rnd}")
-    ranks = np.zeros(m, dtype=np.int64)
-    drawn = sizes > 1
-    ranks[drawn] = _randrange_each(rng, sizes[drawn])
+    ranks = _draw_ranks(rng, sizes)
     row_starts = np.cumsum(excluded) - excluded
     # row * k + e_j - j, where j is the key's position within its row
     shifted = keys - np.arange(len(keys)) + row_starts[key_rows]
@@ -588,7 +587,7 @@ def _vector_round(
     hit[rows[clash]] = True
     nxt = verts[hit]
     if nxt.size:
-        was_unhappy = np.zeros(g.n, dtype=bool)
+        was_unhappy = np.zeros(len(colors), dtype=bool)
         was_unhappy[verts] = True
         lost = nbrs[clash & ~was_unhappy[nbrs]]
         if lost.size:
@@ -598,7 +597,7 @@ def _vector_round(
                     f"happy vertex {lost[0]} lost happiness in round {rnd + 1}"
                 )
             nxt = np.union1d(nxt, lost)
-    return nxt.tolist(), low, bool(drawn.any())
+    return nxt.tolist(), low, bool((sizes > 1).any())
 
 
 def _randrange_each(rng: random.Random, bounds: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the enumeration cap."""
 
 # Largest enumeration the package builds in one piece: a joint support of
-# the oracle, or a palette listed over range(k) by the engine's step().
+# the oracle, or a palette listed over range(k) by the engine's
+# available_set(). The engine's step() refuses the same palettes.
 ENUMERATION_CAP = 10**7
 
 

@@ -14,8 +14,9 @@ in doubles and solves its absorbing chain with one sparse solve.
 Both strategies are equivariant under any permutation of the palette:
 renaming colors renames the available sets and leaves every draw
 uniform. Probabilities of happiness therefore depend on a coloring only
-up to renaming, and two_round_happiness_prob memoizes on colorings
-relabeled by first appearance (:func:`_relabel`).
+up to renaming, and available_size_distribution and
+two_round_happiness_prob memoize on colorings relabeled by first
+appearance (:func:`_relabel`).
 """
 
 from __future__ import annotations
@@ -194,7 +195,14 @@ class AvailableSizeCheck:
 
 
 def available_size_distribution(
-    g: Graph, s: ColoringState, v: int, strategy: Strategy, k: int, *, cap: int = ENUMERATION_CAP
+    g: Graph,
+    s: ColoringState,
+    v: int,
+    strategy: Strategy,
+    k: int,
+    *,
+    cap: int = ENUMERATION_CAP,
+    cache: dict | None = None,
 ) -> AvailableSizeCheck:
     """Enumerate the size of v's next-round available set.
 
@@ -203,10 +211,20 @@ def available_size_distribution(
     that is the quantity the tail floor is about. Only draws inside v's
     closed neighborhood can affect it, so the enumeration marginalizes
     the rest away exactly.
+
+    cache memoizes results for one graph, as in two_round_happiness_prob:
+    entries are keyed ("available_size", v, strategy, k, cap, relabeled
+    coloring), so colorings that differ only by color names share one.
     """
     colors = s.colors
     if not _is_unhappy(g, colors, v):
         raise ContractViolation(f"vertex {v} is happy; the size law is defined for unhappy vertices")
+    key = None
+    if cache is not None:
+        key = ("available_size", v, strategy, k, cap, _relabel(colors))
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
     part = partition_neighbors(g, s, v)
     nbrs = g.neighbors(v)
     movers = sorted(u for u in set(nbrs) | {v} if _is_unhappy(g, colors, u))
@@ -227,7 +245,7 @@ def available_size_distribution(
     )
     threshold = Fraction(k - part.f, 5)
     prob = _prob(sum(c for sz, c in counts.items() if sz >= threshold), size)
-    return AvailableSizeCheck(
+    result = AvailableSizeCheck(
         distribution=dist,
         threshold=threshold,
         prob_at_least=prob,
@@ -235,6 +253,9 @@ def available_size_distribution(
         f=part.f,
         holds=prob >= AVAILABLE_SIZE_FLOOR,
     )
+    if key is not None:
+        cache[key] = result
+    return result
 
 
 def two_round_floor_holds(prob) -> bool:

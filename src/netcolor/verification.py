@@ -4,8 +4,9 @@ Three families of checks:
   * exact floors: over every conflicted coloring of a small corpus, the
     available-set-size tail probability clears 1/16 and the two-round
     happiness probability clears 1/(2^6 e^5), both in exact arithmetic;
-  * engine/oracle agreement: chi-square between sampled rounds and the
-    enumerated one-round law;
+  * engine/oracle agreement: chi-square between rounds of the campaign
+    engine, sampled over stacked copies of a graph, and the enumerated
+    one-round law;
   * envelope dominance on a fresh campaign of tau samples.
 """
 
@@ -15,10 +16,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import chdtri
 
 from .bounds import check_dominance, mu
-from .engine import ColoringState, GameConfig, Strategy, run, step
+from .engine import ColoringState, GameConfig, Strategy, _vector_round, run, unhappy_vertices
 from .graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from .oracle import (
     _unhappy_list,
@@ -82,11 +84,12 @@ def check_available_size_floor(level: str = "full") -> CheckResult:
     checked = 0
     violations = []
     for inst in corpus_for(level):
+        cache: dict = {}
         for colors in conflicted_colorings(inst.graph, inst.k):
             state = ColoringState(colors, 1)
             for v in _unhappy_list(inst.graph, colors):
                 res = available_size_distribution(
-                    inst.graph, state, v, Strategy.FRUGAL, inst.k
+                    inst.graph, state, v, Strategy.FRUGAL, inst.k, cache=cache
                 )
                 checked += 1
                 if not res.holds:
@@ -143,6 +146,46 @@ def check_two_round_floor(level: str = "full") -> CheckResult:
     )
 
 
+# Copies of the graph played in one stacked round: bounds the memory of
+# a round whatever the number of trials.
+AGREEMENT_CHUNK = 4096
+
+
+def one_round_counts(
+    g: Graph, colors: tuple[int, ...], cfg: GameConfig, rng: random.Random, trials: int,
+    *, chunk: int = AGREEMENT_CHUNK,
+) -> dict[tuple[int, ...], int]:
+    """Next colorings of trials independent rounds from colors, counted.
+
+    The rounds are the campaign engine's: each chunk of up to `chunk`
+    trials is one :func:`_vector_round` over that many stacked copies of
+    g, built as CSR arrays, with colors tiled across them. The stream is
+    read in ascending vertex order, which is copy by copy, so the counts
+    and the final state of rng are those of trials sequential rounds.
+    Outcomes are keyed in order of first appearance.
+    """
+    n = g.n
+    unhappy = np.array(unhappy_vertices(g, ColoringState(colors, 1)), dtype=np.intp)
+    if not unhappy.size:
+        return {tuple(colors): trials} if trials else {}
+    offsets, dst = g.offsets(), g.arcs()[1]
+    base = np.array(colors, dtype=np.int64)
+    counts: dict[tuple[int, ...], int] = {}
+    for done in range(0, trials, chunk):
+        copies = np.arange(min(chunk, trials - done))[:, None]
+        stacked_offsets = np.append(offsets[:-1] + len(dst) * copies, len(dst) * len(copies))
+        nxt = np.tile(base, len(copies))
+        _vector_round(stacked_offsets, (dst + n * copies).ravel(), nxt,
+                      (unhappy + n * copies).ravel(), cfg, rng, 1, False)
+        outcomes, first, num = np.unique(
+            nxt.reshape(len(copies), n), axis=0, return_index=True, return_counts=True
+        )
+        for j in np.argsort(first).tolist():
+            key = tuple(outcomes[j].tolist())
+            counts[key] = counts.get(key, 0) + int(num[j])
+    return counts
+
+
 def chi_square_agreement(
     g: Graph,
     colors: tuple[int, ...],
@@ -153,21 +196,16 @@ def chi_square_agreement(
     seed: int = DEFAULT_SEED,
     alpha: float = 1e-3,
 ) -> dict:
-    """Sampled one-round outcomes vs the enumerated law.
+    """Rounds sampled by :func:`one_round_counts` vs the enumerated law.
 
     Fails on any outcome the law assigns probability zero, on a
     chi-square statistic above the alpha critical value, or on any
     per-outcome |z| above 4.
     """
-    state = ColoringState(colors, 1)
-    dist = one_round_distribution(g, state, strategy, k)
+    dist = one_round_distribution(g, ColoringState(colors, 1), strategy, k)
     expected = {out.colors: float(p) for out, p in dist.support}
     cfg = GameConfig(k=k, strategy=strategy, seed=seed)
-    rng = random.Random(seed)
-    counts: dict[tuple[int, ...], int] = {}
-    for _ in range(trials):
-        nxt, _ = step(g, state, cfg, rng)
-        counts[nxt.colors] = counts.get(nxt.colors, 0) + 1
+    counts = one_round_counts(g, colors, cfg, random.Random(seed), trials)
 
     unseen = [c for c in counts if c not in expected]
     stat = 0.0

@@ -239,21 +239,31 @@ def test_7_engine_agrees_with_oracle_and_faults_are_caught(monkeypatch, capsys):
         TRIANGLE, (0, 0, 1), Strategy.GREEDY, 4, trials=10**5, seed=BASE_SEED + 1
     )
 
-    real = engine._available_list
+    real = engine._draw_ranks
 
-    def truncated(colors, neighbors_v, own, strategy, k):
-        avail = real(colors, neighbors_v, own, strategy, k)
-        return avail[:-1] if len(avail) > 1 else avail
+    def truncated(rng, sizes):
+        # every set of two or more colors loses its largest
+        if isinstance(sizes, list):
+            return real(rng, [s - (s > 1) for s in sizes])
+        return real(rng, sizes - (sizes > 1))
 
-    def greedy_keeps_color(colors, neighbors_v, own, strategy, k):
-        return real(colors, neighbors_v, own, Strategy.FRUGAL, k)
+    def greedy_keeps_color(strategy):
+        return True
 
+    # each fault must also change what campaigns play, not only the check;
+    # under the first, both players of the frugal game always take color 0
+    frugal_cfg = GameConfig(k=3, strategy=Strategy.FRUGAL, seed=BASE_SEED, max_rounds=100,
+                            initial=(0, 0, 1))
+    greedy_cfg = GameConfig(k=4, strategy=Strategy.GREEDY, seed=BASE_SEED, initial=(0, 0, 1))
+    clean_frugal, clean_greedy = run(TRIANGLE, frugal_cfg), run(TRIANGLE, greedy_cfg)
     with monkeypatch.context() as m:
-        m.setattr(engine, "_available_list", truncated)
+        m.setattr(engine, "_draw_ranks", truncated)
         biased = chi_square_agreement(TRIANGLE, (0, 0, 1), Strategy.FRUGAL, 3, trials=10**4)
+        biased_run = run(TRIANGLE, frugal_cfg)
     with monkeypatch.context() as m:
-        m.setattr(engine, "_available_list", greedy_keeps_color)
+        m.setattr(engine, "_keeps_own", greedy_keeps_color)
         widened = chi_square_agreement(TRIANGLE, (0, 0, 1), Strategy.GREEDY, 4, trials=10**4)
+        widened_run = run(TRIANGLE, greedy_cfg)
 
     ok = (
         frugal["passed"]
@@ -261,6 +271,8 @@ def test_7_engine_agrees_with_oracle_and_faults_are_caught(monkeypatch, capsys):
         and not biased["passed"]
         and not widened["passed"]
         and widened["unseen_outcomes"]
+        and biased_run != clean_frugal
+        and widened_run != clean_greedy
     )
     _report(
         capsys,

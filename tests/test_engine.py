@@ -22,16 +22,15 @@ from netcolor import (
     initial_state,
     is_happy,
     is_proper,
-    neighbor_colors,
     path_graph,
     run,
     star_graph,
     step,
-    stick_set,
     unhappy_vertices,
 )
 from netcolor import engine
-from netcolor.oracle import _unhappy_list
+from netcolor.oracle import _available, _unhappy_list
+from netcolor.verification import AGREEMENT_CHUNK, AGREEMENT_INSTANCES, one_round_counts
 
 TRIANGLE = complete_graph(3)
 
@@ -55,16 +54,6 @@ def test_is_happy_examples():
     assert is_happy(edgeless, s, 1)
 
 
-def test_neighbor_colors_examples():
-    s = ColoringState((0, 0, 1), 1)
-    assert neighbor_colors(TRIANGLE, s, 0) == frozenset({0, 1})
-    star = star_graph(4)
-    all_two = ColoringState((0, 2, 2, 2), 1)
-    assert neighbor_colors(star, all_two, 0) == frozenset({2})
-    edgeless = from_edge_list([], 2)
-    assert neighbor_colors(edgeless, s, 1) == frozenset()
-
-
 def test_available_set_examples():
     s = ColoringState((0, 0, 1), 1)
     assert available_set(TRIANGLE, s, 0, Strategy.FRUGAL, 3) == frozenset({0, 2})
@@ -76,7 +65,6 @@ def test_available_set_rejects_happy_vertex():
     s = ColoringState((0, 0, 1), 1)
     with pytest.raises(ContractViolation, match="happy"):
         available_set(TRIANGLE, s, 2, Strategy.FRUGAL, 3)
-    assert stick_set(s, 2) == frozenset({1})
 
 
 def test_available_set_empty_greedy_raises():
@@ -277,20 +265,40 @@ def test_happiness_is_monotone(gc):
         assert r.min_available >= 2
 
 
+def reference_round(g, colors, c, rng, rnd):
+    """(next colors, set sizes) of one round by the oracle's twin of the rules.
+
+    Each unhappy vertex in ascending order lists its set with
+    oracle._available and takes entry rng.randrange(size) of it, or its
+    only entry without touching the stream.
+    """
+    nxt = list(colors)
+    sizes = []
+    for v in _unhappy_list(g, colors):
+        avail = _available(colors, g.neighbors(v), colors[v], c.strategy, c.k)
+        if not avail:
+            raise ContractViolation(f"empty available set at vertex {v} in round {rnd}")
+        sizes.append(len(avail))
+        nxt[v] = avail[rng.randrange(len(avail))] if len(avail) > 1 else avail[0]
+    return tuple(nxt), sizes
+
+
 def stepwise_reference(g, c):
-    """(final state, history, tau, min_available) from step() and available_set()."""
+    """(final state, history, tau, min_available) played with reference_round."""
     rng = random.Random(c.seed)
-    state = initial_state(g, c, rng)
-    unhappy = frozenset(unhappy_vertices(g, state))
+    colors = c.initial if c.initial is not None else tuple(rng.randrange(c.k) for _ in range(g.n))
+    unhappy = frozenset(_unhappy_list(g, colors))
     records = [RoundRecord(1, unhappy, g.n - len(unhappy))]
     sizes = []
-    while records[-1].unhappy and state.round < c.max_rounds:
-        prev = state
-        state, rec = step(g, state, c, rng)
-        sizes += [len(available_set(g, prev, v, c.strategy, c.k)) for v in records[-1].unhappy]
-        records.append(rec)
-    tau = state.round if not records[-1].unhappy else None
-    return state, records, tau, min(sizes, default=None)
+    rnd = 1
+    while unhappy and rnd < c.max_rounds:
+        colors, drawn = reference_round(g, colors, c, rng, rnd)
+        sizes += drawn
+        rnd += 1
+        unhappy = frozenset(_unhappy_list(g, colors))
+        records.append(RoundRecord(rnd, unhappy, g.n - len(unhappy)))
+    tau = None if unhappy else rnd
+    return ColoringState(colors, rnd), records, tau, min(sizes, default=None)
 
 
 def assert_run_matches_steps(g, c, paranoid=False, retention="full"):
@@ -314,6 +322,48 @@ def test_run_matches_stepwise_reference(gc):
     # every round of these small graphs through the numpy round as well
     with mock.patch.object(engine, "VECTOR_ROUND_MIN", 1):
         assert_run_matches_steps(*gc)
+
+
+@settings(deadline=None, max_examples=40)
+@given(graph_and_config())
+def test_step_matches_reference_round(gc):
+    g, c = gc
+    colors = tuple(random.Random(c.seed).randrange(c.k) for _ in range(g.n))
+    for vector_min in (engine.VECTOR_ROUND_MIN, 1):
+        rng, ref = random.Random(c.seed), random.Random(c.seed)
+        with mock.patch.object(engine, "VECTOR_ROUND_MIN", vector_min):
+            nxt, rec = step(g, ColoringState(colors, 3), c, rng)
+        expected, _ = reference_round(g, colors, c, ref, 3)
+        assert nxt == ColoringState(expected, 4) and rng.getstate() == ref.getstate()
+        assert rec.unhappy == frozenset(_unhappy_list(g, expected))
+
+
+# Starts for the stacked sampler: draws in every copy, forced moves that
+# leave the stream alone, happy vertices between unhappy ones, and a proper
+# coloring with no round to play.
+STACKED_STARTS = [inst[1:] for inst in AGREEMENT_INSTANCES] + [
+    (TRIANGLE, (0, 0, 1), Strategy.GREEDY, 3),
+    (erdos_renyi(9, 0.4, seed=2), (0, 1, 1, 0, 2, 3, 2, 4, 0), Strategy.FRUGAL, 5),
+    (TRIANGLE, (0, 1, 2), Strategy.FRUGAL, 3),
+]
+
+
+@pytest.mark.parametrize("g, colors, strategy, k", STACKED_STARTS)
+@pytest.mark.parametrize(
+    "trials, chunk",
+    [(5, 8), (8, 8), (21, 8), (AGREEMENT_CHUNK - 1, AGREEMENT_CHUNK),
+     (AGREEMENT_CHUNK, AGREEMENT_CHUNK), (2 * AGREEMENT_CHUNK + 7, AGREEMENT_CHUNK)],
+)
+def test_stacked_rounds_match_sequential_reference_rounds(g, colors, strategy, k, trials, chunk):
+    c = GameConfig(k=k, strategy=strategy, seed=trials, enforce_k_bound=False)
+    rng, ref = random.Random(trials), random.Random(trials)
+    counts = one_round_counts(g, colors, c, rng, trials, chunk=chunk)
+    expected = {}
+    for _ in range(trials):
+        nxt, _ = reference_round(g, colors, c, ref, 1)
+        expected[nxt] = expected.get(nxt, 0) + 1
+    assert list(counts.items()) == list(expected.items())  # in order of first appearance
+    assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))

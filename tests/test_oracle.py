@@ -172,6 +172,22 @@ def test_two_round_cache_is_shareable():
     assert a == b == Fraction(3, 4)
 
 
+def test_available_size_memo_checks_happiness_before_the_cache():
+    cache = {}
+    res = available_size_distribution(TRIANGLE, S001, 0, Strategy.FRUGAL, 3, cache=cache)
+    renamed = ColoringState((2, 2, 0), 1)
+    assert available_size_distribution(TRIANGLE, renamed, 0, Strategy.FRUGAL, 3, cache=cache) is res
+
+    class Answers(dict):
+        """A cache that holds an answer for every key."""
+
+        def get(self, key, default=None):
+            return res
+
+    with pytest.raises(ContractViolation, match="happy"):
+        available_size_distribution(TRIANGLE, S001, 2, Strategy.FRUGAL, 3, cache=Answers())
+
+
 MEMO_INSTANCES = [(inst.name, inst.graph, inst.k) for inst in CORPUS] + [
     ("complete4_k4", complete_graph(4), 4),
     ("star5_k5", star_graph(5), 5),
@@ -215,12 +231,18 @@ def test_floor_probabilities_do_not_depend_on_color_names(data):
     rename = data.draw(st.permutations(range(k)))
     renamed = tuple(rename[c] for c in colors)
     s, t = ColoringState(colors, 1), ColoringState(renamed, 1)
+    cache = {}
     for v in range(g.n):
         if not any(colors[u] == colors[v] for u in g.neighbors(v)):
+            with pytest.raises(ContractViolation, match="happy"):
+                available_size_distribution(g, s, v, strategy, k, cache=cache)
             continue
         a = available_size_distribution(g, s, v, strategy, k)
         b = available_size_distribution(g, t, v, strategy, k)
         assert a.distribution == b.distribution and a.prob_at_least == b.prob_at_least
+        # the renamed coloring hits the entry of the first
+        assert available_size_distribution(g, s, v, strategy, k, cache=cache) == a
+        assert available_size_distribution(g, t, v, strategy, k, cache=cache) == b
         assert two_round_happiness_prob(g, s, v, strategy, k) == two_round_happiness_prob(
             g, t, v, strategy, k
         )

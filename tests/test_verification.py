@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import netcolor.engine as engine
-from netcolor import Strategy, complete_graph
+from netcolor import GameConfig, Strategy, complete_graph, run
 from netcolor.verification import (
     AGREEMENT_INSTANCES,
     CORPUS,
@@ -89,35 +89,43 @@ def test_agreement_covers_both_strategies():
     assert set(res.details) == {"triangle_k3_frugal", "triangle_k4_greedy"}
 
 
+def drop_last_candidate(real):
+    """_draw_ranks as if every set of two or more colors lost its largest."""
+
+    def patched(rng, sizes):
+        if isinstance(sizes, list):
+            return real(rng, [s - (s > 1) for s in sizes])
+        return real(rng, sizes - (sizes > 1))
+
+    return patched
+
+
 def test_greedy_sampling_fault_is_caught(monkeypatch):
-    """A fault that widens Greedy's redraw set to include the current color
-    is invisible to the Frugal instance; the Greedy instance must fail it."""
-    real = engine._available_list
-
-    def greedy_behaves_like_frugal(colors, neighbors_v, own, strategy, k):
-        return real(colors, neighbors_v, own, Strategy.FRUGAL, k)
-
-    monkeypatch.setattr(engine, "_available_list", greedy_behaves_like_frugal)
+    """A fault that keeps Greedy's own color out of its excluded set, as
+    Frugal does, is invisible to the Frugal instance; the Greedy instance
+    must fail it. The same patch changes what campaigns play."""
+    c = GameConfig(k=4, strategy=Strategy.GREEDY, seed=0, initial=(0, 0, 1))
+    clean = run(complete_graph(3), c)
+    monkeypatch.setattr(engine, "_keeps_own", lambda strategy: True)
     frugal_name, g, colors, strategy, k = AGREEMENT_INSTANCES[0]
     assert chi_square_agreement(g, colors, strategy, k, trials=10000)["passed"]
     greedy_name, g, colors, strategy, k = AGREEMENT_INSTANCES[1]
     rep = chi_square_agreement(g, colors, strategy, k, trials=10000)
     assert not rep["passed"]
     assert rep["unseen_outcomes"]  # kept-color outcomes have probability zero
+    assert run(complete_graph(3), c) != clean
 
 
 def test_biased_sampling_fault_is_caught(monkeypatch):
     """Dropping the last candidate skews the law without new outcomes."""
-    real = engine._available_list
-
-    def truncated(colors, neighbors_v, own, strategy, k):
-        avail = real(colors, neighbors_v, own, strategy, k)
-        return avail[:-1] if len(avail) > 1 else avail
-
-    monkeypatch.setattr(engine, "_available_list", truncated)
+    # the faulty run never converges: both players always take color 0
+    c = GameConfig(k=3, strategy=Strategy.FRUGAL, seed=0, max_rounds=100, initial=(0, 0, 1))
+    clean = run(complete_graph(3), c)
+    monkeypatch.setattr(engine, "_draw_ranks", drop_last_candidate(engine._draw_ranks))
     name, g, colors, strategy, k = AGREEMENT_INSTANCES[0]
     rep = chi_square_agreement(g, colors, strategy, k, trials=10000)
     assert not rep["passed"]
+    assert run(complete_graph(3), c) != clean
 
 
 def test_envelope_dominance_check():
