@@ -496,28 +496,28 @@ def _scalar_round(
     k = cfg.k
     keep_own = _keeps_own(cfg.strategy)
     excluded = []
+    sizes = []
     for v in unhappy:
         used = {colors[u] for u in g.neighbors(v)}
         if keep_own:
             used.discard(colors[v])
         excluded.append(used)
-    sizes = [k - len(used) for used in excluded]
+        sizes.append(k - len(used))
     low = min(sizes)
     if low < 1:
         v = unhappy[sizes.index(low)]
         raise ContractViolation(f"empty available set at vertex {v} in round {rnd}")
-    changes = []
+    # every excluded set is taken, so colors can change as the ranks land
     for v, used, c in zip(unhappy, excluded, _draw_ranks(rng, sizes)):
         for e in sorted(used):
             if e > c:
                 break
             c += 1
-        changes.append((v, c))
-    was_unhappy = set(unhappy)
-    for v, c in changes:
         colors[v] = c
+    was_unhappy = set(unhappy)
     nxt: set[int] = set()
-    for v, cv in changes:
+    for v in unhappy:
+        cv = colors[v]
         for u in g.neighbors(v):
             if colors[u] == cv:
                 nxt.add(v)
