@@ -152,14 +152,14 @@ AGREEMENT_CHUNK = 4096
 
 
 def one_round_counts(
-    g: Graph, colors: tuple[int, ...], cfg: GameConfig, rng: random.Random, trials: int,
-    *, chunk: int = AGREEMENT_CHUNK,
+    g: Graph, colors: tuple[int, ...], cfg: GameConfig, rng: random.Random, trials: int
 ) -> dict[tuple[int, ...], int]:
     """Next colorings of trials independent rounds from colors, counted.
 
-    The rounds are the campaign engine's: each chunk of up to `chunk`
-    trials is one :func:`_vector_round` over that many stacked copies of
-    g, built as CSR arrays, with colors tiled across them. The stream is
+    The rounds are the campaign engine's: each chunk of up to
+    AGREEMENT_CHUNK trials is one :func:`_vector_round` over that many
+    stacked copies of g, built as CSR arrays, with colors tiled across
+    them. The stream is
     read in ascending vertex order, which is copy by copy, so the counts
     and the final state of rng are those of trials sequential rounds.
     Outcomes are keyed in order of first appearance.
@@ -171,8 +171,8 @@ def one_round_counts(
     offsets, dst = g.offsets(), g.arcs()[1]
     base = np.array(colors, dtype=np.int64)
     counts: dict[tuple[int, ...], int] = {}
-    for done in range(0, trials, chunk):
-        copies = np.arange(min(chunk, trials - done))[:, None]
+    for done in range(0, trials, AGREEMENT_CHUNK):
+        copies = np.arange(min(AGREEMENT_CHUNK, trials - done))[:, None]
         stacked_offsets = np.append(offsets[:-1] + len(dst) * copies, len(dst) * len(copies))
         nxt = np.tile(base, len(copies))
         _vector_round(stacked_offsets, (dst + n * copies).ravel(), nxt,

@@ -28,7 +28,7 @@ from netcolor import (
     step,
     unhappy_vertices,
 )
-from netcolor import engine
+from netcolor import engine, verification
 from netcolor.oracle import _available, _unhappy_list
 from netcolor.verification import AGREEMENT_CHUNK, AGREEMENT_INSTANCES, one_round_counts
 
@@ -354,10 +354,12 @@ STACKED_STARTS = [inst[1:] for inst in AGREEMENT_INSTANCES] + [
     [(5, 8), (8, 8), (21, 8), (AGREEMENT_CHUNK - 1, AGREEMENT_CHUNK),
      (AGREEMENT_CHUNK, AGREEMENT_CHUNK), (2 * AGREEMENT_CHUNK + 7, AGREEMENT_CHUNK)],
 )
-def test_stacked_rounds_match_sequential_reference_rounds(g, colors, strategy, k, trials, chunk):
+def test_stacked_rounds_match_sequential_reference_rounds(g, colors, strategy, k, trials, chunk,
+                                                           monkeypatch):
+    monkeypatch.setattr(verification, "AGREEMENT_CHUNK", chunk)
     c = GameConfig(k=k, strategy=strategy, seed=trials, enforce_k_bound=False)
     rng, ref = random.Random(trials), random.Random(trials)
-    counts = one_round_counts(g, colors, c, rng, trials, chunk=chunk)
+    counts = one_round_counts(g, colors, c, rng, trials)
     expected = {}
     for _ in range(trials):
         nxt, _ = reference_round(g, colors, c, ref, 1)
