@@ -507,7 +507,7 @@ def _scalar_round(
     if low < 1:
         v = unhappy[sizes.index(low)]
         raise ContractViolation(f"empty available set at vertex {v} in round {rnd}")
-    # every excluded set is taken, so colors can change as the ranks land
+    # all excluded sets are built, so colors may change as the ranks land
     for v, used, c in zip(unhappy, excluded, _draw_ranks(rng, sizes)):
         for e in sorted(used):
             if e > c:
