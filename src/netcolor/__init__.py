@@ -42,6 +42,7 @@ from .engine import (
     unhappy_vertices,
 )
 from .errors import (
+    ConfigError,
     ContractViolation,
     EnumerationLimitError,
     GraphFormatError,

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 # Per-two-round success floor for an unhappy frugal player. Its exact
 # rational bracketing lives in the oracle module; the float is what the
 # closed-form bounds are built from.
@@ -39,7 +41,7 @@ class BoundReport:
 def frugal_bounds(n: int) -> BoundReport:
     """E(T) <= (2/mu)(1 + ln n) and Var(T) <= 4n/mu^2."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ConfigError(f"n must be >= 1, got {n}")
     m = mu()
     return BoundReport(
         mu=m,
@@ -52,9 +54,9 @@ def frugal_bounds(n: int) -> BoundReport:
 def greedy_bound(n: int, delta: float) -> float:
     """Round budget C * log(n/delta) sufficient with probability 1 - delta."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ConfigError(f"n must be >= 1, got {n}")
     if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+        raise ConfigError(f"delta must be in (0, 1), got {delta}")
     return GREEDY_CONSTANT * math.log(n / delta)
 
 
@@ -74,9 +76,9 @@ def envelope_max_objective(a: float, n: int, mu_value: float) -> float:
 def max_expectation_bound(n: int, mu_value: float) -> MaxExpectationBound:
     """Minimize h: a_n = ln(n)/mu, giving E(max) <= (1 + ln n)/mu."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ConfigError(f"n must be >= 1, got {n}")
     if mu_value <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu_value}")
+        raise ConfigError(f"mu must be positive, got {mu_value}")
     return MaxExpectationBound(
         a_n=math.log(n) / mu_value,
         bound=(1.0 + math.log(n)) / mu_value,
@@ -116,9 +118,9 @@ def check_dominance(samples, mu_value: float, *, alpha: float = 1e-3) -> Dominan
     """
     values = list(samples)
     if not values:
-        raise ValueError("samples must be non-empty")
+        raise ConfigError("samples must be non-empty")
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     n = len(values)
     band = math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
     values.sort()

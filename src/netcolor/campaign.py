@@ -12,14 +12,13 @@ import json
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import frugal_bounds
 from .engine import GameConfig, Strategy, TrialResult, is_proper, run
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 from .graph import Graph, format_edge_list, generate
 
 K_RULES = ("delta+1", "delta+2")
@@ -31,7 +30,7 @@ def resolve_k(g: Graph, strategy: Strategy, k: int | None = None, k_rule: str | 
     With neither given, the strategy's minimum legal palette is used.
     """
     if k is not None and k_rule is not None:
-        raise ValueError("give either k or k_rule, not both")
+        raise ConfigError("give either k or k_rule, not both")
     if k is not None:
         return k
     delta = g.max_degree()
@@ -41,7 +40,7 @@ def resolve_k(g: Graph, strategy: Strategy, k: int | None = None, k_rule: str | 
         return delta + 1
     if k_rule == "delta+2":
         return delta + 2
-    raise ValueError(f"unknown k rule {k_rule!r}; choose from {K_RULES}")
+    raise ConfigError(f"unknown k rule {k_rule!r}; choose from {K_RULES}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         self.trial_config(0).validate(self.graph)
 
     def trial_config(self, trial: int) -> GameConfig:
@@ -169,13 +168,15 @@ def run_campaign(
     spec.validate()
     start = time.perf_counter()
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1:
         results = [
             run(spec.graph, spec.trial_config(i), retention=spec.retention, paranoid=paranoid)
             for i in range(spec.trials)
         ]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # worker pools only
+
         chunk = max(1, spec.trials // (jobs * 8))
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(spec, paranoid)
@@ -234,25 +235,76 @@ def write_trials_csv(path: str, results) -> None:
             fh.write(f"{i},{r.seed},{tau},{timeout},{r.final_state.round}\n")
 
 
-# Rows of the rounds CSV formatted per write.
+# Rows of the rounds CSV formatted per write, gathered across trials.
 ROUNDS_BLOCK = 8192
 
 
 def write_rounds_csv(path: str, results) -> None:
     """Long-format per-round unhappy counts: trial,round,unhappy_count.
 
-    Each block of rows is one %-format over (round, count) pairs read from
-    the history's counts array, with no record built per round.
+    Rows are read from each history's counts array in blocks of
+    ROUNDS_BLOCK, which may span trials; each block is formatted by one
+    `_csv_rows` call and written at once, so memory stays O(block).
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trial,round,unhappy_count\n")
-        for i, r in enumerate(results):
-            counts = r.history.counts
-            for lo in range(0, len(counts), ROUNDS_BLOCK):
-                block = counts[lo : lo + ROUNDS_BLOCK]
-                rounds = np.arange(lo + 1, lo + 1 + len(block))
-                pairs = np.column_stack((rounds, block)).ravel().tolist()
-                fh.write(f"{i},%d,%d\n" * len(block) % tuple(pairs))
+    with open(path, "wb") as fh:
+        fh.write(b"trial,round,unhappy_count\n")
+        for columns in _round_blocks(results, ROUNDS_BLOCK):
+            fh.write(_csv_rows(columns))
+
+
+def _round_blocks(results, size: int):
+    """Yield (trial, round, count) columns of `size` rows, the last maybe fewer."""
+    trials, firsts, pieces, filled = [], [], [], 0
+    for i, r in enumerate(results):
+        counts = r.history.counts
+        lo = 0
+        while lo < len(counts):
+            piece = counts[lo : lo + size - filled]
+            trials.append(i)
+            firsts.append(lo + 1)
+            pieces.append(piece)
+            filled += len(piece)
+            lo += len(piece)
+            if filled == size:
+                yield _block_columns(trials, firsts, pieces)
+                trials, firsts, pieces, filled = [], [], [], 0
+    if filled:
+        yield _block_columns(trials, firsts, pieces)
+
+
+def _block_columns(trials, firsts, pieces):
+    lengths = np.array([len(p) for p in pieces])
+    starts = np.cumsum(lengths) - lengths  # row of each piece's first round
+    rounds = np.arange(lengths.sum()) + np.repeat(np.array(firsts) - starts, lengths)
+    return np.repeat(trials, lengths), rounds, np.concatenate(pieces)
+
+
+def _csv_rows(columns) -> bytes:
+    """The rows "a,b,...\\n" of equal-length non-negative integer columns.
+
+    The bytes are those of "%d" formatting. Each column's decimal digits
+    are written right-aligned into a fixed-width uint8 matrix, with zero
+    bytes as padding; one boolean compress then drops the padding.
+    """
+    columns = [np.asarray(c) for c in columns]
+    maxima = [int(c.max()) if len(c) else 0 for c in columns]
+    widths = [len(str(m)) for m in maxima]
+    table = np.zeros((len(columns[0]), sum(widths) + len(columns)), dtype=np.uint8)
+    end = 0
+    for c, top, width in zip(columns, maxima, widths):
+        q = c.astype(np.uint32 if top < 2**32 else np.uint64)
+        for pos in range(end + width - 1, end - 1, -1):
+            nxt = q // 10
+            digit = (q - nxt * 10).astype(np.uint8)
+            # a leading zero stays padding; the units digit is always written
+            table[:, pos] = digit + 48 if pos == end + width - 1 else np.where(q, digit + 48, 0)
+            q = nxt
+        end += width
+        table[:, end] = ord(",")
+        end += 1
+    table[:, -1] = ord("\n")
+    flat = table.ravel()
+    return flat[flat != 0].tobytes()
 
 
 SWEEP_COLUMNS = (

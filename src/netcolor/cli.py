@@ -286,13 +286,17 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (ContractViolation, EnumerationLimitError, OSError) as exc:
+    except (ContractViolation, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ValueError, NetcolorError) as exc:
-        # bad parameter combinations and malformed inputs are usage errors
+    except (UsageError, NetcolorError) as exc:
+        # bad flags, parameters, palettes and malformed inputs are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OSError, ValueError) as exc:
+        # any other ValueError is a runtime fault, not a bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

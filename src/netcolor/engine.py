@@ -51,7 +51,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ENUMERATION_CAP, ContractViolation, EnumerationLimitError, IllegalPaletteError
+from .errors import (
+    ENUMERATION_CAP,
+    ConfigError,
+    ContractViolation,
+    EnumerationLimitError,
+    IllegalPaletteError,
+)
 from .graph import Graph
 
 
@@ -95,12 +101,12 @@ class GameConfig:
 
     def validate(self, g: Graph) -> None:
         if not 1 <= self.k < MAX_K:
-            raise ValueError(f"k must be >= 1 and < 2**32, got {self.k}")
+            raise ConfigError(f"k must be >= 1 and < 2**32, got {self.k}")
         if self.seed < 0:
             # random.Random(s) seeds with abs(s): seeds -s and s would repeat a stream
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+            raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.enforce_k_bound:
             need = self.strategy.min_colors(g.max_degree())
             if self.k < need:
@@ -110,12 +116,12 @@ class GameConfig:
                 )
         if self.initial is not None:
             if len(self.initial) != g.n:
-                raise ValueError(
+                raise ConfigError(
                     f"initial assignment has {len(self.initial)} entries for n={g.n}"
                 )
             for v, c in enumerate(self.initial):
                 if not 0 <= c < self.k:
-                    raise ValueError(f"initial color {c} at vertex {v} outside [0, {self.k})")
+                    raise ConfigError(f"initial color {c} at vertex {v} outside [0, {self.k})")
 
 
 @dataclass(frozen=True)
@@ -395,7 +401,7 @@ def run(
     value (tau=None), not an error.
     """
     if retention not in ("full", "counts"):
-        raise ValueError(f"retention must be 'full' or 'counts', got {retention!r}")
+        raise ConfigError(f"retention must be 'full' or 'counts', got {retention!r}")
     cfg.validate(g)
     rng = random.Random(cfg.seed)
     n = g.n

@@ -10,6 +10,13 @@ class NetcolorError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ConfigError(NetcolorError, ValueError):
+    """Raised when a parameter is out of range or inputs do not fit together.
+
+    It is a ValueError too, so callers that catch ValueError keep working.
+    """
+
+
 class GraphFormatError(NetcolorError):
     """Raised when an edge-list file or graph construction input is malformed."""
 

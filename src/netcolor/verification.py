@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtri
 
 from .bounds import check_dominance, mu
 from .engine import ColoringState, GameConfig, Strategy, _vector_round, run, unhappy_vertices
+from .errors import ConfigError
 from .graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from .oracle import (
     _unhappy_list,
@@ -58,7 +58,7 @@ def corpus_for(level: str):
         return FAST_CORPUS
     if level == "full":
         return CORPUS
-    raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
+    raise ConfigError(f"level must be 'fast' or 'full', got {level!r}")
 
 
 def conflicted_colorings(g: Graph, k: int):
@@ -218,6 +218,10 @@ def chi_square_agreement(
         z = 0.0 if spread == 0.0 else (obs - exp) / spread
         max_abs_z = max(max_abs_z, abs(z))
     dof = max(1, len(expected) - 1)
+    # Imported here: scipy.special costs every command that never runs
+    # this check about 0.3 s of start-up.
+    from scipy.special import chdtri
+
     threshold = float(chdtri(dof, alpha))
     passed = not unseen and stat <= threshold and max_abs_z <= 4.0
     return {

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import netcolor
-from netcolor import read_edge_list, complete_graph, cycle_graph, write_edge_list
+from netcolor import ConfigError, read_edge_list, complete_graph, cycle_graph, write_edge_list
 from netcolor.cli import EXIT_BROKEN_PIPE, UsageError, _build_parser, load_config, main
 
 # `python -m netcolor.cli` on the package under test, installed or not
@@ -287,12 +287,52 @@ def test_package_is_runnable_with_python_m():
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # the exact chain solve imports scipy.sparse itself; an eager import would
-    # add its load time to every command
-    code = "import sys, netcolor, netcolor.cli; print('scipy.sparse' in sys.modules)"
+    # the exact chain solve and the chi-square threshold import scipy
+    # themselves; an eager import would add its load time to every command
+    code = (
+        "import sys, netcolor, netcolor.cli, netcolor.verification; "
+        "print('scipy.sparse' in sys.modules, sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CLI_ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False []"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--family", "complete", "--n", "3", "--strategy", "frugal", "--jobs", "0"),
+        ("run", "--family", "complete", "--n", "3", "--strategy", "frugal", "--trials", "0"),
+        ("run", "--family", "complete", "--n", "3", "--strategy", "frugal", "--k", "0"),
+        ("run", "--family", "complete", "--n", "3", "--strategy", "frugal", "--k", "3",
+         "--k-rule", "delta+1"),
+        ("bounds", "--n", "0"),
+        ("bounds", "--n", "5", "--failure-prob", "1.5"),
+    ],
+)
+def test_config_errors_exit_2(argv, capsys):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_runtime_value_error_exits_1(monkeypatch, capsys):
+    # a ValueError that is not a ConfigError is a fault of the run, not of its inputs
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(netcolor.cli, "run_campaign", boom)
+    rc = run_cli("run", "--family", "complete", "--n", "3", "--strategy", "frugal")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_config_error_is_a_value_error():
+    assert issubclass(ConfigError, ValueError) and issubclass(ConfigError, netcolor.NetcolorError)
+    with pytest.raises(ConfigError, match="jobs"):
+        netcolor.run_campaign(
+            netcolor.ExperimentSpec(complete_graph(3), 3, netcolor.Strategy.FRUGAL, 1, 0), jobs=0
+        )
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
