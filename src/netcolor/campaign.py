@@ -136,19 +136,13 @@ class CampaignResult:
 _WORKER: dict = {}
 
 
-def _init_worker(spec: ExperimentSpec, paranoid: bool) -> None:
+def _init_worker(spec: ExperimentSpec) -> None:
     _WORKER["spec"] = spec
-    _WORKER["paranoid"] = paranoid
 
 
 def _run_indexed(trial: int) -> TrialResult:
     spec: ExperimentSpec = _WORKER["spec"]
-    return run(
-        spec.graph,
-        spec.trial_config(trial),
-        retention=spec.retention,
-        paranoid=_WORKER["paranoid"],
-    )
+    return run(spec.graph, spec.trial_config(trial), retention=spec.retention)
 
 
 def run_campaign(
@@ -157,7 +151,6 @@ def run_campaign(
     jobs: int = 1,
     out: str | None = None,
     rounds_out: str | None = None,
-    paranoid: bool = False,
 ) -> CampaignResult:
     """Execute every trial of the spec, in order or across a worker pool.
 
@@ -171,7 +164,7 @@ def run_campaign(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1:
         results = [
-            run(spec.graph, spec.trial_config(i), retention=spec.retention, paranoid=paranoid)
+            run(spec.graph, spec.trial_config(i), retention=spec.retention)
             for i in range(spec.trials)
         ]
     else:
@@ -179,7 +172,7 @@ def run_campaign(
 
         chunk = max(1, spec.trials // (jobs * 8))
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(spec, paranoid)
+            max_workers=jobs, initializer=_init_worker, initargs=(spec,)
         ) as pool:
             results = list(pool.map(_run_indexed, range(spec.trials), chunksize=chunk))
     wall = time.perf_counter() - start

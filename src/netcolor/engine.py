@@ -22,6 +22,13 @@ play it, the verification suite samples it over stacked copies of a
 graph, and the tests pin it draw for draw to the oracle's independent
 twin of the rules. available_set() lists an excluded set's complement.
 
+Happiness is monotone: a happy player keeps its color, and a redraw
+takes a color no neighbor holds or, under Frugal, the player's own,
+which only unhappy neighbors share. Every round checks this over the
+neighborhoods of the players that redrew and raises ContractViolation
+if a happy player turns unhappy, so its next unhappy set is exactly the
+redrawn players that still clash.
+
 Forced orbits. A round in which every unhappy vertex has a one-element
 set draws nothing: its outcome depends on the coloring alone and the
 stream is left untouched. So once a coloring repeats within an unbroken
@@ -350,23 +357,22 @@ def initial_state(g: Graph, cfg: GameConfig, rng: random.Random) -> ColoringStat
 def step(
     g: Graph, s: ColoringState, cfg: GameConfig, rng: random.Random
 ) -> tuple[ColoringState, RoundRecord]:
-    """One simultaneous round of run()'s rules, then a full rescan.
+    """One simultaneous round of run()'s rules.
 
     Returns the successor state (round + 1) and the record of that new
-    state; the round and its draws are the ones run() plays from s on the
-    same stream. A palette above ENUMERATION_CAP is refused, as by
-    available_set(), when any vertex would redraw.
+    state; the round, its draws and its unhappy set are the ones run()
+    plays from s on the same stream. A palette above ENUMERATION_CAP is
+    refused, as by available_set(), when any vertex would redraw.
     """
     unhappy = unhappy_vertices(g, s)
     colors = s.colors
     if unhappy:
         _check_cap(cfg.k)
-        colors = _play_round(g, list(colors), unhappy, cfg, rng, s.round, False)[0]
+        colors, unhappy = _play_round(g, list(colors), unhappy, cfg, rng, s.round)[:2]
         if not isinstance(colors, list):
             colors = colors.tolist()
     nxt = ColoringState(tuple(colors), s.round + 1)
-    unhappy = frozenset(unhappy_vertices(g, nxt))
-    return nxt, RoundRecord(nxt.round, unhappy, g.n - len(unhappy))
+    return nxt, RoundRecord(nxt.round, frozenset(unhappy), g.n - len(unhappy))
 
 
 def run(
@@ -374,19 +380,18 @@ def run(
     cfg: GameConfig,
     *,
     retention: str = "full",
-    paranoid: bool = False,
 ) -> TrialResult:
     """Play until the coloring is proper or max_rounds is hit.
 
     retention="full" keeps the unhappy set of every round; "counts"
     keeps only per-round unhappy counts. Either way the history is a
-    :class:`History` of arrays. paranoid=True raises if a happy vertex
-    ever turns unhappy, which no legal configuration can cause; it
-    consumes no randomness, so results are unaffected.
+    :class:`History` of arrays.
 
     A round only re-examines the neighborhoods of the vertices that
-    redrew, which is exact because colors change nowhere else. Rounds
-    with at least VECTOR_ROUND_MIN unhappy vertices run in numpy
+    redrew, which is exact because colors change nowhere else and a
+    happy vertex stays happy; every round checks the latter and raises
+    ContractViolation if a happy vertex turns unhappy. Rounds with at
+    least VECTOR_ROUND_MIN unhappy vertices run in numpy
     (:func:`_vector_round`), smaller ones in Python (:func:`_scalar_round`);
     both draw the same colors from the same stream.
 
@@ -423,7 +428,7 @@ def run(
             ids.append(sets.setdefault(frozenset(unhappy), len(sets)))
         if not unhappy or rnd >= cfg.max_rounds:
             break
-        colors, unhappy, low, drew = _play_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
+        colors, unhappy, low, drew = _play_round(g, colors, unhappy, cfg, rng, rnd)
         if min_available is None or low < min_available:
             min_available = low
         rnd += 1
@@ -466,7 +471,7 @@ VECTOR_ROUND_MIN = 32
 
 
 def _play_round(g: Graph, colors, unhappy: list[int], cfg: GameConfig, rng: random.Random,
-                rnd: int, paranoid: bool):
+                rnd: int):
     """One round by :func:`_vector_round` or :func:`_scalar_round`, whichever fits.
 
     colors is a list or an int64 array; it is converted to the form the
@@ -476,10 +481,10 @@ def _play_round(g: Graph, colors, unhappy: list[int], cfg: GameConfig, rng: rand
     if len(unhappy) >= VECTOR_ROUND_MIN:
         if isinstance(colors, list):
             colors = np.array(colors, dtype=np.int64)
-        return colors, *_vector_round(g.offsets(), g.arcs()[1], colors, unhappy, cfg, rng, rnd, paranoid)
+        return colors, *_vector_round(g.offsets(), g.arcs()[1], colors, unhappy, cfg, rng, rnd)
     if not isinstance(colors, list):
         colors = colors.tolist()
-    return colors, *_scalar_round(g, colors, unhappy, cfg, rng, rnd, paranoid)
+    return colors, *_scalar_round(g, colors, unhappy, cfg, rng, rnd)
 
 
 def _scalar_round(
@@ -489,15 +494,16 @@ def _scalar_round(
     cfg: GameConfig,
     rng: random.Random,
     rnd: int,
-    paranoid: bool,
 ) -> tuple[list[int], int, bool]:
     """One round in Python; returns (next unhappy list, smallest set size, drew).
 
     drew is False when every set had one color and the stream was left
-    untouched. colors is updated in place. The excluded set E is the
-    neighbors' colors, minus v's own under Frugal. The r-th smallest
-    color outside E, r = randrange(k - |E|), is found by a walk of
-    sorted(E) in O(degree) rather than a scan of range(k).
+    untouched. colors is updated in place. A happy vertex that a redraw
+    makes unhappy raises ContractViolation: the rules forbid it, so the
+    next unhappy list is the redrawn vertices that clash. The excluded
+    set E is the neighbors' colors, minus v's own under Frugal. The r-th
+    smallest color outside E, r = randrange(k - |E|), is found by a walk
+    of sorted(E) in O(degree) rather than a scan of range(k).
     """
     k = cfg.k
     keep_own = _keeps_own(cfg.strategy)
@@ -528,12 +534,7 @@ def _scalar_round(
             if colors[u] == cv:
                 nxt.add(v)
                 if u not in was_unhappy:
-                    # cannot happen while draws avoid neighbor colors
-                    if paranoid:
-                        raise ContractViolation(
-                            f"happy vertex {u} lost happiness in round {rnd + 1}"
-                        )
-                    nxt.add(u)
+                    raise ContractViolation(f"happy vertex {u} lost happiness in round {rnd + 1}")
     return sorted(nxt), low, max(sizes) > 1
 
 
@@ -545,7 +546,6 @@ def _vector_round(
     cfg: GameConfig,
     rng: random.Random,
     rnd: int,
-    paranoid: bool,
 ) -> tuple[list[int], int, bool]:
     """:func:`_scalar_round` in numpy over the CSR rows of the unhappy vertices.
 
@@ -597,12 +597,7 @@ def _vector_round(
         was_unhappy[verts] = True
         lost = nbrs[clash & ~was_unhappy[nbrs]]
         if lost.size:
-            # cannot happen while draws avoid neighbor colors
-            if paranoid:
-                raise ContractViolation(
-                    f"happy vertex {lost[0]} lost happiness in round {rnd + 1}"
-                )
-            nxt = np.union1d(nxt, lost)
+            raise ContractViolation(f"happy vertex {lost[0]} lost happiness in round {rnd + 1}")
     return nxt.tolist(), low, bool((sizes > 1).any())
 
 

@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the enumeration cap."""
 
-# Largest enumeration the package builds in one piece: a joint support of
-# the oracle, or a palette listed over range(k) by the engine's
-# available_set(). The engine's step() refuses the same palettes.
+# Largest enumeration the package builds in one piece: a joint support or
+# transition fan-out of the oracle, or a palette listed over range(k) by
+# the oracle or the engine's available_set(). The engine's step() refuses
+# the same palettes.
 ENUMERATION_CAP = 10**7
 
 
@@ -38,8 +39,9 @@ class ContractViolation(NetcolorError):
 
 
 class EnumerationLimitError(NetcolorError):
-    """Raised when an exact computation would exceed its enumeration cap.
+    """Raised when an exact computation would exceed a fixed cap.
 
-    The message reports the offending size so callers can decide whether
-    to raise the cap or switch to Monte Carlo estimation.
+    The caps are ENUMERATION_CAP here and the oracle's STATE_CAP, both
+    fixed. The message reports the offending size; past a cap, estimate
+    by Monte Carlo instead.
     """

@@ -34,6 +34,9 @@ from .graph import Graph
 
 EXACT_SUPPORT_CAP = 10**4
 
+# Largest state space k^n exact_expected_tau explores.
+STATE_CAP = 10**5
+
 # Tail floor for the available-set size after one round.
 AVAILABLE_SIZE_FLOOR = Fraction(1, 16)
 
@@ -104,23 +107,24 @@ def _available(colors, nbrs, own: int, strategy: Strategy, k: int) -> tuple[int,
     return tuple(sorted(free + [own]))
 
 
-def _joint_draws(g: Graph, colors, movers, strategy: Strategy, k: int, cap: int, what: str):
+def _joint_draws(g: Graph, colors, movers, strategy: Strategy, k: int, what: str):
     """Available sets of the movers and the size of their joint support.
 
-    Raises on an empty set and when the joint support exceeds cap, before
-    anything is enumerated; what names the support in the message.
+    Raises on an empty set and when the joint support exceeds
+    ENUMERATION_CAP, before anything is enumerated; what names the
+    support in the message.
     """
     avails = [_available(colors, g.neighbors(u), colors[u], strategy, k) for u in movers]
     for u, a in zip(movers, avails):
         if not a:
             raise ContractViolation(f"empty available set at vertex {u} in coloring {tuple(colors)}")
     size = math.prod(len(a) for a in avails)
-    if size > cap:
-        raise EnumerationLimitError(f"{what} {size} exceeds enumeration cap {cap}")
+    if size > ENUMERATION_CAP:
+        raise EnumerationLimitError(f"{what} {size} exceeds enumeration cap {ENUMERATION_CAP}")
     return avails, size
 
 
-def _next_colorings(g: Graph, colors, movers, strategy: Strategy, k: int, cap: int, what: str):
+def _next_colorings(g: Graph, colors, movers, strategy: Strategy, k: int, what: str):
     """Per-vertex options of one round and the size of their product.
 
     Happy vertices keep their color and the unhappy movers range over
@@ -128,7 +132,7 @@ def _next_colorings(g: Graph, colors, movers, strategy: Strategy, k: int, cap: i
     every next coloring once, each with probability 1/size, in sorted
     order.
     """
-    avails, size = _joint_draws(g, colors, movers, strategy, k, cap, what)
+    avails, size = _joint_draws(g, colors, movers, strategy, k, what)
     options = [(c,) for c in colors]
     for u, a in zip(movers, avails):
         options[u] = a
@@ -165,13 +169,11 @@ def partition_neighbors(g: Graph, s: ColoringState, v: int) -> NeighborPartition
     )
 
 
-def one_round_distribution(
-    g: Graph, s: ColoringState, strategy: Strategy, k: int, *, cap: int = ENUMERATION_CAP
-) -> Distribution:
+def one_round_distribution(g: Graph, s: ColoringState, strategy: Strategy, k: int) -> Distribution:
     """Exact law of the next state: happy vertices stick, unhappy draw jointly."""
     colors = s.colors
     options, size = _next_colorings(
-        g, colors, _unhappy_list(g, colors), strategy, k, cap, "joint support"
+        g, colors, _unhappy_list(g, colors), strategy, k, "joint support"
     )
     p = _prob(1, size)
     support = tuple((ColoringState(c, s.round + 1), p) for c in itertools.product(*options))
@@ -201,7 +203,6 @@ def available_size_distribution(
     strategy: Strategy,
     k: int,
     *,
-    cap: int = ENUMERATION_CAP,
     cache: dict | None = None,
 ) -> AvailableSizeCheck:
     """Enumerate the size of v's next-round available set.
@@ -213,7 +214,7 @@ def available_size_distribution(
     the rest away exactly.
 
     cache memoizes results for one graph, as in two_round_happiness_prob:
-    entries are keyed ("available_size", v, strategy, k, cap, relabeled
+    entries are keyed ("available_size", v, strategy, k, relabeled
     coloring), so colorings that differ only by color names share one.
     """
     colors = s.colors
@@ -221,14 +222,14 @@ def available_size_distribution(
         raise ContractViolation(f"vertex {v} is happy; the size law is defined for unhappy vertices")
     key = None
     if cache is not None:
-        key = ("available_size", v, strategy, k, cap, _relabel(colors))
+        key = ("available_size", v, strategy, k, _relabel(colors))
         hit = cache.get(key)
         if hit is not None:
             return hit
     part = partition_neighbors(g, s, v)
     nbrs = g.neighbors(v)
     movers = sorted(u for u in set(nbrs) | {v} if _is_unhappy(g, colors, u))
-    avails, size = _joint_draws(g, colors, movers, strategy, k, cap, "joint support")
+    avails, size = _joint_draws(g, colors, movers, strategy, k, "joint support")
     pos = {u: i for i, u in enumerate(movers)}
     own_at = pos[v]
     moving = [pos[u] for u in nbrs if u in pos]
@@ -283,7 +284,6 @@ def two_round_happiness_prob(
     strategy: Strategy,
     k: int,
     *,
-    cap: int = ENUMERATION_CAP,
     shortcut: bool = True,
     cache: dict | None = None,
 ):
@@ -301,9 +301,9 @@ def two_round_happiness_prob(
 
     cache memoizes results for one graph; share one dict across calls on
     the same graph to amortize corpus scans. Results are keyed
-    ("two_round", v, strategy, k, cap, shortcut, relabeled coloring) and
-    round-two subproblems ("round_two", v, strategy, k, cap, relabeled
-    colors of the 2-ball), where relabeled means renamed by first
+    ("two_round", v, strategy, k, shortcut, relabeled coloring) and
+    round-two subproblems ("round_two", v, strategy, k, relabeled colors
+    of the 2-ball), where relabeled means renamed by first
     appearance; both strategies are equivariant under renaming colors, so
     colorings that differ only by color names share an entry.
     """
@@ -312,14 +312,14 @@ def two_round_happiness_prob(
         return Fraction(1)
     if cache is None:
         cache = {}
-    key = ("two_round", v, strategy, k, cap, shortcut, _relabel(colors))
+    key = ("two_round", v, strategy, k, shortcut, _relabel(colors))
     hit = cache.get(key)
     if hit is not None:
         return hit
     ball1 = [v, *g.neighbors(v)]
     ball2 = sorted({w for u in ball1 for w in (u, *g.neighbors(u))})
     movers1 = [u for u in ball2 if _is_unhappy(g, colors, u)]
-    avails1, size1 = _joint_draws(g, colors, movers1, strategy, k, cap, "round-one joint support")
+    avails1, size1 = _joint_draws(g, colors, movers1, strategy, k, "round-one joint support")
     happy = 0
     # round-two support size -> favourable round-two draws summed over outcomes
     favourable: dict[int, int] = {}
@@ -330,10 +330,10 @@ def two_round_happiness_prob(
         if shortcut and not _is_unhappy(g, work, v):
             happy += 1
             continue
-        sub = ("round_two", v, strategy, k, cap, _relabel([work[u] for u in ball2]))
+        sub = ("round_two", v, strategy, k, _relabel([work[u] for u in ball2]))
         counts = cache.get(sub)
         if counts is None:
-            counts = cache[sub] = _second_round_counts(g, work, v, ball1, strategy, k, cap)
+            counts = cache[sub] = _second_round_counts(g, work, v, ball1, strategy, k)
         count, size2 = counts
         favourable[size2] = favourable.get(size2, 0) + count
     den = math.lcm(*favourable)
@@ -344,10 +344,10 @@ def two_round_happiness_prob(
     return result
 
 
-def _second_round_counts(g, colors1, v, ball1, strategy, k, cap) -> tuple[int, int]:
+def _second_round_counts(g, colors1, v, ball1, strategy, k) -> tuple[int, int]:
     """(draws leaving v happy, all draws) of one more round from colors1, within ball1."""
     movers = [u for u in ball1 if _is_unhappy(g, colors1, u)]
-    avails, size = _joint_draws(g, colors1, movers, strategy, k, cap, "round-two joint support")
+    avails, size = _joint_draws(g, colors1, movers, strategy, k, "round-two joint support")
     pos = {u: i for i, u in enumerate(movers)}
     own_at = pos.get(v)
     # Neighbors that stay put are happy, so they hold no color v can hold
@@ -370,13 +370,7 @@ class ExpectedTau:
     trapped_states: int
 
 
-def exact_expected_tau(
-    g: Graph,
-    cfg: GameConfig,
-    *,
-    state_cap: int = 10**5,
-    transition_cap: int = ENUMERATION_CAP,
-) -> ExpectedTau:
+def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     """Expected tau of the game's absorbing chain, counting the start as round 1.
 
     Explores colorings reachable from the initial distribution (a state
@@ -385,12 +379,13 @@ def exact_expected_tau(
     scipy.sparse CSR matrix, solves (I - Q) x = 1 with spsolve (the
     residual must be <= 1e-10), and returns 1 + sum of initial mass times
     x. States that cannot reach a proper coloring make the expectation
-    infinite; their count is reported.
+    infinite; their count is reported. A state space above STATE_CAP is
+    refused before anything is explored.
     """
     cfg.validate(g)
     n, k = g.n, cfg.k
-    if k**n > state_cap:
-        raise EnumerationLimitError(f"state space k^n = {k**n} exceeds state cap {state_cap}")
+    if k**n > STATE_CAP:
+        raise EnumerationLimitError(f"state space k^n = {k**n} exceeds state cap {STATE_CAP}")
     if cfg.initial is not None:
         init: list[tuple[tuple[int, ...], float]] = [(tuple(cfg.initial), 1.0)]
     else:
@@ -409,9 +404,7 @@ def exact_expected_tau(
         if not movers:
             absorbing.add(state)
             continue
-        options, size = _next_colorings(
-            g, state, movers, cfg.strategy, k, transition_cap, "transition fan-out"
-        )
+        options, size = _next_colorings(g, state, movers, cfg.strategy, k, "transition fan-out")
         succ = list(itertools.product(*options))
         transitions[state] = (succ, 1.0 / size)
         for t in succ:

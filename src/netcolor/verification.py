@@ -176,7 +176,7 @@ def one_round_counts(
         stacked_offsets = np.append(offsets[:-1] + len(dst) * copies, len(dst) * len(copies))
         nxt = np.tile(base, len(copies))
         _vector_round(stacked_offsets, (dst + n * copies).ravel(), nxt,
-                      (unhappy + n * copies).ravel(), cfg, rng, 1, False)
+                      (unhappy + n * copies).ravel(), cfg, rng, 1)
         outcomes, first, num = np.unique(
             nxt.reshape(len(copies), n), axis=0, return_index=True, return_counts=True
         )
@@ -285,7 +285,13 @@ def check_envelope_dominance(trials: int = 2000, seed: int = DEFAULT_SEED) -> Ch
 
 
 def run_all(level: str = "fast", seed: int = DEFAULT_SEED) -> tuple[bool, list[dict]]:
-    """The whole verify suite; returns (all_passed, per-check report)."""
+    """The whole verify suite; returns (all_passed, per-check report).
+
+    A negative seed is refused before any check runs; the campaign of
+    check_envelope_dominance would refuse it only after the others.
+    """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     checks = [
         check_available_size_floor(level),
         check_two_round_floor(level),

@@ -98,7 +98,7 @@ def campaigns():
     """The four minimum-palette frugal campaigns shared by several checks."""
     start = time.perf_counter()
     out = {
-        name: (spec, run_campaign(spec, paranoid=True))
+        name: (spec, run_campaign(spec))
         for name, spec in _campaign_specs().items()
     }
     out["_wall"] = time.perf_counter() - start

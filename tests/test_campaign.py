@@ -4,6 +4,7 @@ import json
 import pytest
 
 from netcolor import (
+    ContractViolation,
     ExperimentSpec,
     IllegalPaletteError,
     Strategy,
@@ -14,7 +15,9 @@ from netcolor import (
     run_campaign,
     sweep,
 )
+from netcolor import campaign
 from netcolor.campaign import SWEEP_COLUMNS, format_sweep_csv, quantile_95
+from netcolor.cli import main
 
 TRIANGLE = complete_graph(3)
 
@@ -163,6 +166,16 @@ def test_trapped_campaign_csvs_match_across_jobs(tmp_path):
     rows = "".join(f"{i},{rec.round},{3 - rec.happy_count}\n"
                    for i, r in enumerate(results[1].results) for rec in r.history)
     assert files[1][1].read_text() == "trial,round,unhappy_count\n" + rows
+
+
+def test_converged_trial_with_an_improper_coloring_is_refused(monkeypatch, capsys):
+    monkeypatch.setattr(campaign, "is_proper", lambda g, colors: False)
+    with pytest.raises(ContractViolation, match="^trial 0 converged but its coloring is not proper$"):
+        run_campaign(spec(trials=3))
+    assert main(["run", "--family", "complete", "--n", "3", "--strategy", "frugal"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trial 0 converged but its coloring is not proper\n"
 
 
 def test_jobs_validation():

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import netcolor
-from netcolor import ConfigError, read_edge_list, complete_graph, cycle_graph, write_edge_list
+from netcolor import (
+    ConfigError, read_edge_list, complete_graph, cycle_graph, verification, write_edge_list,
+)
 from netcolor.cli import EXIT_BROKEN_PIPE, UsageError, _build_parser, load_config, main
 
 # `python -m netcolor.cli` on the package under test, installed or not
@@ -228,6 +230,21 @@ def test_verify_fast(tmp_path, capsys):
     assert payload["level"] == "fast"
     assert len(payload["checks"]) == 4
     assert json.loads(report_path.read_text()) == payload
+
+
+def test_verify_refuses_a_negative_seed_before_any_check(tmp_path, monkeypatch, capsys):
+    def ran(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for name in ("check_available_size_floor", "check_two_round_floor",
+                 "check_engine_agreement", "check_envelope_dominance"):
+        monkeypatch.setattr(verification, name, ran)
+    report_path = tmp_path / "report.json"
+    assert run_cli("verify", "--seed", "-3", "--out", str(report_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -3\n"
+    assert not report_path.exists()
 
 
 def test_bounds_payload(capsys):

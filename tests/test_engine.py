@@ -210,11 +210,6 @@ def test_run_retention_counts():
         run(TRIANGLE, c, retention="everything")
 
 
-def test_run_paranoid_matches_plain():
-    c = cfg(4, Strategy.GREEDY, seed=31)
-    assert run(TRIANGLE, c, paranoid=True) == run(TRIANGLE, c)
-
-
 def test_run_timeout_is_a_value():
     c = cfg(
         3, Strategy.GREEDY, seed=1, max_rounds=50,
@@ -224,6 +219,18 @@ def test_run_timeout_is_a_value():
     assert r.tau is None
     assert r.final_state.round == 50
     assert len(r.history) == 50
+
+
+@pytest.mark.parametrize("vector_min", [engine.VECTOR_ROUND_MIN, 1])
+def test_happy_vertex_turning_unhappy_raises(vector_min, monkeypatch):
+    # vertex 1 clashes with vertex 0 but is handed over as happy; under
+    # Frugal at k = 2 vertex 0's only color is its own, a forced move
+    monkeypatch.setattr(engine, "VECTOR_ROUND_MIN", vector_min)
+    rng = random.Random(0)
+    before = rng.getstate()
+    with pytest.raises(ContractViolation, match="^happy vertex 1 lost happiness in round 2$"):
+        engine._play_round(TRIANGLE, [0, 0, 1], [0], cfg(2, Strategy.FRUGAL), rng, 1)
+    assert rng.getstate() == before
 
 
 def test_greedy_two_cycle_trace():
@@ -254,7 +261,7 @@ def graph_and_config(draw):
 @given(graph_and_config())
 def test_happiness_is_monotone(gc):
     g, c = gc
-    r = run(g, c, paranoid=True)
+    r = run(g, c)
     for prev, cur in zip(r.history, r.history[1:]):
         assert cur.unhappy <= prev.unhappy
         assert cur.happy_count >= prev.happy_count
@@ -301,16 +308,16 @@ def stepwise_reference(g, c):
     return ColoringState(colors, rnd), records, tau, min(sizes, default=None)
 
 
-def assert_run_matches_steps(g, c, paranoid=False, retention="full"):
+def assert_run_matches_steps(g, c, retention="full"):
     try:
         state, records, tau, low = stepwise_reference(g, c)
     except ContractViolation as exc:
         with pytest.raises(ContractViolation, match=f"^{re.escape(str(exc))}$"):
-            run(g, c, paranoid=paranoid, retention=retention)
+            run(g, c, retention=retention)
         return
     if retention == "counts":
         records = [RoundRecord(rec.round, None, rec.happy_count) for rec in records]
-    r = run(g, c, paranoid=paranoid, retention=retention)
+    r = run(g, c, retention=retention)
     assert (r.final_state, list(r.history), r.tau, r.min_available) == (state, records, tau, low)
     assert {type(x) for x in r.final_state.colors} <= {int}
 
@@ -377,7 +384,7 @@ def test_run_matches_stepwise_reference_on_vectorized_scans(n, p, strategy):
     for k in (strategy.min_colors(g.max_degree()), 1000, 2**32 - 1):
         for seed in range(5):
             c = GameConfig(k=k, strategy=strategy, seed=seed, max_rounds=500)
-            assert_run_matches_steps(g, c, paranoid=seed % 2 == 0)
+            assert_run_matches_steps(g, c)
 
 
 def disjoint(parts, n):
@@ -412,11 +419,15 @@ STAR4 = ((0, 1), (0, 2), (0, 3))
                      id="greedy-k1000-all-equal"),
     ],
 )
-@pytest.mark.parametrize("paranoid", [False, True])
-def test_run_matches_stepwise_reference_on_crafted_starts(g, strategy, k, initial, max_rounds, paranoid):
+@pytest.mark.parametrize("vector_rounds", [False, True])
+def test_run_matches_stepwise_reference_on_crafted_starts(g, strategy, k, initial, max_rounds,
+                                                         vector_rounds, monkeypatch):
+    # vector_rounds plays every round, however few redraw, through the numpy round
+    if vector_rounds:
+        monkeypatch.setattr(engine, "VECTOR_ROUND_MIN", 1)
     c = GameConfig(k=k, strategy=strategy, seed=4, max_rounds=max_rounds,
                    enforce_k_bound=False, initial=initial)
-    assert_run_matches_steps(g, c, paranoid=paranoid)
+    assert_run_matches_steps(g, c)
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -523,15 +534,15 @@ FORCED_STARTS = [
 
 @pytest.mark.parametrize("g, strategy, k, initial, seed, entry, period", FORCED_STARTS)
 @pytest.mark.parametrize("retention", ["full", "counts"])
-@pytest.mark.parametrize("paranoid", [False, True])
+@pytest.mark.parametrize("vector_rounds", [False, True])
 def test_fast_forward_matches_stepwise_reference(g, strategy, k, initial, seed, entry, period,
-                                                 retention, paranoid):
+                                                 retention, vector_rounds, monkeypatch):
+    if vector_rounds:
+        monkeypatch.setattr(engine, "VECTOR_ROUND_MIN", 1)
     for max_rounds in range(1, entry + 3 * period + 2):
         c = GameConfig(k=k, strategy=strategy, seed=seed, max_rounds=max_rounds,
                        enforce_k_bound=False, initial=initial)
-        assert_run_matches_steps(g, c, paranoid, retention)
-        with mock.patch.object(engine, "VECTOR_ROUND_MIN", 1):
-            assert_run_matches_steps(g, c, paranoid, retention)
+        assert_run_matches_steps(g, c, retention)
 
 
 @pytest.mark.parametrize("g, strategy, k, initial, seed, entry, period", FORCED_STARTS[:2])

@@ -248,27 +248,28 @@ def test_floor_probabilities_do_not_depend_on_color_names(data):
         )
 
 
-def test_two_round_memo_respects_a_smaller_cap():
+def test_two_round_memo_respects_a_smaller_cap(monkeypatch):
     # v = 0 of cycle4 at (0, 0, 1, 1), k = 3: the round-one joint support has
     # 16 outcomes and the largest round-two support 27
     g, s = cycle_graph(4), ColoringState((0, 0, 1, 1), 1)
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", 16)
     cache = {}
-    full = two_round_happiness_prob(g, s, 0, Strategy.FRUGAL, 3, cache=cache)
-    assert two_round_happiness_prob(g, s, 0, Strategy.FRUGAL, 3, cap=27, cache=cache) == full
-    # an empty cache, the warm one, and the warm one after a refused call
-    for memo in ({}, cache, cache):
+    # an empty cache, then the same one holding what the refused call memoized
+    for _ in range(2):
         with pytest.raises(EnumerationLimitError, match="round-two joint support 27"):
-            two_round_happiness_prob(g, s, 0, Strategy.FRUGAL, 3, cap=16, cache=memo)
+            two_round_happiness_prob(g, s, 0, Strategy.FRUGAL, 3, cache=cache)
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", 15)
     with pytest.raises(EnumerationLimitError, match="round-one joint support 16"):
-        two_round_happiness_prob(g, s, 0, Strategy.FRUGAL, 3, cap=15, cache=cache)
+        two_round_happiness_prob(g, s, 0, Strategy.FRUGAL, 3, cache=cache)
 
 
 def test_oracle_refuses_palettes_above_the_enumeration_cap(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(oracle, "ENUMERATION_CAP", 3)
-        assert one_round_distribution(TRIANGLE, S001, Strategy.FRUGAL, 3).exact
+        # one outcome at k = 3, so only the palette can break the cap
+        assert one_round_distribution(TRIANGLE, S001, Strategy.GREEDY, 3).exact
         with pytest.raises(EnumerationLimitError, match="k = 4 "):
-            one_round_distribution(TRIANGLE, S001, Strategy.FRUGAL, 4)
+            one_round_distribution(TRIANGLE, S001, Strategy.GREEDY, 4)
     k = 2**32 - 1
     with pytest.raises(EnumerationLimitError, match=f"k = {k} "):
         one_round_distribution(TRIANGLE, ColoringState((0, 0, 0), 1), Strategy.FRUGAL, k)
