@@ -1,4 +1,4 @@
-"""Brute-force ground truth on tiny instances.
+"""Exact ground truth on tiny instances, by enumeration and counting.
 
 Everything here recomputes the game's rules from scratch instead of
 calling the engine's samplers: the two code paths must stay independent
@@ -7,9 +7,13 @@ in either one.
 
 The laws and floor probabilities count outcomes as integers and turn
 each count into a probability once: the exact Fraction(count, size)
-while the enumerated joint support (size) is at most EXACT_SUPPORT_CAP
-outcomes, the double count / size beyond that. exact_expected_tau works
-in doubles and solves its absorbing chain with one sparse solve.
+while the joint support (size) is at most EXACT_SUPPORT_CAP outcomes,
+the double count / size beyond that. The one-round law and the
+two-round probability list every joint draw; the available-size law
+counts them with a dynamic program over the colors v's neighbors cover.
+exact_expected_tau works in doubles: it builds the absorbing chain with
+numpy over base-k codes of the colorings and solves it with one sparse
+solve.
 
 Both strategies are equivariant under any permutation of the palette:
 renaming colors renames the available sets and leaves every draw
@@ -93,13 +97,17 @@ def _unhappy_list(g: Graph, colors) -> list[int]:
     return [v for v in range(g.n) if _is_unhappy(g, colors, v)]
 
 
-def _available(colors, nbrs, own: int, strategy: Strategy, k: int) -> tuple[int, ...]:
-    # Independent twin of the engine's candidate computation; keep it that way.
+def _check_palette(k: int) -> None:
     if k > ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"palette k = {k} exceeds enumeration cap {ENUMERATION_CAP}; "
             "available sets are listed over range(k)"
         )
+
+
+def _available(colors, nbrs, own: int, strategy: Strategy, k: int) -> tuple[int, ...]:
+    # Independent twin of the engine's candidate computation; keep it that way.
+    _check_palette(k)
     used = {colors[u] for u in nbrs}
     free = [c for c in range(k) if c not in used]
     if strategy is Strategy.GREEDY or own not in used:
@@ -120,7 +128,10 @@ def _joint_draws(g: Graph, colors, movers, strategy: Strategy, k: int, what: str
             raise ContractViolation(f"empty available set at vertex {u} in coloring {tuple(colors)}")
     size = math.prod(len(a) for a in avails)
     if size > ENUMERATION_CAP:
-        raise EnumerationLimitError(f"{what} {size} exceeds enumeration cap {ENUMERATION_CAP}")
+        # str() refuses integers of more than 4300 digits, and a refused
+        # support can be far longer: past 10^18 say only its magnitude
+        text = str(size) if size <= 10**18 else f"~10^{math.log10(size):.1f}"
+        raise EnumerationLimitError(f"{what} {text} exceeds enumeration cap {ENUMERATION_CAP}")
     return avails, size
 
 
@@ -205,13 +216,22 @@ def available_size_distribution(
     *,
     cache: dict | None = None,
 ) -> AvailableSizeCheck:
-    """Enumerate the size of v's next-round available set.
+    """Exact law of the size of v's next-round available set.
 
     The size uses the defining formula |{own'} union ([k] minus C')|
     evaluated at the post-round colors, whatever v's new happiness status:
     that is the quantity the tail floor is about. Only draws inside v's
-    closed neighborhood can affect it, so the enumeration marginalizes
-    the rest away exactly.
+    closed neighborhood can affect it, so the rest is marginalized away
+    exactly.
+
+    The draws are counted, not listed: a dynamic program folds the moving
+    neighbors' independent draws one at a time into {covered-color
+    bitmask: number of joint draws}, starting from the colors of the
+    neighbors that stay put, and v's own options then split each mask's
+    count by whether own' is covered, which gives size k - |C'| + 1, or
+    not, which gives k - |C'|. The joint support is still sized first and
+    refused past ENUMERATION_CAP, and it decides between Fraction and
+    double probabilities as elsewhere.
 
     cache memoizes results for one graph, as in two_round_happiness_prob:
     entries are keyed ("available_size", v, strategy, k, relabeled
@@ -231,14 +251,35 @@ def available_size_distribution(
     movers = sorted(u for u in set(nbrs) | {v} if _is_unhappy(g, colors, u))
     avails, size = _joint_draws(g, colors, movers, strategy, k, "joint support")
     pos = {u: i for i, u in enumerate(movers)}
-    own_at = pos[v]
-    moving = [pos[u] for u in nbrs if u in pos]
-    fixed = {colors[u] for u in nbrs if u not in pos}
+    # one bit per color a neighbor can hold after the round, handed out as
+    # the colors appear, so masks stay as short as the neighborhood's
+    # colors whatever k is
+    bit: dict[int, int] = {}
+    held = 0
+    for u in nbrs:
+        if u not in pos:
+            held |= bit.setdefault(colors[u], 1 << len(bit))
+    covered = {held: 1}
+    for u in nbrs:
+        if u in pos:
+            bits = [bit.setdefault(c, 1 << len(bit)) for c in avails[pos[u]]]
+            folded: dict[int, int] = {}
+            for mask, ways in covered.items():
+                for b in bits:
+                    m = mask | b
+                    folded[m] = folded.get(m, 0) + ways
+            covered = folded
+    own = avails[pos[v]]
+    own_bits = sum(bit.get(c, 0) for c in own)
     counts: dict[int, int] = {}
-    for draws in itertools.product(*avails):
-        c_new = fixed.union([draws[i] for i in moving])
-        a_size = k - len(c_new) + (draws[own_at] in c_new)
-        counts[a_size] = counts.get(a_size, 0) + 1
+    for mask, ways in covered.items():
+        free = k - mask.bit_count()
+        clash = (mask & own_bits).bit_count()
+        # own' counts once more in the size when a neighbor holds it too
+        if clash:
+            counts[free + 1] = counts.get(free + 1, 0) + ways * clash
+        if clash < len(own):
+            counts[free] = counts.get(free, 0) + ways * (len(own) - clash)
     dist = Distribution(
         support=tuple((sz, _prob(c, size)) for sz, c in sorted(counts.items())),
         kind="available_size",
@@ -373,78 +414,106 @@ class ExpectedTau:
 def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     """Expected tau of the game's absorbing chain, counting the start as round 1.
 
-    Explores colorings reachable from the initial distribution (a state
-    with a joint support of size outcomes moves to each with probability
-    1 / size), builds I - Q over the transient states as one
-    scipy.sparse CSR matrix, solves (I - Q) x = 1 with spsolve (the
-    residual must be <= 1e-10), and returns 1 + sum of initial mass times
-    x. States that cannot reach a proper coloring make the expectation
-    infinite; their count is reported. A state space above STATE_CAP is
-    refused before anything is explored.
+    A coloring is the integer code sum of color_v * k^(n-1-v), so code
+    order is the sorted order of the color tuples. From the initial
+    distribution, the reachable colorings are expanded in numpy one BFS
+    level at a time: each level's unhappy masks come from the arcs, and
+    each transient coloring gets its option lists (the sorted available
+    set of a mover, the own color of a happy vertex) and its successors in
+    itertools.product order, each with probability 1 / fan-out. A level
+    holding a transition fan-out above ENUMERATION_CAP, or an empty
+    available set, is refused before its successors are expanded.
+
+    States that cannot reach a proper coloring, found by
+    scipy.sparse.csgraph.breadth_first_order over the reversed
+    transitions, make the expectation infinite; their count is reported.
+    Otherwise I - Q over the transient states, in code order, is one
+    scipy.sparse CSR matrix, (I - Q) x = 1 is solved with spsolve (the
+    residual must be <= 1e-10), and the result is 1 plus the sum of
+    initial mass times x, added in code order. A state space above
+    STATE_CAP is refused before anything is explored.
     """
     cfg.validate(g)
     n, k = g.n, cfg.k
-    if k**n > STATE_CAP:
-        raise EnumerationLimitError(f"state space k^n = {k**n} exceeds state cap {STATE_CAP}")
-    if cfg.initial is not None:
-        init: list[tuple[tuple[int, ...], float]] = [(tuple(cfg.initial), 1.0)]
+    states = 1
+    for _ in range(n):
+        states *= k
+        if states > STATE_CAP:
+            # k^n itself can have more digits than str() accepts
+            space = k**n if n * k.bit_length() <= 64 else f"{k}^{n}"
+            raise EnumerationLimitError(f"state space k^n = {space} exceeds state cap {STATE_CAP}")
+    place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    if cfg.initial is None:
+        init = np.arange(states, dtype=np.int64)
     else:
-        w = 1.0 / k**n
-        init = [(c, w) for c in itertools.product(range(k), repeat=n)]
+        init = np.array([sum(c * int(p) for c, p in zip(cfg.initial, place))], dtype=np.int64)
 
-    # state -> (its successors, the probability of each)
-    transitions: dict[tuple[int, ...], tuple[list[tuple[int, ...]], float]] = {}
-    absorbing: set[tuple[int, ...]] = set()
-    rev: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    stack = [c for c, _ in init]
-    seen = set(stack)
-    while stack:
-        state = stack.pop()
-        movers = _unhappy_list(g, state)
-        if not movers:
-            absorbing.add(state)
-            continue
-        options, size = _next_colorings(g, state, movers, cfg.strategy, k, "transition fan-out")
-        succ = list(itertools.product(*options))
-        transitions[state] = (succ, 1.0 / size)
-        for t in succ:
-            rev.setdefault(t, []).append(state)
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
+    seen = np.zeros(states, dtype=bool)
+    seen[init] = True
+    # transitions out of each coloring; 0 for proper and unexplored ones
+    fanout = np.zeros(states, dtype=np.int64)
+    sources, targets = [], []
+    frontier = init
+    while frontier.size:
+        colors = frontier[:, None] // place % k
+        unhappy = _unhappy_mask(g, colors)
+        moving = unhappy.any(axis=1)
+        frontier, colors, unhappy = frontier[moving], colors[moving], unhappy[moving]
+        if not frontier.size:
+            break
+        ranked, sizes = _option_table(g, colors, unhappy, cfg.strategy, k)
+        empty = np.argwhere(sizes == 0)
+        if empty.size:
+            row, u = empty[0]
+            raise ContractViolation(
+                f"empty available set at vertex {u} in coloring {tuple(colors[row].tolist())}"
+            )
+        fan = sizes.prod(axis=1)
+        if fan.max() > ENUMERATION_CAP:
+            raise EnumerationLimitError(
+                f"transition fan-out {int(fan.max())} exceeds enumeration cap {ENUMERATION_CAP}"
+            )
+        fanout[frontier] = fan
+        succ = _successor_codes(ranked, sizes, fan, place)
+        sources.append(np.repeat(frontier, fan))
+        targets.append(succ)
+        frontier = np.unique(succ[~seen[succ]])
+        seen[frontier] = True
 
-    # States that can reach absorption, found by walking reverse edges.
-    co = set(absorbing)
-    frontier = list(absorbing)
-    while frontier:
-        t = frontier.pop()
-        for s_prev in rev.get(t, ()):
-            if s_prev not in co:
-                co.add(s_prev)
-                frontier.append(s_prev)
-    trapped = len(seen) - len(co)
-    if trapped:
-        return ExpectedTau(math.inf, len(seen), trapped)
-
-    transient = sorted(transitions)
-    index = {state: i for i, state in enumerate(transient)}
-    m = len(transient)
+    reachable = int(np.count_nonzero(seen))
+    transient = np.flatnonzero(fanout)
+    m = transient.size
     if m == 0:
-        return ExpectedTau(1.0, len(seen), 0)
+        return ExpectedTau(1.0, reachable, 0)
     # Imported here: scipy.sparse costs every other command about 0.4 s.
     from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
     from scipy.sparse.linalg import spsolve
 
-    rows, cols, vals = list(range(m)), list(range(m)), [1.0] * m
-    for state, (succ, p) in transitions.items():
-        i = index[state]
-        for t in succ:
-            j = index.get(t)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(-p)
-    a = csr_array((vals, (rows, cols)), shape=(m, m))
+    src, dst = np.concatenate(sources), np.concatenate(targets)
+    # reversed transitions, plus a root (node `states`) pointing at every
+    # reachable proper coloring: what the root reaches can be absorbed
+    proper = np.flatnonzero(seen & (fanout == 0))
+    heads = np.append(dst, np.full(proper.size, states))
+    tails = np.append(src, proper)
+    back = csr_array((np.ones(heads.size), (heads, tails)), shape=(states + 1, states + 1))
+    absorbed = np.zeros(states + 1, dtype=bool)
+    absorbed[breadth_first_order(back, states, return_predecessors=False)] = True
+    trapped = int(np.count_nonzero(seen & ~absorbed[:states]))
+    if trapped:
+        return ExpectedTau(math.inf, reachable, trapped)
+
+    index = np.full(states, -1, dtype=np.int64)
+    index[transient] = np.arange(m)
+    stay = fanout[dst] > 0
+    diag = np.arange(m)
+    a = csr_array(
+        (
+            np.append(np.ones(m), -1.0 / fanout[src[stay]]),
+            (np.append(diag, index[src[stay]]), np.append(diag, index[dst[stay]])),
+        ),
+        shape=(m, m),
+    )
     b = np.ones(m)
     x = spsolve(a, b)
     residual = float(np.max(np.abs(a @ x - b)))
@@ -452,9 +521,53 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     if not residual <= 1e-10:
         raise ContractViolation(f"absorption solve residual {residual} above 1e-10")
 
+    start = index[init]
     expected = 1.0
-    for state, w in init:
-        i = index.get(state)
-        if i is not None:
-            expected += w * float(x[i])
-    return ExpectedTau(expected, len(seen), 0)
+    # initial mass times x, added one term at a time in code order
+    for term in ((1.0 / init.size) * x[start[start >= 0]]).tolist():
+        expected += term
+    return ExpectedTau(expected, reachable, 0)
+
+
+def _unhappy_mask(g: Graph, colors: np.ndarray) -> np.ndarray:
+    """Which vertices share their color with a neighbor, one row per coloring."""
+    src, dst = g.arcs()
+    unhappy = np.zeros(colors.shape, dtype=bool)
+    np.logical_or.at(unhappy, (slice(None), src), colors[:, src] == colors[:, dst])
+    return unhappy
+
+
+def _option_table(g: Graph, colors, unhappy, strategy: Strategy, k: int):
+    """Every vertex's options for one round, one row per coloring.
+
+    Returns (ranked, sizes): vertex v of row r has sizes[r, v] options,
+    the colors ranked[r, v, :sizes[r, v]] in ascending order. They are
+    its available set when it is unhappy and its own color when it is
+    happy. The numpy twin of _available, over whole blocks of colorings.
+    """
+    _check_palette(k)
+    src, dst = g.arcs()
+    used = np.zeros((*colors.shape, k), dtype=bool)
+    used[np.arange(len(colors))[:, None], src, colors[:, dst]] = True
+    own = colors[:, :, None] == np.arange(k)
+    free = ~used if strategy is Strategy.GREEDY else ~used | own
+    allowed = np.where(unhappy[:, :, None], free, own)
+    return np.argsort(~allowed, axis=2, kind="stable"), allowed.sum(axis=2)
+
+
+def _successor_codes(ranked, sizes, fan, place) -> np.ndarray:
+    """Codes of every row's successors, row by row, in itertools.product order.
+
+    Successor j of a row is j written in the mixed radix of the row's
+    option counts, the last vertex's digit varying fastest.
+    """
+    rows, n, k = ranked.shape
+    # flat offset of each successor's row in ranked, and j itself
+    base = np.repeat(np.arange(0, rows * n * k, n * k), fan)
+    rest = np.arange(base.size) - np.repeat(np.cumsum(fan) - fan, fan)
+    codes = np.zeros(base.size, dtype=np.int64)
+    flat = ranked.reshape(-1)
+    for v in range(n - 1, -1, -1):
+        rest, digit = np.divmod(rest, np.repeat(sizes[:, v], fan))
+        codes += flat[base + v * k + digit] * place[v]
+    return codes

@@ -1,5 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +216,109 @@ def test_two_round_memo_matches_uncached(name, g, k, shortcut):
     assert sum(1 for key in cache if key[0] == "two_round") < cases
 
 
+def brute_size_law(g, s, v, strategy, k):
+    """The size law by listing every joint draw of v's closed neighborhood.
+
+    The enumeration available_size_distribution used before its dynamic
+    program; kept as the reference the program must reproduce exactly.
+    """
+    colors = s.colors
+    nbrs = g.neighbors(v)
+    movers = sorted(u for u in set(nbrs) | {v} if oracle._is_unhappy(g, colors, u))
+    avails, size = oracle._joint_draws(g, colors, movers, strategy, k, "joint support")
+    pos = {u: i for i, u in enumerate(movers)}
+    own_at = pos[v]
+    moving = [pos[u] for u in nbrs if u in pos]
+    fixed = {colors[u] for u in nbrs if u not in pos}
+    counts: dict[int, int] = {}
+    for draws in itertools.product(*avails):
+        c_new = fixed.union([draws[i] for i in moving])
+        a_size = k - len(c_new) + (draws[own_at] in c_new)
+        counts[a_size] = counts.get(a_size, 0) + 1
+    f = partition_neighbors(g, s, v).f
+    threshold = Fraction(k - f, 5)
+    prob = oracle._prob(sum(c for sz, c in counts.items() if sz >= threshold), size)
+    return oracle.AvailableSizeCheck(
+        distribution=oracle.Distribution(
+            support=tuple((sz, oracle._prob(c, size)) for sz, c in sorted(counts.items())),
+            kind="available_size",
+            exact=size <= oracle.EXACT_SUPPORT_CAP,
+        ),
+        threshold=threshold,
+        prob_at_least=prob,
+        floor=oracle.AVAILABLE_SIZE_FLOOR,
+        f=f,
+        holds=prob >= oracle.AVAILABLE_SIZE_FLOOR,
+    )
+
+
+def size_law_or_refusal(law, *args):
+    try:
+        return law(*args)
+    except ContractViolation as exc:
+        # greedy at k <= max degree: a mover whose neighbors hold every color
+        assert "empty available set" in str(exc)
+        return str(exc)
+
+
+def assert_size_law_matches_brute_force(g, colors, strategy, k) -> int:
+    """Compare at every unhappy vertex of colors; returns how many were compared."""
+    s = ColoringState(tuple(colors), 1)
+    compared = 0
+    for v in range(g.n):
+        if any(colors[u] == colors[v] for u in g.neighbors(v)):
+            want = size_law_or_refusal(brute_size_law, g, s, v, strategy, k)
+            got = size_law_or_refusal(available_size_distribution, g, s, v, strategy, k)
+            assert got == want, (colors, v)
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("name,g,k", MEMO_INSTANCES, ids=[m[0] for m in MEMO_INSTANCES])
+def test_size_law_matches_brute_force_on_every_corpus_case(name, g, k, strategy):
+    compared = sum(
+        assert_size_law_matches_brute_force(g, colors, strategy, k)
+        for colors in conflicted_colorings(g, k)
+    )
+    assert compared > 0
+
+
+@st.composite
+def small_colored_graphs(draw):
+    n = draw(st.integers(2, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    k = draw(st.integers(2, 4))
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return from_edge_list(edges, n), colors, k
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_colored_graphs(), st.sampled_from(list(Strategy)))
+def test_size_law_matches_brute_force_on_small_graphs(case, strategy):
+    g, colors, k = case
+    assert_size_law_matches_brute_force(g, colors, strategy, k)
+
+
+@pytest.mark.parametrize("strategy,k", [(Strategy.FRUGAL, 11), (Strategy.GREEDY, 12)])
+def test_size_law_matches_brute_force_past_the_exact_support_cap(strategy, k):
+    # every vertex of K4 moves with 11 options: 14641 joint draws, so the
+    # probabilities are doubles
+    g, colors = complete_graph(4), (0, 0, 0, 0)
+    res = available_size_distribution(g, ColoringState(colors, 1), 0, strategy, k)
+    assert not res.distribution.exact and isinstance(res.prob_at_least, float)
+    assert assert_size_law_matches_brute_force(g, colors, strategy, k) == 4
+
+
+def test_size_law_refuses_a_support_too_long_to_print():
+    # 2000 movers with 2000 options each: the joint support has 6602 digits
+    g = star_graph(2000)
+    s = ColoringState((0,) * 2000, 1)
+    with pytest.raises(EnumerationLimitError, match=r"joint support ~10\^6602\.1 exceeds"):
+        available_size_distribution(g, s, 0, Strategy.FRUGAL, 2000)
+
+
 FLOOR_INSTANCES = [
     (TRIANGLE, 3, Strategy.FRUGAL),
     (TRIANGLE, 4, Strategy.GREEDY),
@@ -393,3 +499,150 @@ def test_expected_tau_matches_simulation_mean():
     var = sum((t - mean) ** 2 for t in taus) / (n - 1)
     se = (var / n) ** 0.5
     assert abs(mean - exact) <= 3 * se
+
+
+def expected_tau_by_dfs(g, cfg):
+    """The absorbing chain built state by state in Python.
+
+    The construction exact_expected_tau used before its numpy build: a
+    depth-first search over the reachable colorings, a reverse walk from
+    the proper ones and the same sparse solve. Kept as the reference the
+    numpy build must reproduce.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import spsolve
+
+    n, k = g.n, cfg.k
+    if cfg.initial is not None:
+        init = [(tuple(cfg.initial), 1.0)]
+    else:
+        w = 1.0 / k**n
+        init = [(c, w) for c in itertools.product(range(k), repeat=n)]
+    transitions, absorbing, rev = {}, set(), {}
+    stack = [c for c, _ in init]
+    seen = set(stack)
+    while stack:
+        state = stack.pop()
+        movers = oracle._unhappy_list(g, state)
+        if not movers:
+            absorbing.add(state)
+            continue
+        options, size = oracle._next_colorings(g, state, movers, cfg.strategy, k, "transition fan-out")
+        succ = list(itertools.product(*options))
+        transitions[state] = (succ, 1.0 / size)
+        for t in succ:
+            rev.setdefault(t, []).append(state)
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    co = set(absorbing)
+    frontier = list(absorbing)
+    while frontier:
+        for s_prev in rev.get(frontier.pop(), ()):
+            if s_prev not in co:
+                co.add(s_prev)
+                frontier.append(s_prev)
+    trapped = len(seen) - len(co)
+    if trapped:
+        return oracle.ExpectedTau(math.inf, len(seen), trapped)
+    transient = sorted(transitions)
+    index = {state: i for i, state in enumerate(transient)}
+    m = len(transient)
+    if m == 0:
+        return oracle.ExpectedTau(1.0, len(seen), 0)
+    rows, cols, vals = list(range(m)), list(range(m)), [1.0] * m
+    for state, (succ, p) in transitions.items():
+        for t in succ:
+            if t in index:
+                rows.append(index[state])
+                cols.append(index[t])
+                vals.append(-p)
+    x = spsolve(csr_array((vals, (rows, cols)), shape=(m, m)), np.ones(m))
+    expected = 1.0
+    for state, w in init:
+        if state in index:
+            expected += w * float(x[index[state]])
+    return oracle.ExpectedTau(expected, len(seen), 0)
+
+
+CHAIN_CASES = [
+    (path_graph(2), 2, Strategy.FRUGAL),
+    (path_graph(3), 2, Strategy.FRUGAL),
+    (path_graph(3), 3, Strategy.GREEDY),
+    (path_graph(4), 2, Strategy.GREEDY),
+    (TRIANGLE, 3, Strategy.FRUGAL),
+    (TRIANGLE, 3, Strategy.GREEDY),
+    (TRIANGLE, 4, Strategy.GREEDY),
+    (cycle_graph(4), 3, Strategy.FRUGAL),
+    (cycle_graph(4), 3, Strategy.GREEDY),
+    (cycle_graph(5), 3, Strategy.FRUGAL),
+    (star_graph(4), 4, Strategy.FRUGAL),
+    (star_graph(4), 5, Strategy.GREEDY),
+    (from_edge_list([(0, 1), (2, 3)], 5), 3, Strategy.FRUGAL),
+]
+
+
+CHAIN_STARTS = [
+    (g, k, strategy, initial)
+    for g, k, strategy in CHAIN_CASES
+    for initial in (None, (0,) * g.n, tuple(v % 2 for v in range(g.n)))
+] + [
+    # greedy K3 at k = 3: a proper start, and the trapped (0, 0, 1) orbit
+    (TRIANGLE, 3, Strategy.GREEDY, (0, 1, 2)),
+    (TRIANGLE, 3, Strategy.GREEDY, (0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "g,k,strategy,initial",
+    CHAIN_STARTS,
+    ids=[f"{g!r}-k{k}-{st.value}-{initial}" for g, k, st, initial in CHAIN_STARTS],
+)
+def test_expected_tau_matches_the_python_chain(g, k, strategy, initial):
+    cfg = GameConfig(k=k, strategy=strategy, seed=0, enforce_k_bound=False, initial=initial)
+    try:
+        want = expected_tau_by_dfs(g, cfg)
+    except ContractViolation:
+        # greedy below max degree + 1 reaches a mover with no color left;
+        # the two searches may meet different such colorings first
+        with pytest.raises(ContractViolation, match="empty available set"):
+            exact_expected_tau(g, cfg)
+        return
+    got = exact_expected_tau(g, cfg)
+    assert (got.reachable_states, got.trapped_states) == (want.reachable_states, want.trapped_states)
+    if math.isinf(want.expected):
+        assert got.expected == math.inf
+    else:
+        assert abs(got.expected - want.expected) <= 1e-12
+
+
+def test_expected_tau_counts_only_reachable_states():
+    # greedy K3 at k = 3 from a proper start: the (0, 0, 1) orbit and its
+    # renamings are trapped, but no move leads there
+    proper = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, enforce_k_bound=False, initial=(0, 1, 2))
+    assert exact_expected_tau(TRIANGLE, proper) == oracle.ExpectedTau(1.0, 1, 0)
+    everywhere = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, enforce_k_bound=False)
+    assert exact_expected_tau(TRIANGLE, everywhere).trapped_states > 0
+    # the center of this star has no greedy move at (0, 0, 1, 2), which no
+    # path from the proper start reaches
+    star = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, enforce_k_bound=False, initial=(0, 1, 1, 1))
+    assert exact_expected_tau(star_graph(4), star) == oracle.ExpectedTau(1.0, 1, 0)
+    stuck = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, enforce_k_bound=False, initial=(0, 0, 1, 2))
+    with pytest.raises(ContractViolation, match=r"empty available set at vertex 0 in coloring \(0, 0, 1, 2\)"):
+        exact_expected_tau(star_graph(4), stuck)
+
+
+def test_expected_tau_refuses_fan_out_before_expanding(monkeypatch):
+    def expand(*args):
+        raise AssertionError("successors expanded before the fan-out check")
+
+    monkeypatch.setattr(oracle, "_successor_codes", expand)
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", 26)
+    # (0, 0, 0) has 3 x 3 x 3 frugal successors
+    with pytest.raises(EnumerationLimitError, match="transition fan-out 27 exceeds enumeration cap 26"):
+        exact_expected_tau(TRIANGLE, GameConfig(k=3, strategy=Strategy.FRUGAL, seed=0))
+
+
+def test_expected_tau_refuses_a_state_space_too_long_to_print():
+    with pytest.raises(EnumerationLimitError, match=r"state space k\^n = 3\^10000 exceeds state cap"):
+        exact_expected_tau(path_graph(10000), GameConfig(k=3, strategy=Strategy.FRUGAL, seed=0))
