@@ -268,14 +268,6 @@ def _keeps_own(strategy: Strategy) -> bool:
     return strategy is Strategy.FRUGAL
 
 
-def _check_cap(k: int) -> None:
-    if k > ENUMERATION_CAP:
-        raise EnumerationLimitError(
-            f"palette k = {k} exceeds enumeration cap {ENUMERATION_CAP}; "
-            "available_set() lists range(k) and step() keeps its limit, run() has none"
-        )
-
-
 def available_set(g: Graph, s: ColoringState, v: int, strategy: Strategy, k: int) -> frozenset[int]:
     """The set an unhappy v samples from next round, listed over range(k).
 
@@ -287,7 +279,11 @@ def available_set(g: Graph, s: ColoringState, v: int, strategy: Strategy, k: int
         raise ContractViolation(
             f"available_set called on happy vertex {v}; happy players keep their color"
         )
-    _check_cap(k)
+    if k > ENUMERATION_CAP:
+        raise EnumerationLimitError(
+            f"palette k = {k} exceeds enumeration cap {ENUMERATION_CAP}; "
+            "available_set() lists range(k), step() and run() have no limit"
+        )
     used = {s.colors[u] for u in g.neighbors(v)}
     if _keeps_own(strategy):
         used.discard(s.colors[v])
@@ -315,33 +311,11 @@ def _draw_ranks(rng: random.Random, sizes):
     return ranks
 
 
-def _randrange_many(rng: random.Random, k: int, count: int) -> np.ndarray:
-    """The next count values of rng.randrange(k), read from bulk words.
-
-    randrange(k) takes 32-bit words w until w >> (32 - k.bit_length()) < k,
-    and getrandbits(32 * m) returns the next m words little-endian first.
-    Every value takes at least one word, so a block of as many words as
-    values still owed is used up whole: the stream ends where count
-    randrange calls would leave it.
-    """
-    shift = 32 - k.bit_length()
-    out = np.empty(count, dtype=np.int64)
-    done = 0
-    while done < count:
-        need = count - done
-        block = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        values = np.frombuffer(block, dtype="<u4") >> shift
-        accepted = values[values < k]
-        out[done : done + len(accepted)] = accepted
-        done += len(accepted)
-    return out
-
-
 def _initial_colors(g: Graph, cfg: GameConfig, rng: random.Random) -> np.ndarray:
     """The round-1 coloring of :func:`initial_state` as an int64 array."""
     if cfg.initial is not None:
         return np.array(cfg.initial, dtype=np.int64)
-    return _randrange_many(rng, cfg.k, g.n)
+    return _randrange_each(rng, np.full(g.n, cfg.k, dtype=np.int64))
 
 
 def initial_state(g: Graph, cfg: GameConfig, rng: random.Random) -> ColoringState:
@@ -361,13 +335,11 @@ def step(
 
     Returns the successor state (round + 1) and the record of that new
     state; the round, its draws and its unhappy set are the ones run()
-    plays from s on the same stream. A palette above ENUMERATION_CAP is
-    refused, as by available_set(), when any vertex would redraw.
+    plays from s on the same stream.
     """
     unhappy = unhappy_vertices(g, s)
     colors = s.colors
     if unhappy:
-        _check_cap(cfg.k)
         colors, unhappy = _play_round(g, list(colors), unhappy, cfg, rng, s.round)[:2]
         if not isinstance(colors, list):
             colors = colors.tolist()
@@ -604,22 +576,41 @@ def _vector_round(
 def _randrange_each(rng: random.Random, bounds: np.ndarray) -> np.ndarray:
     """rng.randrange(b) for each b of bounds in order, read from bulk words.
 
-    The words are the ones :func:`_randrange_many` reads, but the bound
-    can change from one value to the next, so a Python loop tries each
-    word against the value it falls to: w >> s < b is w < b << s. As
-    there, each block has as many words as values still owed and is used
-    up whole, so the stream ends where per-value randrange calls leave it.
+    randrange(b) takes 32-bit words w until w >> (32 - b.bit_length()) < b,
+    and getrandbits(32 * m) returns the next m words little-endian first.
+    Every value takes at least one word, so a block of as many words as
+    values still owed is used up whole: the stream ends where per-value
+    randrange calls leave it.
+
+    When every bound is the same, whether a word is accepted does not
+    depend on the value it falls to, so each block is filtered in numpy.
+    Otherwise a Python loop tries each word against the value it falls to:
+    w >> s < b is w < b << s.
     """
+    count = len(bounds)
+    if count and (bounds == bounds[0]).all():
+        b = int(bounds[0])
+        shift = 32 - b.bit_length()
+        out = np.empty(count, dtype=np.int64)
+        done = 0
+        while done < count:
+            words = _words(rng, count - done)
+            accepted = words[words < b << shift]
+            out[done : done + len(accepted)] = accepted
+            done += len(accepted)
+        return out >> shift
     shifts = 32 - np.frexp(bounds)[1]  # frexp's exponent is the bit length
     limits = (bounds << shifts).tolist()
-    count = len(limits)
     accepted: list[int] = []
     i = 0
     while i < count:
-        need = count - i
-        block = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        for w in np.frombuffer(block, dtype="<u4").tolist():
+        for w in _words(rng, count - i).tolist():
             if w < limits[i]:
                 accepted.append(w)
                 i += 1
     return np.array(accepted, dtype=np.int64) >> shifts
+
+
+def _words(rng: random.Random, m: int) -> np.ndarray:
+    """The next m 32-bit words of rng's stream, in order."""
+    return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")

@@ -1,9 +1,9 @@
 """Exception types shared across the package, and the enumeration cap."""
 
-# Largest enumeration the package builds in one piece: a joint support or
-# transition fan-out of the oracle, or a palette listed over range(k) by
-# the oracle or the engine's available_set(). The engine's step() refuses
-# the same palettes.
+# Largest enumeration the package builds in one piece: a joint support,
+# transition fan-out or breadth-first level of transitions of the oracle,
+# or a palette listed over range(k) by the oracle or the engine's
+# available_set().
 ENUMERATION_CAP = 10**7
 
 

@@ -246,7 +246,6 @@ def available_size_distribution(
         hit = cache.get(key)
         if hit is not None:
             return hit
-    part = partition_neighbors(g, s, v)
     nbrs = g.neighbors(v)
     movers = sorted(u for u in set(nbrs) | {v} if _is_unhappy(g, colors, u))
     avails, size = _joint_draws(g, colors, movers, strategy, k, "joint support")
@@ -259,6 +258,8 @@ def available_size_distribution(
     for u in nbrs:
         if u not in pos:
             held |= bit.setdefault(colors[u], 1 << len(bit))
+    # f: the distinct colors of the neighbors that stay put
+    f = len(bit)
     covered = {held: 1}
     for u in nbrs:
         if u in pos:
@@ -285,14 +286,13 @@ def available_size_distribution(
         kind="available_size",
         exact=size <= EXACT_SUPPORT_CAP,
     )
-    threshold = Fraction(k - part.f, 5)
-    prob = _prob(sum(c for sz, c in counts.items() if sz >= threshold), size)
+    prob = _prob(sum(c for sz, c in counts.items() if 5 * sz >= k - f), size)
     result = AvailableSizeCheck(
         distribution=dist,
-        threshold=threshold,
+        threshold=Fraction(k - f, 5),
         prob_at_least=prob,
         floor=AVAILABLE_SIZE_FLOOR,
-        f=part.f,
+        f=f,
         holds=prob >= AVAILABLE_SIZE_FLOOR,
     )
     if key is not None:
@@ -421,8 +421,9 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     each transient coloring gets its option lists (the sorted available
     set of a mover, the own color of a happy vertex) and its successors in
     itertools.product order, each with probability 1 / fan-out. A level
-    holding a transition fan-out above ENUMERATION_CAP, or an empty
-    available set, is refused before its successors are expanded.
+    holding a transition fan-out above ENUMERATION_CAP, more than
+    ENUMERATION_CAP transitions in all, or an empty available set, is
+    refused before its successors are expanded.
 
     States that cannot reach a proper coloring, found by
     scipy.sparse.csgraph.breadth_first_order over the reversed
@@ -472,6 +473,10 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
         if fan.max() > ENUMERATION_CAP:
             raise EnumerationLimitError(
                 f"transition fan-out {int(fan.max())} exceeds enumeration cap {ENUMERATION_CAP}"
+            )
+        if fan.sum() > ENUMERATION_CAP:
+            raise EnumerationLimitError(
+                f"BFS level of {int(fan.sum())} transitions exceeds enumeration cap {ENUMERATION_CAP}"
             )
         fanout[frontier] = fan
         succ = _successor_codes(ranked, sizes, fan, place)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import check_dominance, mu
 from .engine import ColoringState, GameConfig, Strategy, _vector_round, run, unhappy_vertices
-from .errors import ConfigError
+from .errors import ConfigError, EnumerationLimitError
 from .graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from .oracle import (
     _unhappy_list,
@@ -163,11 +163,22 @@ def one_round_counts(
     read in ascending vertex order, which is copy by copy, so the counts
     and the final state of rng are those of trials sequential rounds.
     Outcomes are keyed in order of first appearance.
+
+    Only the unhappy vertices move, so a copy's outcome is coded as one
+    int64: their new colors read as digits in base k. When k^m codes for m
+    unhappy vertices would not fit, EnumerationLimitError is raised before
+    anything is drawn.
     """
-    n = g.n
+    n, k = g.n, cfg.k
     unhappy = np.array(unhappy_vertices(g, ColoringState(colors, 1)), dtype=np.intp)
     if not unhappy.size:
         return {tuple(colors): trials} if trials else {}
+    if k ** unhappy.size >= 2**63:
+        raise EnumerationLimitError(
+            f"outcome codes k^m = {k}^{unhappy.size} for {unhappy.size} unhappy vertices "
+            "exceed int64"
+        )
+    place = k ** np.arange(unhappy.size - 1, -1, -1, dtype=np.int64)
     offsets, dst = g.offsets(), g.arcs()[1]
     base = np.array(colors, dtype=np.int64)
     counts: dict[tuple[int, ...], int] = {}
@@ -177,12 +188,11 @@ def one_round_counts(
         nxt = np.tile(base, len(copies))
         _vector_round(stacked_offsets, (dst + n * copies).ravel(), nxt,
                       (unhappy + n * copies).ravel(), cfg, rng, 1)
-        outcomes, first, num = np.unique(
-            nxt.reshape(len(copies), n), axis=0, return_index=True, return_counts=True
-        )
-        for j in np.argsort(first).tolist():
-            key = tuple(outcomes[j].tolist())
-            counts[key] = counts.get(key, 0) + int(num[j])
+        nxt = nxt.reshape(len(copies), n)
+        _, first, num = np.unique(nxt[:, unhappy] @ place, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        for key, count in zip(map(tuple, nxt[first[order]].tolist()), num[order].tolist()):
+            counts[key] = counts.get(key, 0) + count
     return counts
 
 

@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 import re
@@ -75,7 +76,7 @@ def test_available_set_empty_greedy_raises():
         available_set(star, s, 0, Strategy.GREEDY, 3)
 
 
-def test_step_and_available_set_refuse_palettes_above_the_enumeration_cap(monkeypatch):
+def test_available_set_refuses_palettes_above_the_enumeration_cap(monkeypatch):
     s = ColoringState((0, 0, 0), 1)
     with monkeypatch.context() as m:
         m.setattr(engine, "ENUMERATION_CAP", 3)
@@ -84,14 +85,13 @@ def test_step_and_available_set_refuse_palettes_above_the_enumeration_cap(monkey
             available_set(TRIANGLE, s, 0, Strategy.FRUGAL, 4)
     # range(2**32 - 1) would take tens of GB; the guard raises before building it
     k = 2**32 - 1
-    rng = random.Random(0)
-    before = rng.getstate()
-    with pytest.raises(EnumerationLimitError, match=f"k = {k} "):
-        step(TRIANGLE, s, cfg(k, Strategy.FRUGAL), rng)
-    assert rng.getstate() == before
     with pytest.raises(EnumerationLimitError, match=f"k = {k} "):
         available_set(TRIANGLE, s, 0, Strategy.GREEDY, k)
-    assert run(TRIANGLE, cfg(k, Strategy.FRUGAL, initial=(0, 0, 0))).tau == 2
+    # step plays run's round, which draws by rank and never lists range(k)
+    c = cfg(k, Strategy.FRUGAL, initial=(0, 0, 0))
+    played = run(TRIANGLE, c)
+    assert played.tau == 2
+    assert step(TRIANGLE, s, c, random.Random(c.seed)) == (played.final_state, played.history[1])
 
 
 def test_initial_state_given():
@@ -375,6 +375,26 @@ def test_stacked_rounds_match_sequential_reference_rounds(g, colors, strategy, k
     assert rng.getstate() == ref.getstate()
 
 
+def test_stacked_outcome_codes_reach_int64_and_are_refused_past_it():
+    # two unhappy vertices: outcome codes run up to k**2 - 1
+    colors = (0, 0, 1)
+    k = math.isqrt(2**63 - 1)
+    c = GameConfig(k=k, strategy=Strategy.FRUGAL, seed=3)
+    rng, ref = random.Random(3), random.Random(3)
+    counts = one_round_counts(TRIANGLE, colors, c, rng, 50)
+    expected = {}
+    for _ in range(50):
+        nxt, _ = step(TRIANGLE, ColoringState(colors, 1), c, ref)
+        expected[nxt.colors] = expected.get(nxt.colors, 0) + 1
+    assert list(counts.items()) == list(expected.items())
+    assert rng.getstate() == ref.getstate()
+    before = rng.getstate()
+    with pytest.raises(EnumerationLimitError, match=f"{k + 1}\\^2 .* exceed int64"):
+        one_round_counts(TRIANGLE, colors, GameConfig(k=k + 1, strategy=Strategy.FRUGAL, seed=3),
+                         rng, 50)
+    assert rng.getstate() == before
+
+
 @pytest.mark.parametrize("strategy", list(Strategy))
 @pytest.mark.parametrize("n, p", [(40, 0.15), (120, 0.05)])
 def test_run_matches_stepwise_reference_on_vectorized_scans(n, p, strategy):
@@ -456,6 +476,13 @@ def test_largest_palette_redraws_by_rank(copies, strategy):
         (21, [9]),
         # the first word of seed 0 as a 32-bit bound: that word is rejected
         (0, [random.Random(0).getrandbits(32), 6]),
+        # equal bounds, read in bulk: the largest bound (no shift), one that
+        # rejects about half its words, a single value, and seed 0's
+        # rejected first word as every bound
+        (21, [2**32 - 1] * 30),
+        (21, [2**31 + 1] * 30),
+        (5, [7]),
+        (0, [random.Random(0).getrandbits(32)] * 12),
     ],
 )
 def test_randrange_each_matches_randrange_calls(seed, bounds):

@@ -22,6 +22,7 @@ from netcolor import (
     run_campaign,
 )
 from netcolor.graph import format_edge_list
+from netcolor.verification import AGREEMENT_INSTANCES, DEFAULT_SEED, one_round_counts
 
 
 def sha256(data: bytes) -> str:
@@ -115,3 +116,21 @@ def test_campaign_csv_digests(spec, trials_digest, rounds_digest, tmp_path):
     run_campaign(spec, out=str(trials), rounds_out=str(rounds))
     assert sha256(trials.read_bytes()) == trials_digest
     assert sha256(rounds.read_bytes()) == rounds_digest
+
+
+@pytest.mark.parametrize(
+    "index, digest",
+    [
+        (0, "1af7f5d12a63ba5f1fe99009d1885a1684bf5702ca6af43e69a89b27340fbd0a"),
+        (1, "369b2411ce43afb9ca27a79bc34070be5b6508745df5e2f99b9774c610bef099"),
+    ],
+    ids=[inst[0] for inst in AGREEMENT_INSTANCES],
+)
+def test_agreement_sampler_digest(index, digest):
+    # the counts verify's chi-square check compares, in order, and where
+    # the stream stops; CPython and numpy alone decide them
+    name, g, colors, strategy, k = AGREEMENT_INSTANCES[index]
+    seed = DEFAULT_SEED + index
+    rng = random.Random(seed)
+    counts = one_round_counts(g, colors, GameConfig(k=k, strategy=strategy, seed=seed), rng, 10**5)
+    assert sha256(repr((list(counts.items()), rng.getstate())).encode()) == digest

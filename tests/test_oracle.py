@@ -643,6 +643,16 @@ def test_expected_tau_refuses_fan_out_before_expanding(monkeypatch):
         exact_expected_tau(TRIANGLE, GameConfig(k=3, strategy=Strategy.FRUGAL, seed=0))
 
 
+def test_expected_tau_refuses_a_level_of_too_many_transitions(monkeypatch):
+    # path2 under frugal: each of the k clashing colorings moves to all k^2
+    # colorings, so the first level holds k^3 transitions
+    got = exact_expected_tau(path_graph(2), GameConfig(k=100, strategy=Strategy.FRUGAL, seed=0))
+    assert abs(got.expected - (1 + 1 / 99)) <= 1e-12
+    monkeypatch.setattr(oracle, "_successor_codes", lambda *args: pytest.fail("level expanded"))
+    with pytest.raises(EnumerationLimitError, match="level of 31554496 transitions exceeds enumeration cap"):
+        exact_expected_tau(path_graph(2), GameConfig(k=316, strategy=Strategy.FRUGAL, seed=0))
+
+
 def test_expected_tau_refuses_a_state_space_too_long_to_print():
     with pytest.raises(EnumerationLimitError, match=r"state space k\^n = 3\^10000 exceeds state cap"):
         exact_expected_tau(path_graph(10000), GameConfig(k=3, strategy=Strategy.FRUGAL, seed=0))
