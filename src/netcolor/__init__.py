@@ -65,11 +65,9 @@ from .oracle import (
     AvailableSizeCheck,
     Distribution,
     ExpectedTau,
-    NeighborPartition,
     available_size_distribution,
     exact_expected_tau,
     one_round_distribution,
-    partition_neighbors,
     two_round_floor_holds,
     two_round_happiness_prob,
 )

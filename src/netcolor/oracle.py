@@ -6,10 +6,9 @@ so the engine/oracle agreement test retains its power to catch faults
 in either one.
 
 The laws and floor probabilities count outcomes as integers and turn
-each count into a probability once: the exact Fraction(count, size)
-while the joint support (size) is at most EXACT_SUPPORT_CAP outcomes,
-the double count / size beyond that. The one-round law and the
-two-round probability list every joint draw; the available-size law
+each count into a probability once, as the exact Fraction(count, size)
+over the joint support. The one-round law and the two-round
+probability list every joint draw; the available-size law
 counts them with a dynamic program over the colors v's neighbors cover.
 exact_expected_tau works in doubles: it builds the absorbing chain with
 numpy over base-k codes of the colorings and solves it with one sparse
@@ -36,8 +35,6 @@ from .engine import ColoringState, GameConfig, Strategy
 from .errors import ENUMERATION_CAP, ContractViolation, EnumerationLimitError
 from .graph import Graph
 
-EXACT_SUPPORT_CAP = 10**4
-
 # Largest state space k^n exact_expected_tau explores.
 STATE_CAP = 10**5
 
@@ -55,37 +52,17 @@ TWO_ROUND_FLOOR_HI = Fraction("0.0001052804218607104233849382566117")
 class Distribution:
     """Finite distribution: sorted (outcome, probability) pairs.
 
-    exact=True means Fraction probabilities summing to exactly 1;
-    otherwise doubles summing to 1 within 1e-12.
+    The probabilities are Fractions summing to exactly 1.
     """
 
     support: tuple
     kind: str
-    exact: bool
 
-    def total(self):
-        if self.exact:
-            return sum(p for _, p in self.support)
-        # compensated summation: keeps huge float supports near one ulp
-        return math.fsum(p for _, p in self.support)
+    def total(self) -> Fraction:
+        return sum(p for _, p in self.support)
 
     def as_dict(self) -> dict:
         return dict(self.support)
-
-
-@dataclass(frozen=True)
-class NeighborPartition:
-    """Classification of v's neighborhood at one state.
-
-    frozen_colors are the colors of happy neighbors (they never move);
-    unhappy neighbors split by whether they currently share v's color.
-    """
-
-    happy: frozenset[int]
-    frozen_colors: frozenset[int]
-    f: int
-    unhappy_same: frozenset[int]
-    unhappy_diff: frozenset[int]
 
 
 def _is_unhappy(g: Graph, colors, v: int) -> bool:
@@ -150,34 +127,10 @@ def _next_colorings(g: Graph, colors, movers, strategy: Strategy, k: int, what: 
     return options, size
 
 
-def _prob(count: int, size: int):
-    """count outcomes out of size: exact up to EXACT_SUPPORT_CAP, a double beyond."""
-    return Fraction(count, size) if size <= EXACT_SUPPORT_CAP else count / size
-
-
 def _relabel(colors) -> tuple[int, ...]:
     """colors renamed 0, 1, 2, ... in order of first appearance: (2, 0, 2) -> (0, 1, 0)."""
     names: dict[int, int] = {}
     return tuple(names.setdefault(c, len(names)) for c in colors)
-
-
-def partition_neighbors(g: Graph, s: ColoringState, v: int) -> NeighborPartition:
-    """Split v's neighbors into happy and unhappy-same/diff, with frozen colors."""
-    colors = s.colors
-    happy, same, diff = set(), set(), set()
-    for u in g.neighbors(v):
-        if _is_unhappy(g, colors, u):
-            (same if colors[u] == colors[v] else diff).add(u)
-        else:
-            happy.add(u)
-    frozen = frozenset(colors[u] for u in happy)
-    return NeighborPartition(
-        happy=frozenset(happy),
-        frozen_colors=frozen,
-        f=len(frozen),
-        unhappy_same=frozenset(same),
-        unhappy_diff=frozenset(diff),
-    )
 
 
 def one_round_distribution(g: Graph, s: ColoringState, strategy: Strategy, k: int) -> Distribution:
@@ -186,9 +139,9 @@ def one_round_distribution(g: Graph, s: ColoringState, strategy: Strategy, k: in
     options, size = _next_colorings(
         g, colors, _unhappy_list(g, colors), strategy, k, "joint support"
     )
-    p = _prob(1, size)
+    p = Fraction(1, size)
     support = tuple((ColoringState(c, s.round + 1), p) for c in itertools.product(*options))
-    return Distribution(support=support, kind="coloring", exact=size <= EXACT_SUPPORT_CAP)
+    return Distribution(support=support, kind="coloring")
 
 
 @dataclass(frozen=True)
@@ -201,7 +154,7 @@ class AvailableSizeCheck:
 
     distribution: Distribution
     threshold: Fraction
-    prob_at_least: object
+    prob_at_least: Fraction
     floor: Fraction
     f: int
     holds: bool
@@ -230,8 +183,7 @@ def available_size_distribution(
     neighbors that stay put, and v's own options then split each mask's
     count by whether own' is covered, which gives size k - |C'| + 1, or
     not, which gives k - |C'|. The joint support is still sized first and
-    refused past ENUMERATION_CAP, and it decides between Fraction and
-    double probabilities as elsewhere.
+    refused past ENUMERATION_CAP.
 
     cache memoizes results for one graph, as in two_round_happiness_prob:
     entries are keyed ("available_size", v, strategy, k, relabeled
@@ -282,11 +234,10 @@ def available_size_distribution(
         if clash < len(own):
             counts[free] = counts.get(free, 0) + ways * (len(own) - clash)
     dist = Distribution(
-        support=tuple((sz, _prob(c, size)) for sz, c in sorted(counts.items())),
+        support=tuple((sz, Fraction(c, size)) for sz, c in sorted(counts.items())),
         kind="available_size",
-        exact=size <= EXACT_SUPPORT_CAP,
     )
-    prob = _prob(sum(c for sz, c in counts.items() if 5 * sz >= k - f), size)
+    prob = Fraction(sum(c for sz, c in counts.items() if 5 * sz >= k - f), size)
     result = AvailableSizeCheck(
         distribution=dist,
         threshold=Fraction(k - f, 5),
@@ -301,21 +252,20 @@ def available_size_distribution(
 
 
 def two_round_floor_holds(prob) -> bool:
-    """Compare an exact or float probability against the irrational floor.
+    """Compare a probability against the irrational floor.
 
-    For Fractions the verdict is certified by the bracketing interval; a
-    probability falling inside the interval itself would be undecidable
-    at the stored precision and raises instead of guessing.
+    The verdict is certified by the bracketing interval; a probability
+    falling inside the interval itself would be undecidable at the stored
+    precision and raises instead of guessing. A float is compared by its
+    exact value, as Python compares floats with Fractions.
     """
-    if isinstance(prob, Fraction):
-        if prob >= TWO_ROUND_FLOOR_HI:
-            return True
-        if prob < TWO_ROUND_FLOOR_LO:
-            return False
-        raise ContractViolation(
-            f"probability {prob} falls inside the floor's bracketing interval; widen the precision"
-        )
-    return prob >= float(TWO_ROUND_FLOOR_HI)
+    if prob >= TWO_ROUND_FLOOR_HI:
+        return True
+    if prob < TWO_ROUND_FLOOR_LO:
+        return False
+    raise ContractViolation(
+        f"probability {prob} falls inside the floor's bracketing interval; widen the precision"
+    )
 
 
 def two_round_happiness_prob(
@@ -327,7 +277,7 @@ def two_round_happiness_prob(
     *,
     shortcut: bool = True,
     cache: dict | None = None,
-):
+) -> Fraction:
     """Exact P(v is happy two rounds after state s).
 
     shortcut=True credits outcomes where v is already happy after one
@@ -337,8 +287,7 @@ def two_round_happiness_prob(
     v's closed 2-neighborhood, so everything else marginalizes away.
 
     The result is Fraction(count, size) over the round-one joint support
-    (count sums the favourable round-two fractions), and the double
-    nearest to it when size exceeds EXACT_SUPPORT_CAP.
+    (count sums the favourable round-two fractions).
 
     cache memoizes results for one graph; share one dict across calls on
     the same graph to amortize corpus scans. Results are keyed
@@ -380,9 +329,8 @@ def two_round_happiness_prob(
     den = math.lcm(*favourable)
     num = happy * den + sum(c * (den // size2) for size2, c in favourable.items())
     prob = Fraction(num, size1 * den)
-    result = prob if size1 <= EXACT_SUPPORT_CAP else float(prob)
-    cache[key] = result
-    return result
+    cache[key] = prob
+    return prob
 
 
 def _second_round_counts(g, colors1, v, ball1, strategy, k) -> tuple[int, int]:

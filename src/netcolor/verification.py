@@ -79,29 +79,40 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-def check_available_size_floor(level: str = "full") -> CheckResult:
-    """Exact tail floor on |available set| after one round, corpus-wide."""
-    checked = 0
-    violations = []
+def _floor_cases(level: str):
+    """Every case the exact floor checks visit, in order.
+
+    Yields (instance, coloring, state, unhappy vertex, cache) for each
+    unhappy vertex of each conflicted coloring of the level's corpus;
+    cache is one fresh dict per instance, to share across its cases.
+    """
     for inst in corpus_for(level):
         cache: dict = {}
         for colors in conflicted_colorings(inst.graph, inst.k):
             state = ColoringState(colors, 1)
             for v in _unhappy_list(inst.graph, colors):
-                res = available_size_distribution(
-                    inst.graph, state, v, Strategy.FRUGAL, inst.k, cache=cache
-                )
-                checked += 1
-                if not res.holds:
-                    violations.append(
-                        {
-                            "instance": inst.name,
-                            "coloring": list(colors),
-                            "vertex": v,
-                            "prob": str(res.prob_at_least),
-                            "threshold": str(res.threshold),
-                        }
-                    )
+                yield inst, colors, state, v, cache
+
+
+def check_available_size_floor(level: str = "full") -> CheckResult:
+    """Exact tail floor on |available set| after one round, corpus-wide."""
+    checked = 0
+    violations = []
+    for inst, colors, state, v, cache in _floor_cases(level):
+        res = available_size_distribution(
+            inst.graph, state, v, Strategy.FRUGAL, inst.k, cache=cache
+        )
+        checked += 1
+        if not res.holds:
+            violations.append(
+                {
+                    "instance": inst.name,
+                    "coloring": list(colors),
+                    "vertex": v,
+                    "prob": str(res.prob_at_least),
+                    "threshold": str(res.threshold),
+                }
+            )
     return CheckResult(
         name="available_size_floor",
         passed=not violations,
@@ -114,26 +125,22 @@ def check_two_round_floor(level: str = "full") -> CheckResult:
     checked = 0
     violations = []
     min_prob = None
-    for inst in corpus_for(level):
-        cache: dict = {}
-        for colors in conflicted_colorings(inst.graph, inst.k):
-            state = ColoringState(colors, 1)
-            for v in _unhappy_list(inst.graph, colors):
-                prob = two_round_happiness_prob(
-                    inst.graph, state, v, Strategy.FRUGAL, inst.k, cache=cache
-                )
-                checked += 1
-                if min_prob is None or prob < min_prob:
-                    min_prob = prob
-                if not two_round_floor_holds(prob):
-                    violations.append(
-                        {
-                            "instance": inst.name,
-                            "coloring": list(colors),
-                            "vertex": v,
-                            "prob": str(prob),
-                        }
-                    )
+    for inst, colors, state, v, cache in _floor_cases(level):
+        prob = two_round_happiness_prob(
+            inst.graph, state, v, Strategy.FRUGAL, inst.k, cache=cache
+        )
+        checked += 1
+        if min_prob is None or prob < min_prob:
+            min_prob = prob
+        if not two_round_floor_holds(prob):
+            violations.append(
+                {
+                    "instance": inst.name,
+                    "coloring": list(colors),
+                    "vertex": v,
+                    "prob": str(prob),
+                }
+            )
     return CheckResult(
         name="two_round_happiness_floor",
         passed=not violations,

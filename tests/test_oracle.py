@@ -20,7 +20,6 @@ from netcolor import (
     exact_expected_tau,
     from_edge_list,
     one_round_distribution,
-    partition_neighbors,
     path_graph,
     star_graph,
     two_round_floor_holds,
@@ -33,40 +32,26 @@ S001 = ColoringState((0, 0, 1), 1)
 
 
 def test_partition_triangle():
-    part = partition_neighbors(TRIANGLE, S001, 0)
-    assert part.happy == frozenset({2})
-    assert part.frozen_colors == frozenset({1})
-    assert part.f == 1
-    assert part.unhappy_same == frozenset({1})
-    assert part.unhappy_diff == frozenset()
-
-
-def test_partition_rainbow():
-    part = partition_neighbors(TRIANGLE, ColoringState((0, 1, 2), 1), 0)
-    assert part.happy == frozenset({1, 2})
-    assert part.unhappy_same == frozenset()
-    assert part.unhappy_diff == frozenset()
-    assert part.f == 2
+    # neighbor 2 is happy and holds color 1; neighbor 1 moves
+    res = available_size_distribution(TRIANGLE, S001, 0, Strategy.FRUGAL, 3)
+    assert res.f == 1
 
 
 def test_partition_path_all_same():
-    part = partition_neighbors(path_graph(3), ColoringState((0, 0, 0), 1), 1)
-    assert part.happy == frozenset()
-    assert part.f == 0
-    assert part.unhappy_same == frozenset({0, 2})
-    assert part.unhappy_diff == frozenset()
+    # both neighbors of the middle vertex move
+    s = ColoringState((0, 0, 0), 1)
+    res = available_size_distribution(path_graph(3), s, 1, Strategy.FRUGAL, 3)
+    assert res.f == 0
 
 
 def test_one_round_edgeless_point_mass():
     g = from_edge_list([], 3)
     d = one_round_distribution(g, S001, Strategy.FRUGAL, 3)
-    assert d.exact
     assert d.support == ((ColoringState((0, 0, 1), 2), Fraction(1)),)
 
 
 def test_one_round_frugal_triangle_uniform():
     d = one_round_distribution(TRIANGLE, S001, Strategy.FRUGAL, 3)
-    assert d.exact
     law = {out.colors: p for out, p in d.support}
     assert law == {
         (0, 0, 1): Fraction(1, 4),
@@ -89,13 +74,13 @@ def test_one_round_cap_reports_product():
         one_round_distribution(g, s, Strategy.FRUGAL, 11)
 
 
-def test_one_round_float_mode_sums_to_one():
+def test_one_round_large_support_sums_to_exactly_one():
     g = complete_graph(6)
     s = ColoringState((0,) * 6, 1)
     d = one_round_distribution(g, s, Strategy.FRUGAL, 7)
-    assert not d.exact
     assert len(d.support) == 7**6
-    assert abs(d.total() - 1.0) <= 1e-12
+    total = d.total()
+    assert isinstance(total, Fraction) and total == 1
 
 
 @settings(deadline=None, max_examples=50)
@@ -104,7 +89,6 @@ def test_one_round_total_is_exactly_one(k, code):
     g = cycle_graph(4)
     colors = tuple((code // 3**v) % 3 % k for v in range(4))
     d = one_round_distribution(g, ColoringState(colors, 1), Strategy.FRUGAL, k)
-    assert d.exact
     assert d.total() == 1
 
 
@@ -165,6 +149,14 @@ def test_two_round_shortcut_consistency(g, k, colors):
         fast = two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k, shortcut=True)
         slow = two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k, shortcut=False)
         assert fast == slow
+
+
+@pytest.mark.parametrize("shortcut", [True, False])
+def test_two_round_is_exact_past_ten_thousand_draws(shortcut):
+    # 7^5 = 16807 round-one joint draws
+    s = ColoringState((0,) * 5, 1)
+    p = two_round_happiness_prob(star_graph(5), s, 0, Strategy.FRUGAL, 7, shortcut=shortcut)
+    assert p == Fraction(5308416, 5764801)
 
 
 def test_two_round_cache_is_shareable():
@@ -229,20 +221,20 @@ def brute_size_law(g, s, v, strategy, k):
     pos = {u: i for i, u in enumerate(movers)}
     own_at = pos[v]
     moving = [pos[u] for u in nbrs if u in pos]
+    # the colors of the happy neighbors, which stay put
     fixed = {colors[u] for u in nbrs if u not in pos}
     counts: dict[int, int] = {}
     for draws in itertools.product(*avails):
         c_new = fixed.union([draws[i] for i in moving])
         a_size = k - len(c_new) + (draws[own_at] in c_new)
         counts[a_size] = counts.get(a_size, 0) + 1
-    f = partition_neighbors(g, s, v).f
+    f = len(fixed)
     threshold = Fraction(k - f, 5)
-    prob = oracle._prob(sum(c for sz, c in counts.items() if sz >= threshold), size)
+    prob = Fraction(sum(c for sz, c in counts.items() if sz >= threshold), size)
     return oracle.AvailableSizeCheck(
         distribution=oracle.Distribution(
-            support=tuple((sz, oracle._prob(c, size)) for sz, c in sorted(counts.items())),
+            support=tuple((sz, Fraction(c, size)) for sz, c in sorted(counts.items())),
             kind="available_size",
-            exact=size <= oracle.EXACT_SUPPORT_CAP,
         ),
         threshold=threshold,
         prob_at_least=prob,
@@ -303,12 +295,21 @@ def test_size_law_matches_brute_force_on_small_graphs(case, strategy):
 
 @pytest.mark.parametrize("strategy,k", [(Strategy.FRUGAL, 11), (Strategy.GREEDY, 12)])
 def test_size_law_matches_brute_force_past_the_exact_support_cap(strategy, k):
-    # every vertex of K4 moves with 11 options: 14641 joint draws, so the
-    # probabilities are doubles
+    # every vertex of K4 moves with 11 options: 14641 joint draws, and the
+    # probabilities stay exact
     g, colors = complete_graph(4), (0, 0, 0, 0)
     res = available_size_distribution(g, ColoringState(colors, 1), 0, strategy, k)
-    assert not res.distribution.exact and isinstance(res.prob_at_least, float)
+    assert isinstance(res.prob_at_least, Fraction)
     assert assert_size_law_matches_brute_force(g, colors, strategy, k) == 4
+
+
+def test_size_law_is_exact_on_the_star6_center():
+    # 6^6 = 46656 joint draws; the threshold 6/5 exceeds 1 and the tail
+    # is below 1, so the tail is not trivially 0 or 1
+    s = ColoringState((0,) * 6, 1)
+    res = available_size_distribution(star_graph(6), s, 0, Strategy.FRUGAL, 6)
+    assert res.threshold == Fraction(6, 5)
+    assert res.prob_at_least == Fraction(319, 324)
 
 
 def test_size_law_refuses_a_support_too_long_to_print():
@@ -373,7 +374,7 @@ def test_oracle_refuses_palettes_above_the_enumeration_cap(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(oracle, "ENUMERATION_CAP", 3)
         # one outcome at k = 3, so only the palette can break the cap
-        assert one_round_distribution(TRIANGLE, S001, Strategy.GREEDY, 3).exact
+        assert one_round_distribution(TRIANGLE, S001, Strategy.GREEDY, 3).total() == 1
         with pytest.raises(EnumerationLimitError, match="k = 4 "):
             one_round_distribution(TRIANGLE, S001, Strategy.GREEDY, 4)
     k = 2**32 - 1
@@ -388,6 +389,13 @@ def test_two_round_floor_comparison():
     with pytest.raises(ContractViolation, match="bracketing"):
         two_round_floor_holds(mid)
     assert two_round_floor_holds(0.5)
+
+
+def test_two_round_floor_refuses_a_double_below_the_bracket():
+    # the double nearest the upper bracket end lies below the lower one
+    below = float(oracle.TWO_ROUND_FLOOR_HI)
+    assert below == 0.00010528042186071042 and below < oracle.TWO_ROUND_FLOOR_LO
+    assert two_round_floor_holds(below) is False
 
 
 def test_two_round_floor_interval_brackets_the_constant():
