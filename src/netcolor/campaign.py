@@ -235,9 +235,10 @@ ROUNDS_BLOCK = 8192
 def write_rounds_csv(path: str, results) -> None:
     """Long-format per-round unhappy counts: trial,round,unhappy_count.
 
-    Rows are read from each history's counts array in blocks of
-    ROUNDS_BLOCK, which may span trials; each block is formatted by one
-    `_csv_rows` call and written at once, so memory stays O(block).
+    Rows are read from each history with History.count_range in blocks
+    of ROUNDS_BLOCK, which may span trials; each block is formatted by
+    one `_csv_rows` call and written at once, so memory stays O(block)
+    even for a trial whose forced orbit was skipped.
     """
     with open(path, "wb") as fh:
         fh.write(b"trial,round,unhappy_count\n")
@@ -249,10 +250,10 @@ def _round_blocks(results, size: int):
     """Yield (trial, round, count) columns of `size` rows, the last maybe fewer."""
     trials, firsts, pieces, filled = [], [], [], 0
     for i, r in enumerate(results):
-        counts = r.history.counts
-        lo = 0
-        while lo < len(counts):
-            piece = counts[lo : lo + size - filled]
+        history, lo = r.history, 0
+        rounds = len(history)
+        while lo < rounds:
+            piece = history.count_range(lo, lo + size - filled)
             trials.append(i)
             firsts.append(lo + 1)
             pieces.append(piece)

@@ -42,9 +42,12 @@ O(orbit entry + period) rounds, not O(max_rounds). At a legal k every
 available set has at least two colors, so the finder never fires.
 
 History. A trial's per-round records live in a :class:`History`: the
-unhappy counts as one integer array and, under full retention, each
-distinct unhappy set once plus an index array. RoundRecords are built
-on access.
+unhappy counts of the rounds played as one integer array and, under
+full retention, each distinct unhappy set once plus an index array. A
+skipped orbit is one (at, period, reps) triple, not period * reps more
+entries, so a trapped trial's history takes O(orbit entry + period)
+memory too. Lengths, indexing, iteration, pickling and the rounds CSV
+map each round through the skip; RoundRecords are built on access.
 """
 
 from __future__ import annotations
@@ -148,57 +151,121 @@ class RoundRecord:
     happy_count: int
 
 
+# Rounds read per block when a History is iterated or compared.
+HISTORY_BLOCK = 8192
+
+
+def _frozen(values) -> np.ndarray:
+    """values as a read-only int64 array."""
+    out = np.asarray(values, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 class History(Sequence):
     """The RoundRecords of rounds 1..len of one trial, held as arrays.
 
-    counts[i] is the number of unhappy vertices in round i + 1. Under full
-    retention sets holds each distinct unhappy set once and ids[i] is the
-    position of round i + 1's set in it; under counts retention both are
-    None. Records are built on access; a slice is a tuple of them. Two
-    histories are equal when their records are.
+    Only played rounds are stored. A forced orbit that run() skipped is
+    the triple skip = (at, period, reps): rounds at + 1 .. at + period *
+    reps repeat the stored rounds at - period + 1 .. at, period after
+    period, and the stored rounds from at + 1 on come after them. With no
+    skip, stored round i + 1 is round i + 1.
+
+    :meth:`count_range` gives the unhappy counts of a range of rounds.
+    Under full retention sets holds each distinct unhappy set once and
+    each stored round has the position of its set in it; under counts
+    retention sets is None. Records are built on access; a slice is a
+    tuple of them. Two histories are equal when their records are,
+    whatever their skips.
     """
 
-    __slots__ = ("n", "counts", "sets", "ids")
+    __slots__ = ("n", "sets", "skip", "_counts", "_ids")
 
-    def __init__(self, n: int, counts, sets: tuple[frozenset[int], ...] | None = None, ids=None):
+    def __init__(self, n: int, counts, sets: tuple[frozenset[int], ...] | None = None, ids=None,
+                 skip: tuple[int, int, int] | None = None):
         self.n = n
-        self.counts = np.asarray(counts, dtype=np.int64)
-        self.counts.flags.writeable = False
         self.sets = sets
-        self.ids = None if ids is None else np.asarray(ids, dtype=np.int64)
-        if self.ids is not None:
-            self.ids.flags.writeable = False
+        self.skip = skip
+        self._counts = _frozen(counts)
+        self._ids = None if ids is None else _frozen(ids)
 
     def __len__(self) -> int:
-        return len(self.counts)
+        extra = 0 if self.skip is None else self.skip[1] * self.skip[2]
+        return len(self._counts) + extra
+
+    def _gather(self, stored: np.ndarray, lo, hi) -> np.ndarray:
+        """The entries of `stored` (counts or set ids) for rounds[lo:hi], lo and hi as in a slice."""
+        lo, hi, _ = slice(lo, hi).indices(len(self))
+        hi = max(lo, hi)
+        if self.skip is None:
+            return stored[lo:hi]
+        at, period, reps = self.skip
+        end = at + period * reps
+        pieces = [stored[lo : min(hi, at)]]
+        if lo < end and hi > at:
+            # the recorded period, rotated to start at round first + 1
+            first, last = max(lo, at), min(hi, end)
+            start = at - period + (first - at) % period
+            cycle = np.concatenate((stored[start:at], stored[at - period : start]))
+            pieces.append(np.tile(cycle, -(-(last - first) // period))[: last - first])
+        shift = period * reps
+        pieces.append(stored[max(lo, end) - shift : max(hi, end) - shift])
+        return np.concatenate(pieces)
+
+    def count_range(self, lo, hi) -> np.ndarray:
+        """The unhappy counts of rounds lo + 1 .. hi: what counts[lo:hi] holds."""
+        return self._gather(self._counts, lo, hi)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Every round's unhappy count, built whole: O(len) memory."""
+        return _frozen(self.count_range(0, len(self)))
+
+    @property
+    def ids(self) -> np.ndarray | None:
+        """Every round's position in sets, built whole; None under counts retention."""
+        return None if self._ids is None else _frozen(self._gather(self._ids, 0, len(self)))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
         i = range(len(self))[i]  # bounds and negative indices as for a tuple
-        unhappy = None if self.sets is None else self.sets[self.ids[i]]
-        return RoundRecord(i + 1, unhappy, self.n - int(self.counts[i]))
+        unhappy = None if self.sets is None else self.sets[self._gather(self._ids, i, i + 1)[0]]
+        return RoundRecord(i + 1, unhappy, self.n - int(self.count_range(i, i + 1)[0]))
+
+    def _blocks(self):
+        """(first round, counts, unhappy sets or None) over blocks of the rounds."""
+        for lo in range(0, len(self), HISTORY_BLOCK):
+            hi = lo + HISTORY_BLOCK
+            sets = None
+            if self.sets is not None:
+                sets = list(map(self.sets.__getitem__, self._gather(self._ids, lo, hi).tolist()))
+            yield lo + 1, self.count_range(lo, hi), sets
 
     def __iter__(self):
         n = self.n
-        sets = repeat(None) if self.sets is None else map(self.sets.__getitem__, self.ids.tolist())
-        for i, (count, unhappy) in enumerate(zip(self.counts.tolist(), sets), 1):
-            yield RoundRecord(i, unhappy, n - count)
-
-    def _key(self):
-        happy = (self.n - self.counts).tobytes()
-        return happy, None if self.sets is None else [self.sets[j] for j in self.ids.tolist()]
+        for first, counts, sets in self._blocks():
+            for i, (count, unhappy) in enumerate(
+                zip(counts.tolist(), repeat(None) if sets is None else sets), first
+            ):
+                yield RoundRecord(i, unhappy, n - count)
 
     def __eq__(self, other):
         if not isinstance(other, History):
             return NotImplemented
-        return self._key() == other._key()
+        if len(self) != len(other) or (self.sets is None) != (other.sets is None):
+            return False
+        return all(
+            np.array_equal(self.n - a[1], other.n - b[1]) and a[2] == b[2]
+            for a, b in zip(self._blocks(), other._blocks())
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key()[0])
+        head = self.count_range(0, HISTORY_BLOCK)
+        return hash((len(self), (self.n - head).tobytes()))
 
     def __reduce__(self):
-        return History, (self.n, self.counts, self.sets, self.ids)
+        return History, (self.n, self._counts, self.sets, self._ids, self.skip)
 
     def __repr__(self) -> str:
         return f"History(n={self.n}, rounds={len(self)}, sets={self.sets is not None})"
@@ -371,11 +438,12 @@ def run(
     them is watched for a repeated coloring with Brent's cycle finder
     (R. P. Brent, BIT 20, 1980): one anchor coloring, moved at powers of
     two and dropped by any round that draws. On a repeat of period p,
-    every whole period left before max_rounds is skipped and its history
-    tiled from the period just played; the loop then plays the fewer
-    than p rounds that remain. tau, final_state, min_available and the
-    stream come out as if every round had been played. A timeout is a
-    value (tau=None), not an error.
+    every whole period left before max_rounds is skipped and recorded as
+    the history's skip, which repeats the period just played; the loop
+    then plays the fewer than p rounds that remain. tau, final_state,
+    min_available, the history's records and the stream come out as if
+    every round had been played. A timeout is a value (tau=None), not an
+    error.
     """
     if retention not in ("full", "counts"):
         raise ConfigError(f"retention must be 'full' or 'counts', got {retention!r}")
@@ -393,6 +461,7 @@ def run(
     ids = array("q")
     min_available: int | None = None
     anchor: tuple[int, ...] | None = None
+    skip: tuple[int, int, int] | None = None
     rnd = 1
     while True:
         counts.append(len(unhappy))
@@ -415,10 +484,10 @@ def run(
         if coloring == anchor:
             # rounds rnd - period .. rnd - 1 are one period, recorded; repeat it
             reps = (cfg.max_rounds - rnd) // period
-            rnd += reps * period
-            counts.extend(counts[-period:] * reps)
-            if sets is not None:
-                ids.extend(ids[-period:] * reps)
+            if reps:
+                # fewer than `period` rounds remain after it: one skip per trial
+                skip = (len(counts), period, reps)
+                rnd += reps * period
         elif period == power:
             anchor, power, period = coloring, 2 * power, 0
     if not isinstance(colors, list):
@@ -430,6 +499,7 @@ def run(
             np.frombuffer(counts, dtype=np.int64),
             None if sets is None else tuple(sets),
             None if sets is None else np.frombuffer(ids, dtype=np.int64),
+            skip,
         ),
         final_state=ColoringState(tuple(colors), rnd),
         seed=cfg.seed,

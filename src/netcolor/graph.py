@@ -13,7 +13,6 @@ per-pair loop gives, bit for bit.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections.abc import Iterable
 
@@ -168,7 +167,7 @@ def star_graph(n: int) -> Graph:
     return from_edge_list([(0, v) for v in range(1, n)], n)
 
 
-# Pairs decided per numpy call; two 64-bit words each, so 1 MB at a time.
+# Pairs decided per numpy call; one double each, so 512 KB at a time.
 PAIR_CHUNK = 1 << 16
 
 
@@ -176,11 +175,11 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with each unordered pair included independently.
 
     Pair (u, v), u < v, taken in lexicographic order, is an edge iff the
-    next ``random.Random(seed).random()`` is below p. That call turns two
-    MT19937 words into ``(a * 2**26 + b) * 2**-53`` with ``a = w0 >> 5``
-    and ``b = w1 >> 6``; the integer ``a * 2**26 + b`` is compared with
-    ``p * 2**53`` here, which is the same test. The words are read in
-    chunks of PAIR_CHUNK pairs, so memory stays bounded for any n.
+    next ``random.Random(seed).random()`` is below p. Those doubles are
+    drawn by numpy's Generator over :func:`mt19937_at`, whose MT19937
+    double is CPython's ``random()``: ``(a * 2**26 + b) * 2**-53`` with
+    ``a = w0 >> 5`` and ``b = w1 >> 6``. They are read in chunks of
+    PAIR_CHUNK pairs, so memory stays bounded for any n.
     """
     _check_n(n)
     if not 0.0 <= p <= 1.0:
@@ -188,21 +187,13 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if seed < 0:
         # random.Random(s) seeds with abs(s): seeds -s and s would give one graph
         raise GraphFormatError(f"graph seed must be >= 0, got {seed}")
-    # For an integer x, x < p * 2**53 iff x < ceil(p * 2**53); both are exact.
-    bound = math.ceil(p * 2.0**53)
-    # Pairs whose first word alone decides "no edge": a > (bound - 1) >> 26.
-    first_word_limit = (((bound - 1) >> 26) + 1) << 5
-    bitgen = mt19937_at(random.Random(seed))
+    doubles = np.random.Generator(mt19937_at(random.Random(seed)))
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * (2 * n - rows - 1) // 2  # index of pair (u, u + 1)
     total = n * (n - 1) // 2
     pairs: list[tuple[int, int]] = []
     for lo in range(0, total, PAIR_CHUNK):
-        words = bitgen.random_raw(2 * min(PAIR_CHUNK, total - lo))
-        w0, w1 = words[0::2], words[1::2]
-        cand = np.flatnonzero(w0 < first_word_limit)
-        x = ((w0[cand] >> 5) << 26) | (w1[cand] >> 6)
-        hit = cand[x < bound] + lo
+        hit = np.flatnonzero(doubles.random(min(PAIR_CHUNK, total - lo)) < p) + lo
         u = np.searchsorted(row_start, hit, side="right") - 1
         pairs += zip(u.tolist(), (hit - row_start[u] + u + 1).tolist())
     return from_edge_list(pairs, n)

@@ -373,14 +373,18 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     ENUMERATION_CAP transitions in all, or an empty available set, is
     refused before its successors are expanded.
 
-    States that cannot reach a proper coloring, found by
+    Each explored coloring's happy count is recorded. Happiness is
+    monotone, so a transition that lowers it raises ContractViolation;
+    this checks the oracle's own rules, not the engine's. States that
+    cannot reach a proper coloring, found by
     scipy.sparse.csgraph.breadth_first_order over the reversed
     transitions, make the expectation infinite; their count is reported.
-    Otherwise I - Q over the transient states, in code order, is one
-    scipy.sparse CSR matrix, (I - Q) x = 1 is solved with spsolve (the
-    residual must be <= 1e-10), and the result is 1 plus the sum of
-    initial mass times x, added in code order. A state space above
-    STATE_CAP is refused before anything is explored.
+    Otherwise I - Q over the transient states, most happy first and in
+    code order within a happy count, is one block lower triangular
+    scipy.sparse CSR matrix. (I - Q) x = 1 is solved with spsolve in that
+    natural order (the residual must be <= 1e-10), and the result is 1
+    plus the sum of initial mass times x, added in code order. A state
+    space above STATE_CAP is refused before anything is explored.
     """
     cfg.validate(g)
     n, k = g.n, cfg.k
@@ -401,11 +405,14 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     seen[init] = True
     # transitions out of each coloring; 0 for proper and unexplored ones
     fanout = np.zeros(states, dtype=np.int64)
+    # happy vertices of each explored coloring
+    happy = np.zeros(states, dtype=np.int64)
     sources, targets = [], []
     frontier = init
     while frontier.size:
         colors = frontier[:, None] // place % k
         unhappy = _unhappy_mask(g, colors)
+        happy[frontier] = n - unhappy.sum(axis=1)
         moving = unhappy.any(axis=1)
         frontier, colors, unhappy = frontier[moving], colors[moving], unhappy[moving]
         if not frontier.size:
@@ -444,6 +451,13 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     from scipy.sparse.linalg import spsolve
 
     src, dst = np.concatenate(sources), np.concatenate(targets)
+    lowered = np.flatnonzero(happy[dst] < happy[src])
+    if lowered.size:
+        s, t = int(src[lowered[0]]), int(dst[lowered[0]])
+        raise ContractViolation(
+            f"transition {tuple((s // place % k).tolist())} -> {tuple((t // place % k).tolist())} "
+            f"lowers the happy count from {happy[s]} to {happy[t]}"
+        )
     # reversed transitions, plus a root (node `states`) pointing at every
     # reachable proper coloring: what the root reaches can be absorbed
     proper = np.flatnonzero(seen & (fanout == 0))
@@ -456,8 +470,10 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     if trapped:
         return ExpectedTau(math.inf, reachable, trapped)
 
+    # most-happy first, code order within a level: no transition lowers the
+    # happy count, so I - Q is block lower triangular in this order
     index = np.full(states, -1, dtype=np.int64)
-    index[transient] = np.arange(m)
+    index[transient[np.argsort(-happy[transient], kind="stable")]] = np.arange(m)
     stay = fanout[dst] > 0
     diag = np.arange(m)
     a = csr_array(
@@ -468,7 +484,7 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
         shape=(m, m),
     )
     b = np.ones(m)
-    x = spsolve(a, b)
+    x = spsolve(a, b, permc_spec="NATURAL")
     residual = float(np.max(np.abs(a @ x - b)))
     # a NaN residual (singular solve) fails this test as well
     if not residual <= 1e-10:

@@ -1,5 +1,7 @@
 import csv
+import filecmp
 import json
+import pickle
 
 import pytest
 
@@ -166,6 +168,24 @@ def test_trapped_campaign_csvs_match_across_jobs(tmp_path):
     rows = "".join(f"{i},{rec.round},{3 - rec.happy_count}\n"
                    for i, r in enumerate(results[1].results) for rec in r.history)
     assert files[1][1].read_text() == "trial,round,unhappy_count\n" + rows
+
+
+def test_trapped_histories_stay_compact_across_jobs(tmp_path):
+    # a million rounds per trapped trial: the workers send back only the
+    # rounds played, and the rounds CSV expands the skipped orbit block by block
+    trap = spec(k=3, strategy=Strategy.GREEDY, trials=4, seed=1, max_rounds=10**6,
+                allow_illegal_k=True, retention="full")
+    files = {jobs: (tmp_path / f"trials{jobs}.csv", tmp_path / f"rounds{jobs}.csv")
+             for jobs in (1, 2)}
+    results = {jobs: run_campaign(trap, jobs=jobs, out=str(t), rounds_out=str(r))
+               for jobs, (t, r) in files.items()}
+    assert results[1].results == results[2].results
+    trapped = [r.history for r in results[2].results if r.tau is None]
+    assert len(trapped) == 4 and all(len(h) == 10**6 for h in trapped)
+    assert max(len(pickle.dumps(r.history)) for r in results[2].results) < 4096
+    for a, b in zip(files[1], files[2]):
+        assert filecmp.cmp(a, b, shallow=False)
+    assert sum(1 for _ in open(files[2][1])) == 1 + sum(len(r.history) for r in results[2].results)
 
 
 def test_converged_trial_with_an_improper_coloring_is_refused(monkeypatch, capsys):

@@ -316,6 +316,30 @@ def test_import_leaves_scipy_sparse_unloaded():
     assert proc.stdout.strip() == "False []"
 
 
+def test_trapped_campaign_memory_does_not_grow_with_max_rounds():
+    # 35 of 40 greedy trials at k = 3 on a triangle are trapped for the
+    # default 10**6 rounds: 8 B per skipped round would come to 280 MB
+    code = (
+        "import resource, sys\n"
+        "from netcolor.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(kb // 1024 if sys.platform == 'darwin' else kb, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    # Linux keeps ru_maxrss across exec, so a child of this large test
+    # process would report the tester's peak: a small interpreter starts it
+    launch = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, *sys.argv[1:]]))"
+    argv = ["run", "--family", "complete", "--n", "3", "--strategy", "greedy", "--k", "3",
+            "--allow-illegal-k", "--seed", "1", "--trials", "40"]
+    proc = subprocess.run([sys.executable, "-c", launch, "-c", code, *argv],
+                          capture_output=True, text=True, env=CLI_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["timeouts"] == 35
+    peak_kb = int(proc.stderr.splitlines()[-1])
+    assert peak_kb < 80 * 1024
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from netcolor import (
     ContractViolation,
     EnumerationLimitError,
     GameConfig,
+    History,
     IllegalPaletteError,
     RoundRecord,
     Strategy,
@@ -595,6 +597,63 @@ def test_fast_forward_engages(g, strategy, k, initial, seed, entry, period, monk
     assert r.final_state.round == len(r.history) == 10**6
     assert r.history[-1] == RoundRecord(10**6, None, last.history[-1].happy_count)
     assert r.history.counts[-1] == last.history.counts[-1] and r.min_available == 1
+
+
+def test_trapped_history_stores_only_played_rounds():
+    c = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, max_rounds=10**6 + 1,
+                   enforce_k_bound=False, initial=(0, 0, 1))
+    h = run(TRIANGLE, c).history
+    # rounds 1-4 are played, 499_998 periods of 2 skipped, round 10**6 + 1 played
+    assert h.skip == (4, 2, 499_998) and len(h) == 10**6 + 1
+    assert len(h.count_range(0, 10)) == 10
+    assert h[-1] == RoundRecord(10**6 + 1, frozenset({0, 1}), 1)
+    assert h.counts.tolist() == [2] * (10**6 + 1) and h.ids.tolist() == [0] * (10**6 + 1)
+    played = History(3, h.counts, h.sets, h.ids)
+    assert played.skip is None and played == h and hash(played) == hash(h)
+    assert History(3, h.counts) != h  # counts retention against full retention
+
+
+def test_last_record_of_a_trapped_history_reads_no_whole_array():
+    c = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, max_rounds=10**6,
+                   enforce_k_bound=False, initial=(0, 0, 1))
+    h = run(TRIANGLE, c).history
+    tracemalloc.start()
+    try:
+        last = h[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last == RoundRecord(10**6, frozenset({0, 1}), 1)
+    assert peak < 2**20
+
+
+@st.composite
+def compact_histories(draw):
+    """A History with a skip, and the per-round counts and set ids it stands for."""
+    period = draw(st.integers(1, 5))
+    at = draw(st.integers(period, 12))
+    reps = draw(st.integers(1, 6))
+    tail = draw(st.integers(0, period - 1))
+    counts = draw(st.lists(st.integers(0, 9), min_size=at + tail, max_size=at + tail))
+    ids = draw(st.lists(st.integers(0, 2), min_size=at + tail, max_size=at + tail))
+    sets = (frozenset(), frozenset({0}), frozenset({1, 2}))
+
+    def expand(stored):
+        return stored[:at] + stored[at - period : at] * reps + stored[at:]
+    return History(9, counts, sets, ids, (at, period, reps)), expand(counts), expand(ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(compact_histories(), st.integers(-70, 70), st.integers(-70, 70))
+def test_count_range_is_a_slice_of_the_built_counts(case, lo, hi):
+    h, counts, ids = case
+    assert h.count_range(lo, hi).tolist() == counts[lo:hi] == h.counts[lo:hi].tolist()
+    assert h.ids.tolist() == ids and len(h) == len(counts)
+    played = History(9, counts, h.sets, ids)
+    records = list(played)
+    assert list(h) == records and [h[i] for i in range(-len(h), len(h))] == records * 2
+    assert h == played and hash(h) == hash(played)
+    assert pickle.loads(pickle.dumps(h)) == h
 
 
 def test_history_is_an_immutable_sequence():

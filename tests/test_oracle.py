@@ -477,8 +477,8 @@ def test_expected_tau_residual_check_can_fail(monkeypatch):
     cfg = GameConfig(k=3, strategy=Strategy.FRUGAL, seed=0)
 
     def perturbed(by):
-        def solve(a, b):
-            x = real(a, b)
+        def solve(a, b, **options):
+            x = real(a, b, **options)
             x[0] += by
             return x
 
@@ -489,6 +489,22 @@ def test_expected_tau_residual_check_can_fail(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve", perturbed(1e-6))
     with pytest.raises(ContractViolation, match="residual"):
         exact_expected_tau(TRIANGLE, cfg)
+
+
+def test_expected_tau_refuses_a_transition_that_lowers_happiness(monkeypatch):
+    real = oracle._successor_codes
+    cfg = GameConfig(k=3, strategy=Strategy.FRUGAL, seed=0, initial=(0, 0, 1))
+    assert exact_expected_tau(path_graph(3), cfg).trapped_states == 0
+
+    def corrupted(*args):
+        codes = real(*args)
+        codes[0] = 0  # (0, 0, 0): nobody is happy
+        return codes
+
+    # the first move from (0, 0, 1), in which vertex 2 is happy
+    monkeypatch.setattr(oracle, "_successor_codes", corrupted)
+    with pytest.raises(ContractViolation, match=r"\(0, 0, 1\) -> \(0, 0, 0\) lowers the happy count"):
+        exact_expected_tau(path_graph(3), cfg)
 
 
 def test_expected_tau_matches_simulation_mean():

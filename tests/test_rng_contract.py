@@ -1,10 +1,10 @@
 """The CPython ``random`` facts the bulk stream readers rely on.
 
 erdos_renyi, initial_state and the engine's later rounds read MT19937
-words in bulk instead of calling random() and randrange(k) one at a
-time. That gives the same output only while the facts below hold; a
-Python release that changes any of them must fail here, not drift
-silently.
+words and doubles in bulk instead of calling random() and randrange(k)
+one at a time. That gives the same output only while the facts below
+hold; a Python release that changes any of them must fail here, not
+drift silently.
 """
 
 import itertools
@@ -65,3 +65,12 @@ def test_mt19937_copied_from_getstate_continues_the_stream(skip):
     assert bitgen.random_raw(1500).tolist() == expected
     assert bitgen.random_raw(1).dtype == np.uint64
 
+
+@pytest.mark.parametrize("skip", [0, 1, 623, 700])
+@pytest.mark.parametrize("m", [1, 2, 312, 1000])
+def test_numpy_doubles_are_random_calls(skip, m):
+    rng = random.Random(9)
+    for _ in range(skip):
+        rng.getrandbits(32)
+    doubles = np.random.Generator(mt19937_at(rng)).random(m)
+    assert doubles.tolist() == [rng.random() for _ in range(m)]
