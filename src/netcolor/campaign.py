@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import frugal_bounds
-from .engine import GameConfig, Strategy, TrialResult, is_proper, run
+from .engine import HISTORY_BLOCK, GameConfig, Strategy, TrialResult, is_proper, run
 from .errors import ConfigError, ContractViolation
 from .graph import Graph, format_edge_list, generate
 
@@ -228,21 +228,17 @@ def write_trials_csv(path: str, results) -> None:
             fh.write(f"{i},{r.seed},{tau},{timeout},{r.final_state.round}\n")
 
 
-# Rows of the rounds CSV formatted per write, gathered across trials.
-ROUNDS_BLOCK = 8192
-
-
 def write_rounds_csv(path: str, results) -> None:
     """Long-format per-round unhappy counts: trial,round,unhappy_count.
 
     Rows are read from each history with History.count_range in blocks
-    of ROUNDS_BLOCK, which may span trials; each block is formatted by
+    of HISTORY_BLOCK, which may span trials; each block is formatted by
     one `_csv_rows` call and written at once, so memory stays O(block)
     even for a trial whose forced orbit was skipped.
     """
     with open(path, "wb") as fh:
         fh.write(b"trial,round,unhappy_count\n")
-        for columns in _round_blocks(results, ROUNDS_BLOCK):
+        for columns in _round_blocks(results, HISTORY_BLOCK):
             fh.write(_csv_rows(columns))
 
 

@@ -14,13 +14,18 @@ rounds read those MT19937 words in bulk and leave the stream exactly
 where the per-call loops would, which holds for k < 2**32, the largest
 palette GameConfig accepts.
 
-There is one round implementation. Each redraw takes the r-th color
-outside its excluded set (the neighbors' colors, less the player's own
-under Frugal), found by rank in O(degree) whatever k is: in Python for a
-few unhappy vertices, in numpy over CSR rows for many. run() and step()
-play it, the verification suite samples it over stacked copies of a
-graph, and the tests pin it draw for draw to the oracle's independent
-twin of the rules. available_set() lists an excluded set's complement.
+A round has two implementations, picked by its number of unhappy
+vertices: in Python below VECTOR_ROUND_MIN of them, in numpy over CSR
+rows from there on. Both take for each redraw the r-th color outside its
+excluded set (the neighbors' colors, less the player's own under
+Frugal), found by rank in O(degree) whatever k is, and both draw the
+same colors from the same stream. The Python round stays because numpy's
+per-call cost dominates small rounds: with numpy-only rounds a K3 trial
+took about 3x as long (34 to 104 us) and an ER(1000) trial about 9%
+longer. run() and step() play them, the verification suite samples the
+numpy round over stacked copies of a graph, and the tests pin both draw
+for draw to the oracle's independent twin of the rules. available_set()
+lists an excluded set's complement.
 
 Happiness is monotone: a happy player keeps its color, and a redraw
 takes a color no neighbor holds or, under Frugal, the player's own,
@@ -41,13 +46,14 @@ fewer than p rounds that remain. This is the greedy trap at k = Delta + 1
 O(orbit entry + period) rounds, not O(max_rounds). At a legal k every
 available set has at least two colors, so the finder never fires.
 
-History. A trial's per-round records live in a :class:`History`: the
-unhappy counts of the rounds played as one integer array and, under
-full retention, each distinct unhappy set once plus an index array. A
-skipped orbit is one (at, period, reps) triple, not period * reps more
-entries, so a trapped trial's history takes O(orbit entry + period)
-memory too. Lengths, indexing, iteration, pickling and the rounds CSV
-map each round through the skip; RoundRecords are built on access.
+History. A trial's per-round records live in a :class:`History` as one
+int64 per stored round: its unhappy count or, under full retention, the
+index of its unhappy set among the trial's distinct sets, each held
+once. run() stores no round after a skipped orbit; the skip (period,
+length) says that every later round repeats the last stored period, so
+a trapped trial's history takes O(orbit entry + period) memory too.
+Lengths, indexing, iteration, pickling and the rounds CSV read those
+rounds from the period; RoundRecords are built on access.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import repeat
 
@@ -151,96 +157,78 @@ class RoundRecord:
     happy_count: int
 
 
-# Rounds read per block when a History is iterated or compared.
+# Rounds read per block when a History is iterated, compared or written.
 HISTORY_BLOCK = 8192
 
 
-def _frozen(values) -> np.ndarray:
-    """values as a read-only int64 array."""
-    out = np.asarray(values, dtype=np.int64)
-    out.flags.writeable = False
-    return out
-
-
 class History(Sequence):
-    """The RoundRecords of rounds 1..len of one trial, held as arrays.
+    """The RoundRecords of rounds 1..len of one trial, held as one array.
 
-    Only played rounds are stored. A forced orbit that run() skipped is
-    the triple skip = (at, period, reps): rounds at + 1 .. at + period *
-    reps repeat the stored rounds at - period + 1 .. at, period after
-    period, and the stored rounds from at + 1 on come after them. With no
-    skip, stored round i + 1 is round i + 1.
+    Each stored round is one int64: its unhappy count under counts
+    retention (sets is None), or under full retention the position of its
+    unhappy set in sets, which holds each distinct unhappy set once.
+    A forced orbit that run() skipped is skip = (period, length): the
+    history has length rounds, and every round past the stored ones
+    repeats the last `period` stored rounds, period after period. With no
+    skip the stored rounds are all the rounds.
 
     :meth:`count_range` gives the unhappy counts of a range of rounds.
-    Under full retention sets holds each distinct unhappy set once and
-    each stored round has the position of its set in it; under counts
-    retention sets is None. Records are built on access; a slice is a
-    tuple of them. Two histories are equal when their records are,
-    whatever their skips.
+    Records are built on access; a slice is a tuple of them. Two
+    histories are equal when their records are, whatever their skips.
     """
 
-    __slots__ = ("n", "sets", "skip", "_counts", "_ids")
+    __slots__ = ("n", "sets", "skip", "_stored", "_sizes")
 
-    def __init__(self, n: int, counts, sets: tuple[frozenset[int], ...] | None = None, ids=None,
-                 skip: tuple[int, int, int] | None = None):
+    def __init__(self, n: int, stored, sets: tuple[frozenset[int], ...] | None = None,
+                 skip: tuple[int, int] | None = None):
         self.n = n
         self.sets = sets
         self.skip = skip
-        self._counts = _frozen(counts)
-        self._ids = None if ids is None else _frozen(ids)
+        self._stored = np.asarray(stored, dtype=np.int64)
+        self._stored.flags.writeable = False
+        # each distinct set's size, read as the count of the rounds it is stored for
+        self._sizes = None if sets is None else np.fromiter(map(len, sets), np.int64, len(sets))
 
     def __len__(self) -> int:
-        extra = 0 if self.skip is None else self.skip[1] * self.skip[2]
-        return len(self._counts) + extra
+        return len(self._stored) if self.skip is None else self.skip[1]
 
-    def _gather(self, stored: np.ndarray, lo, hi) -> np.ndarray:
-        """The entries of `stored` (counts or set ids) for rounds[lo:hi], lo and hi as in a slice."""
+    def _entries(self, lo, hi) -> np.ndarray:
+        """The stored entries of rounds[lo:hi], lo and hi as in a slice."""
         lo, hi, _ = slice(lo, hi).indices(len(self))
-        hi = max(lo, hi)
-        if self.skip is None:
-            return stored[lo:hi]
-        at, period, reps = self.skip
-        end = at + period * reps
-        pieces = [stored[lo : min(hi, at)]]
-        if lo < end and hi > at:
-            # the recorded period, rotated to start at round first + 1
-            first, last = max(lo, at), min(hi, end)
-            start = at - period + (first - at) % period
-            cycle = np.concatenate((stored[start:at], stored[at - period : start]))
-            pieces.append(np.tile(cycle, -(-(last - first) // period))[: last - first])
-        shift = period * reps
-        pieces.append(stored[max(lo, end) - shift : max(hi, end) - shift])
-        return np.concatenate(pieces)
+        stored, at = self._stored, len(self._stored)
+        picked = stored[lo:hi]
+        first = max(lo, at)
+        if hi > first:
+            # the last stored period, rotated to start at round first + 1
+            period = self.skip[0]
+            cycle = np.roll(stored[at - period :], -((first - at) % period))
+            tail = np.tile(cycle, -(-(hi - first) // period))[: hi - first]
+            picked = np.concatenate((picked, tail))
+        return picked
 
     def count_range(self, lo, hi) -> np.ndarray:
-        """The unhappy counts of rounds lo + 1 .. hi: what counts[lo:hi] holds."""
-        return self._gather(self._counts, lo, hi)
+        """The unhappy counts of rounds[lo:hi], lo and hi as in a slice."""
+        entries = self._entries(lo, hi)
+        return entries if self.sets is None else self._sizes[entries]
 
-    @property
-    def counts(self) -> np.ndarray:
-        """Every round's unhappy count, built whole: O(len) memory."""
-        return _frozen(self.count_range(0, len(self)))
-
-    @property
-    def ids(self) -> np.ndarray | None:
-        """Every round's position in sets, built whole; None under counts retention."""
-        return None if self._ids is None else _frozen(self._gather(self._ids, 0, len(self)))
+    def _rounds(self, lo, hi) -> tuple[np.ndarray, list[frozenset[int]] | None]:
+        """(unhappy counts, unhappy sets or None) of rounds[lo:hi]."""
+        entries = self._entries(lo, hi)
+        if self.sets is None:
+            return entries, None
+        return self._sizes[entries], list(map(self.sets.__getitem__, entries.tolist()))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
         i = range(len(self))[i]  # bounds and negative indices as for a tuple
-        unhappy = None if self.sets is None else self.sets[self._gather(self._ids, i, i + 1)[0]]
-        return RoundRecord(i + 1, unhappy, self.n - int(self.count_range(i, i + 1)[0]))
+        counts, sets = self._rounds(i, i + 1)
+        return RoundRecord(i + 1, None if sets is None else sets[0], self.n - int(counts[0]))
 
     def _blocks(self):
         """(first round, counts, unhappy sets or None) over blocks of the rounds."""
         for lo in range(0, len(self), HISTORY_BLOCK):
-            hi = lo + HISTORY_BLOCK
-            sets = None
-            if self.sets is not None:
-                sets = list(map(self.sets.__getitem__, self._gather(self._ids, lo, hi).tolist()))
-            yield lo + 1, self.count_range(lo, hi), sets
+            yield lo + 1, *self._rounds(lo, lo + HISTORY_BLOCK)
 
     def __iter__(self):
         n = self.n
@@ -265,7 +253,7 @@ class History(Sequence):
         return hash((len(self), (self.n - head).tobytes()))
 
     def __reduce__(self):
-        return History, (self.n, self._counts, self.sets, self._ids, self.skip)
+        return History, (self.n, self._stored, self.sets, self.skip)
 
     def __repr__(self) -> str:
         return f"History(n={self.n}, rounds={len(self)}, sets={self.sets is not None})"
@@ -390,8 +378,9 @@ def initial_state(g: Graph, cfg: GameConfig, rng: random.Random) -> ColoringStat
 
     The draws are rng.randrange(k) for vertices 0..n-1 in order, read in
     bulk; the colors and the stream's next word are the same as with one
-    call per vertex.
+    call per vertex. cfg is validated first, as run() validates it.
     """
+    cfg.validate(g)
     return ColoringState(tuple(_initial_colors(g, cfg, rng).tolist()), 1)
 
 
@@ -402,8 +391,10 @@ def step(
 
     Returns the successor state (round + 1) and the record of that new
     state; the round, its draws and its unhappy set are the ones run()
-    plays from s on the same stream.
+    plays from s on the same stream. cfg is validated as run() validates
+    it, and s.colors as its initial colors, before any draw.
     """
+    replace(cfg, initial=s.colors).validate(g)
     unhappy = unhappy_vertices(g, s)
     colors = s.colors
     if unhappy:
@@ -438,12 +429,12 @@ def run(
     them is watched for a repeated coloring with Brent's cycle finder
     (R. P. Brent, BIT 20, 1980): one anchor coloring, moved at powers of
     two and dropped by any round that draws. On a repeat of period p,
-    every whole period left before max_rounds is skipped and recorded as
-    the history's skip, which repeats the period just played; the loop
-    then plays the fewer than p rounds that remain. tau, final_state,
-    min_available, the history's records and the stream come out as if
-    every round had been played. A timeout is a value (tau=None), not an
-    error.
+    every whole period left before max_rounds is skipped, and the history
+    stores no more rounds: its skip repeats the period just played up to
+    max_rounds. The loop then plays the fewer than p rounds that remain
+    for the final coloring. tau, final_state, min_available, the
+    history's records and the stream come out as if every round had been
+    played. A timeout is a value (tau=None), not an error.
     """
     if retention not in ("full", "counts"):
         raise ConfigError(f"retention must be 'full' or 'counts', got {retention!r}")
@@ -455,18 +446,18 @@ def run(
     if n < VECTOR_SCAN_MIN:
         colors = colors.tolist()
     unhappy = _scan(g, colors)
-    counts = array("q")
-    # under full retention: each distinct unhappy set once, and its index per round
+    # one entry per round: its unhappy count, or under full retention the
+    # index of its unhappy set among the distinct ones
+    stored = array("q")
     sets: dict[frozenset[int], int] | None = {} if retention == "full" else None
-    ids = array("q")
     min_available: int | None = None
     anchor: tuple[int, ...] | None = None
-    skip: tuple[int, int, int] | None = None
+    skip: tuple[int, int] | None = None
     rnd = 1
     while True:
-        counts.append(len(unhappy))
-        if sets is not None:
-            ids.append(sets.setdefault(frozenset(unhappy), len(sets)))
+        if skip is None:
+            stored.append(len(unhappy) if sets is None
+                          else sets.setdefault(frozenset(unhappy), len(sets)))
         if not unhappy or rnd >= cfg.max_rounds:
             break
         colors, unhappy, low, drew = _play_round(g, colors, unhappy, cfg, rng, rnd)
@@ -482,25 +473,19 @@ def run(
             continue
         period += 1
         if coloring == anchor:
-            # rounds rnd - period .. rnd - 1 are one period, recorded; repeat it
-            reps = (cfg.max_rounds - rnd) // period
-            if reps:
-                # fewer than `period` rounds remain after it: one skip per trial
-                skip = (len(counts), period, reps)
-                rnd += reps * period
+            # rounds rnd - period .. rnd - 1 are one period, stored; every
+            # later round repeats it, so none is stored, and fewer than
+            # `period` are left to play after the jump
+            skip = (period, cfg.max_rounds)
+            rnd += (cfg.max_rounds - rnd) // period * period
         elif period == power:
             anchor, power, period = coloring, 2 * power, 0
     if not isinstance(colors, list):
         colors = colors.tolist()
     return TrialResult(
         tau=None if unhappy else rnd,
-        history=History(
-            n,
-            np.frombuffer(counts, dtype=np.int64),
-            None if sets is None else tuple(sets),
-            None if sets is None else np.frombuffer(ids, dtype=np.int64),
-            skip,
-        ),
+        history=History(n, np.frombuffer(stored, dtype=np.int64),
+                        None if sets is None else tuple(sets), skip),
         final_state=ColoringState(tuple(colors), rnd),
         seed=cfg.seed,
         min_available=min_available,

@@ -27,15 +27,26 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Build instances with :func:`from_edge_list`, :func:`generate`, or
-    :func:`read_edge_list`; the constructor trusts its arguments.
+    :func:`read_edge_list`; the constructor trusts its adjacency and
+    builds the CSR arrays and the counts from it.
     """
 
     __slots__ = ("n", "edge_count", "_adj", "_arcs", "_offsets", "_max_degree")
 
-    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...], edge_count: int):
+    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]):
         self.n = n
         self._adj = adjacency
-        self.edge_count = edge_count
+        degrees = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
+        src = np.repeat(np.arange(n, dtype=np.intp), degrees)
+        dst = np.fromiter(itertools.chain.from_iterable(adjacency), dtype=np.intp, count=len(src))
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(degrees, out=offsets[1:])
+        for a in (src, dst, offsets):
+            a.flags.writeable = False
+        self._arcs = (src, dst)
+        self._offsets = offsets
+        self.edge_count = len(dst) // 2
+        self._max_degree = int(degrees.max(initial=0))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of v."""
@@ -44,44 +55,19 @@ class Graph:
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every edge in both orientations as read-only (src, dst) arrays.
 
-        Sorted by src, then dst: the CSR layout of the adjacency. Built on
-        first use and cached.
+        Sorted by src, then dst: the CSR layout of the adjacency.
         """
-        try:
-            return self._arcs
-        except AttributeError:
-            pass
-        degrees = np.fromiter(map(len, self._adj), dtype=np.intp, count=self.n)
-        src = np.repeat(np.arange(self.n, dtype=np.intp), degrees)
-        dst = np.fromiter(
-            itertools.chain.from_iterable(self._adj), dtype=np.intp, count=2 * self.edge_count
-        )
-        offsets = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(degrees, out=offsets[1:])
-        for a in (src, dst, offsets):
-            a.flags.writeable = False
-        self._arcs = (src, dst)
-        self._offsets = offsets
         return self._arcs
 
     def offsets(self) -> np.ndarray:
         """Read-only CSR row offsets: v's arcs are ``offsets[v]:offsets[v + 1]``."""
-        try:
-            return self._offsets
-        except AttributeError:
-            self.arcs()
-            return self._offsets
+        return self._offsets
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def max_degree(self) -> int:
-        """Largest vertex degree; 0 for an edgeless graph. Cached."""
-        try:
-            return self._max_degree
-        except AttributeError:
-            pass
-        self._max_degree = max(map(len, self._adj), default=0)
+        """Largest vertex degree; 0 for an edgeless graph."""
         return self._max_degree
 
     def edges(self) -> list[tuple[int, int]]:
@@ -89,14 +75,13 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
 
     def validate(self) -> None:
-        """Check symmetry, loop-freeness, sortedness, and the edge count.
+        """Check symmetry, loop-freeness and sortedness.
 
         Raises GraphFormatError on any violation. Used by tests as an
         independent structural check on every construction path.
         """
         if len(self._adj) != self.n:
             raise GraphFormatError("adjacency length differs from n")
-        count = 0
         for v, nbrs in enumerate(self._adj):
             if list(nbrs) != sorted(set(nbrs)):
                 raise GraphFormatError(f"adjacency of {v} not sorted/deduplicated")
@@ -107,9 +92,6 @@ class Graph:
                     raise GraphFormatError(f"neighbor {u} of {v} out of range")
                 if v not in self._adj[u]:
                     raise GraphFormatError(f"asymmetric edge ({v}, {u})")
-            count += len(nbrs)
-        if count != 2 * self.edge_count:
-            raise GraphFormatError("edge_count inconsistent with adjacency")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -118,6 +100,9 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.n, self._adj))
+
+    def __reduce__(self):
+        return Graph, (self.n, self._adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -139,9 +124,7 @@ def from_edge_list(pairs: Iterable[tuple[int, int]], n: int) -> Graph:
             raise GraphFormatError(f"edge ({a}, {b}) out of range for n={n}")
         nbrs[a].add(b)
         nbrs[b].add(a)
-    adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-    edge_count = sum(len(s) for s in nbrs) // 2
-    return Graph(n, adjacency, edge_count)
+    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
 
 
 def complete_graph(n: int) -> Graph:
@@ -284,11 +267,8 @@ def read_edge_list(path: str) -> Graph:
 
 def write_edge_list(g: Graph, path: str) -> None:
     """Write the edge-list text format with sorted edges; deterministic bytes."""
-    edges = g.edges()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{g.n} {len(edges)}\n")
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+        fh.write(format_edge_list(g))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -56,7 +56,6 @@ class Distribution:
     """
 
     support: tuple
-    kind: str
 
     def total(self) -> Fraction:
         return sum(p for _, p in self.support)
@@ -141,7 +140,7 @@ def one_round_distribution(g: Graph, s: ColoringState, strategy: Strategy, k: in
     )
     p = Fraction(1, size)
     support = tuple((ColoringState(c, s.round + 1), p) for c in itertools.product(*options))
-    return Distribution(support=support, kind="coloring")
+    return Distribution(support=support)
 
 
 @dataclass(frozen=True)
@@ -233,10 +232,7 @@ def available_size_distribution(
             counts[free + 1] = counts.get(free + 1, 0) + ways * clash
         if clash < len(own):
             counts[free] = counts.get(free, 0) + ways * (len(own) - clash)
-    dist = Distribution(
-        support=tuple((sz, Fraction(c, size)) for sz, c in sorted(counts.items())),
-        kind="available_size",
-    )
+    dist = Distribution(tuple((sz, Fraction(c, size)) for sz, c in sorted(counts.items())))
     prob = Fraction(sum(c for sz, c in counts.items() if 5 * sz >= k - f), size)
     result = AvailableSizeCheck(
         distribution=dist,

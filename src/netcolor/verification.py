@@ -203,6 +203,10 @@ def one_round_counts(
     return counts
 
 
+# Significance level of the chi-square test in chi_square_agreement.
+AGREEMENT_ALPHA = 1e-3
+
+
 def chi_square_agreement(
     g: Graph,
     colors: tuple[int, ...],
@@ -211,13 +215,12 @@ def chi_square_agreement(
     *,
     trials: int = 10**5,
     seed: int = DEFAULT_SEED,
-    alpha: float = 1e-3,
 ) -> dict:
     """Rounds sampled by :func:`one_round_counts` vs the enumerated law.
 
     Fails on any outcome the law assigns probability zero, on a
-    chi-square statistic above the alpha critical value, or on any
-    per-outcome |z| above 4.
+    chi-square statistic above the AGREEMENT_ALPHA critical value, or on
+    any per-outcome |z| above 4.
     """
     dist = one_round_distribution(g, ColoringState(colors, 1), strategy, k)
     expected = {out.colors: float(p) for out, p in dist.support}
@@ -239,7 +242,7 @@ def chi_square_agreement(
     # this check about 0.3 s of start-up.
     from scipy.special import chdtri
 
-    threshold = float(chdtri(dof, alpha))
+    threshold = float(chdtri(dof, AGREEMENT_ALPHA))
     passed = not unseen and stat <= threshold and max_abs_z <= 4.0
     return {
         "strategy": strategy.value,

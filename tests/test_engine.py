@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from netcolor import (
     ColoringState,
+    ConfigError,
     ContractViolation,
     EnumerationLimitError,
     GameConfig,
@@ -141,6 +142,29 @@ def test_config_validation():
     with pytest.raises(IllegalPaletteError):
         cfg(3, Strategy.GREEDY).validate(TRIANGLE)
     cfg(3, Strategy.GREEDY, enforce_k_bound=False).validate(TRIANGLE)
+
+
+K40 = complete_graph(40)
+
+
+@pytest.mark.parametrize("call", [
+    # k = 0: the bulk draws would reject every word and never return
+    lambda rng: initial_state(TRIANGLE, cfg(0, Strategy.FRUGAL), rng),
+    # k = 2**40: a randrange(k) try no longer fits one 32-bit word
+    lambda rng: initial_state(TRIANGLE, cfg(2**40, Strategy.FRUGAL), rng),
+    lambda rng: initial_state(TRIANGLE, cfg(3, Strategy.FRUGAL, initial=(0, 9)), rng),
+    lambda rng: step(TRIANGLE, ColoringState((0, 0, 1), 1), cfg(2, Strategy.FRUGAL), rng),
+    lambda rng: step(TRIANGLE, ColoringState((0, 0, 3), 1), cfg(3, Strategy.FRUGAL), rng),
+    # 39 unhappy vertices: the numpy round
+    lambda rng: step(K40, ColoringState((0,) * 39 + (40,), 1), cfg(40, Strategy.FRUGAL), rng),
+], ids=["k=0", "k=2**40", "short-initial", "illegal-palette", "state-color>=k",
+        "state-color>=k-vector-round"])
+def test_initial_state_and_step_refuse_what_run_refuses(call):
+    rng = random.Random(7)
+    before = rng.getstate()
+    with pytest.raises((ConfigError, IllegalPaletteError)):
+        call(rng)
+    assert rng.getstate() == before
 
 
 def test_step_edgeless_unchanged():
@@ -596,21 +620,23 @@ def test_fast_forward_engages(g, strategy, k, initial, seed, entry, period, monk
     assert r.tau is None and r.final_state.colors == last.final_state.colors
     assert r.final_state.round == len(r.history) == 10**6
     assert r.history[-1] == RoundRecord(10**6, None, last.history[-1].happy_count)
-    assert r.history.counts[-1] == last.history.counts[-1] and r.min_available == 1
+    assert r.history.count_range(-1, None).tolist() == last.history.count_range(-1, None).tolist()
+    assert r.min_available == 1
 
 
 def test_trapped_history_stores_only_played_rounds():
     c = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, max_rounds=10**6 + 1,
                    enforce_k_bound=False, initial=(0, 0, 1))
     h = run(TRIANGLE, c).history
-    # rounds 1-4 are played, 499_998 periods of 2 skipped, round 10**6 + 1 played
-    assert h.skip == (4, 2, 499_998) and len(h) == 10**6 + 1
+    # rounds 1-4 are stored: the entry and one period of 2, which every later round repeats
+    assert h.skip == (2, 10**6 + 1) and len(h) == 10**6 + 1 and len(h._stored) == 4
     assert len(h.count_range(0, 10)) == 10
     assert h[-1] == RoundRecord(10**6 + 1, frozenset({0, 1}), 1)
-    assert h.counts.tolist() == [2] * (10**6 + 1) and h.ids.tolist() == [0] * (10**6 + 1)
-    played = History(3, h.counts, h.sets, h.ids)
+    counts = h.count_range(0, len(h))
+    assert counts.tolist() == [2] * (10**6 + 1) and h.sets == (frozenset({0, 1}),)
+    played = History(3, [0] * (10**6 + 1), h.sets)
     assert played.skip is None and played == h and hash(played) == hash(h)
-    assert History(3, h.counts) != h  # counts retention against full retention
+    assert History(3, counts) != h  # counts retention against full retention
 
 
 def test_last_record_of_a_trapped_history_reads_no_whole_array():
@@ -629,27 +655,25 @@ def test_last_record_of_a_trapped_history_reads_no_whole_array():
 
 @st.composite
 def compact_histories(draw):
-    """A History with a skip, and the per-round counts and set ids it stands for."""
+    """A History with a skip, its stored entry per round and its unhappy counts."""
     period = draw(st.integers(1, 5))
     at = draw(st.integers(period, 12))
-    reps = draw(st.integers(1, 6))
-    tail = draw(st.integers(0, period - 1))
-    counts = draw(st.lists(st.integers(0, 9), min_size=at + tail, max_size=at + tail))
-    ids = draw(st.lists(st.integers(0, 2), min_size=at + tail, max_size=at + tail))
-    sets = (frozenset(), frozenset({0}), frozenset({1, 2}))
-
-    def expand(stored):
-        return stored[:at] + stored[at - period : at] * reps + stored[at:]
-    return History(9, counts, sets, ids, (at, period, reps)), expand(counts), expand(ids)
+    length = draw(st.integers(at, at + 7 * period - 1))
+    sets = draw(st.sampled_from([None, (frozenset(), frozenset({0}), frozenset({1, 2}))]))
+    top = 9 if sets is None else len(sets) - 1
+    stored = draw(st.lists(st.integers(0, top), min_size=at, max_size=at))
+    # the rounds past the stored ones follow the last stored period
+    rounds = stored + [stored[at - period + i % period] for i in range(length - at)]
+    counts = rounds if sets is None else [len(sets[i]) for i in rounds]
+    return History(9, stored, sets, (period, length)), rounds, counts
 
 
 @settings(max_examples=200, deadline=None)
 @given(compact_histories(), st.integers(-70, 70), st.integers(-70, 70))
 def test_count_range_is_a_slice_of_the_built_counts(case, lo, hi):
-    h, counts, ids = case
-    assert h.count_range(lo, hi).tolist() == counts[lo:hi] == h.counts[lo:hi].tolist()
-    assert h.ids.tolist() == ids and len(h) == len(counts)
-    played = History(9, counts, h.sets, ids)
+    h, rounds, counts = case
+    assert h.count_range(lo, hi).tolist() == counts[lo:hi] and len(h) == len(counts)
+    played = History(9, rounds, h.sets)
     records = list(played)
     assert list(h) == records and [h[i] for i in range(-len(h), len(h))] == records * 2
     assert h == played and hash(h) == hash(played)
@@ -671,5 +695,7 @@ def test_history_is_an_immutable_sequence():
     assert full.history == run(TRIANGLE, c).history
     assert len({full.history, run(TRIANGLE, c).history}) == 1
     assert pickle.loads(pickle.dumps(full)) == full
+    with pytest.raises(TypeError):
+        full.history[0] = records[0]
     with pytest.raises(ValueError):
-        full.history.counts[0] = 0
+        counts.history.count_range(0, 3)[0] = 0

@@ -203,4 +203,6 @@ def test_graph_with_cached_arcs_pickles_equal():
     assert h == g
     assert h.arcs()[1].tolist() == g.arcs()[1].tolist()
     assert h.offsets().tolist() == g.offsets().tolist()
+    assert not (h.arcs()[0].flags.writeable or h.arcs()[1].flags.writeable
+                or h.offsets().flags.writeable)
     assert h.max_degree() == g.max_degree() == max(map(g.degree, range(g.n)))

@@ -14,7 +14,7 @@ def reference_rounds_csv(results) -> bytes:
     """The former writer: one %-format per trial and block of 8192 rounds."""
     parts = ["trial,round,unhappy_count\n"]
     for i, r in enumerate(results):
-        counts = r.history.counts
+        counts = r.history.count_range(0, len(r.history))
         for lo in range(0, len(counts), 8192):
             block = counts[lo : lo + 8192]
             rounds = np.arange(lo + 1, lo + 1 + len(block))
@@ -93,7 +93,7 @@ def test_block_boundaries(tmp_path, monkeypatch, lengths):
 )
 def test_any_histories_at_any_block_size(tmp_path_factory, counts, block):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(campaign, "ROUNDS_BLOCK", block)
+        patch.setattr(campaign, "HISTORY_BLOCK", block)
         results = trials(*counts)
         assert written(tmp_path_factory.mktemp("rounds"), results) == reference_rounds_csv(results)
 
