@@ -12,7 +12,6 @@ from .bounds import (
     BoundReport,
     DominanceReport,
     check_dominance,
-    envelope_max_objective,
     frugal_bounds,
     greedy_bound,
     max_expectation_bound,

@@ -68,13 +68,8 @@ class MaxExpectationBound:
     bound: float
 
 
-def envelope_max_objective(a: float, n: int, mu_value: float) -> float:
-    """h(a) = a + n exp(-mu a)/mu; its minimum over a is the max-expectation bound."""
-    return a + n * math.exp(-mu_value * a) / mu_value
-
-
 def max_expectation_bound(n: int, mu_value: float) -> MaxExpectationBound:
-    """Minimize h: a_n = ln(n)/mu, giving E(max) <= (1 + ln n)/mu."""
+    """Minimize h(a) = a + n exp(-mu a)/mu: a_n = ln(n)/mu, giving E(max) <= (1 + ln n)/mu."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if mu_value <= 0.0:
@@ -99,7 +94,7 @@ class DominanceReport:
 
     margin = envelope + band - empirical at each observed value; a
     negative margin is a violation. The band is uniform in t at
-    confidence 1 - alpha.
+    confidence 1 - alpha, alpha being DOMINANCE_ALPHA.
     """
 
     grid: tuple[GridPoint, ...]
@@ -110,7 +105,11 @@ class DominanceReport:
     alpha: float
 
 
-def check_dominance(samples, mu_value: float, *, alpha: float = 1e-3) -> DominanceReport:
+# Miss probability of the DKW band around the empirical survival.
+DOMINANCE_ALPHA = 1e-3
+
+
+def check_dominance(samples, mu_value: float) -> DominanceReport:
     """Check P(tau >= t) <= exp(-mu t / 2) + DKW band at every observed t.
 
     The left-limit survival P(tau >= t) is the right quantity to compare
@@ -119,10 +118,8 @@ def check_dominance(samples, mu_value: float, *, alpha: float = 1e-3) -> Dominan
     values = list(samples)
     if not values:
         raise ConfigError("samples must be non-empty")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     n = len(values)
-    band = math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+    band = math.sqrt(math.log(2.0 / DOMINANCE_ALPHA) / (2.0 * n))
     values.sort()
     grid = []
     violations = 0
@@ -145,5 +142,5 @@ def check_dominance(samples, mu_value: float, *, alpha: float = 1e-3) -> Dominan
         sample_size=n,
         band=band,
         mu=mu_value,
-        alpha=alpha,
+        alpha=DOMINANCE_ALPHA,
     )

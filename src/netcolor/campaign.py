@@ -231,42 +231,91 @@ def write_trials_csv(path: str, results) -> None:
 def write_rounds_csv(path: str, results) -> None:
     """Long-format per-round unhappy counts: trial,round,unhappy_count.
 
-    Rows are read from each history with History.count_range in blocks
-    of HISTORY_BLOCK, which may span trials; each block is formatted by
-    one `_csv_rows` call and written at once, so memory stays O(block)
-    even for a trial whose forced orbit was skipped.
+    Rows are read from each history with History.count_range a bounded
+    piece at a time and written at once, so memory stays O(HISTORY_BLOCK
+    + SPAN) even for a trial whose forced orbit was skipped: rounds below
+    SPAN in blocks that may span trials, later rounds one span at a time.
     """
     with open(path, "wb") as fh:
         fh.write(b"trial,round,unhappy_count\n")
-        for columns in _round_blocks(results, HISTORY_BLOCK):
-            fh.write(_csv_rows(columns))
+        for rows in _round_rows(results, HISTORY_BLOCK):
+            fh.write(rows)
 
 
-def _round_blocks(results, size: int):
-    """Yield (trial, round, count) columns of `size` rows, the last maybe fewer."""
-    trials, firsts, pieces, filled = [], [], [], 0
+# From round SPAN on, a trial's rows are written one aligned span
+# [a * SPAN, (a + 1) * SPAN) at a time: each round of span a is the
+# digits of a followed by the four digits of its offset in the span.
+SPAN = 10**4
+
+
+def _round_rows(results, size: int):
+    """Yield the rows of every trial's rounds, in order, as bytes-like objects.
+
+    Rounds 1..SPAN - 1 go into blocks of `size` rows, the last maybe
+    fewer, that run across trials and are formatted by `_csv_rows`; a
+    block is also cut where a trial's later rounds start. Those follow
+    as one `_span_rows` call per span.
+    """
+    pending, filled = [], 0  # (trial, first round, counts) pieces of the next block
     for i, r in enumerate(results):
         history, lo = r.history, 0
         rounds = len(history)
-        while lo < rounds:
-            piece = history.count_range(lo, lo + size - filled)
-            trials.append(i)
-            firsts.append(lo + 1)
-            pieces.append(piece)
+        head = min(rounds, SPAN - 1)
+        while lo < head:
+            piece = history.count_range(lo, min(head, lo + size - filled))
+            pending.append((i, lo + 1, piece))
             filled += len(piece)
             lo += len(piece)
-            if filled == size:
-                yield _block_columns(trials, firsts, pieces)
-                trials, firsts, pieces, filled = [], [], [], 0
-    if filled:
-        yield _block_columns(trials, firsts, pieces)
+            if filled == size or lo == head < rounds:
+                yield _csv_rows(_block_columns(pending))
+                pending, filled = [], 0
+        for start in range(SPAN, rounds + 1, SPAN):
+            yield _span_rows(i, start // SPAN, history.count_range(start - 1, start - 1 + SPAN))
+    if pending:
+        yield _csv_rows(_block_columns(pending))
 
 
-def _block_columns(trials, firsts, pieces):
+def _block_columns(pending):
+    trials, firsts, pieces = zip(*pending)
     lengths = np.array([len(p) for p in pieces])
     starts = np.cumsum(lengths) - lengths  # row of each piece's first round
     rounds = np.arange(lengths.sum()) + np.repeat(np.array(firsts) - starts, lengths)
     return np.repeat(trials, lengths), rounds, np.concatenate(pieces)
+
+
+# "0000".."9999": the four ASCII digits of each offset in a span, one V4 element each
+_OFFSET_DIGITS = (
+    np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+    .reshape(SPAN, 4).view("V4").ravel()
+)
+
+
+def _span_rows(trial: int, a: int, counts: np.ndarray) -> bytes | bytearray:
+    """The rows of rounds a * SPAN .. a * SPAN + len(counts) - 1 of one trial, a >= 1.
+
+    When every count has the same number of digits, every row has the same
+    width: the template row "trial,a0000,0..0\\n" is repeated, the offset
+    digits are copied from _OFFSET_DIGITS as strided V4 elements, and the
+    count digits are written over the zeros. Otherwise the span goes
+    through `_csv_rows`.
+    """
+    m = len(counts)
+    width = len(str(int(counts.max())))
+    if len(str(int(counts.min()))) != width:
+        rounds = np.arange(a * SPAN, a * SPAN + m)
+        return _csv_rows((np.full(m, trial), rounds, counts))
+    template = b"%d,%d0000,%s\n" % (trial, a, b"0" * width)
+    row = len(template)
+    rows = bytearray(template) * m
+    np.ndarray(m, "V4", rows, row - width - 6, (row,))[:] = _OFFSET_DIGITS[:m]
+    table = np.frombuffer(rows, np.uint8).reshape(m, row)
+    q = counts
+    for pos in range(row - 2, row - 1 - width, -1):
+        nxt = q // 10
+        table[:, pos] = q - nxt * 10 + 48
+        q = nxt
+    table[:, row - 1 - width] = q + 48  # the leading digit, below 10
+    return rows
 
 
 def _csv_rows(columns) -> bytes:

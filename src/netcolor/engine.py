@@ -177,17 +177,32 @@ class History(Sequence):
     histories are equal when their records are, whatever their skips.
     """
 
-    __slots__ = ("n", "sets", "skip", "_stored", "_sizes")
+    __slots__ = ("_n", "_sets", "_skip", "_stored", "_sizes")
 
     def __init__(self, n: int, stored, sets: tuple[frozenset[int], ...] | None = None,
                  skip: tuple[int, int] | None = None):
-        self.n = n
-        self.sets = sets
-        self.skip = skip
+        self._n = n
+        self._sets = sets
+        self._skip = skip
         self._stored = np.asarray(stored, dtype=np.int64)
         self._stored.flags.writeable = False
         # each distinct set's size, read as the count of the rounds it is stored for
         self._sizes = None if sets is None else np.fromiter(map(len, sets), np.int64, len(sets))
+
+    @property
+    def n(self) -> int:
+        """Number of players."""
+        return self._n
+
+    @property
+    def sets(self) -> tuple[frozenset[int], ...] | None:
+        """Each distinct unhappy set once under full retention, else None."""
+        return self._sets
+
+    @property
+    def skip(self) -> tuple[int, int] | None:
+        """(period, length) of a skipped forced orbit, else None."""
+        return self._skip
 
     def __len__(self) -> int:
         return len(self._stored) if self.skip is None else self.skip[1]

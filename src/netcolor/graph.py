@@ -31,10 +31,10 @@ class Graph:
     builds the CSR arrays and the counts from it.
     """
 
-    __slots__ = ("n", "edge_count", "_adj", "_arcs", "_offsets", "_max_degree")
+    __slots__ = ("_n", "_edge_count", "_adj", "_arcs", "_offsets", "_max_degree")
 
     def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]):
-        self.n = n
+        self._n = n
         self._adj = adjacency
         degrees = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
         src = np.repeat(np.arange(n, dtype=np.intp), degrees)
@@ -45,8 +45,18 @@ class Graph:
             a.flags.writeable = False
         self._arcs = (src, dst)
         self._offsets = offsets
-        self.edge_count = len(dst) // 2
+        self._edge_count = len(dst) // 2
         self._max_degree = int(degrees.max(initial=0))
+
+    @property
+    def n(self) -> int:
+        """Number of vertices."""
+        return self._n
+
+    @property
+    def edge_count(self) -> int:
+        """Number of edges."""
+        return self._edge_count
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of v."""

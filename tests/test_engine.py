@@ -639,6 +639,17 @@ def test_trapped_history_stores_only_played_rounds():
     assert History(3, counts) != h  # counts retention against full retention
 
 
+def test_history_fields_are_read_only():
+    c = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, max_rounds=10**6 + 1,
+                   enforce_k_bound=False, initial=(0, 0, 1))
+    h = run(TRIANGLE, c).history
+    for name, value in (("skip", None), ("sets", None), ("n", 4)):
+        with pytest.raises(AttributeError):
+            setattr(h, name, value)
+    assert len(h) == 10**6 + 1 and h.skip == (2, 10**6 + 1) and h.n == 3
+    assert pickle.loads(pickle.dumps(h)) == h
+
+
 def test_last_record_of_a_trapped_history_reads_no_whole_array():
     c = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, max_rounds=10**6,
                    enforce_k_bound=False, initial=(0, 0, 1))

@@ -206,3 +206,11 @@ def test_graph_with_cached_arcs_pickles_equal():
     assert not (h.arcs()[0].flags.writeable or h.arcs()[1].flags.writeable
                 or h.offsets().flags.writeable)
     assert h.max_degree() == g.max_degree() == max(map(g.degree, range(g.n)))
+
+
+def test_graph_fields_are_read_only():
+    g = complete_graph(3)
+    for name, value in (("n", 4), ("edge_count", 7)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert repr(g) == "Graph(n=3, edges=3)" and pickle.loads(pickle.dumps(g)) == g

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netcolor import History, campaign
-from netcolor.campaign import _csv_rows, write_rounds_csv
+from netcolor.campaign import SPAN, _csv_rows, _span_rows, write_rounds_csv
 
 
 def reference_rounds_csv(results) -> bytes:
@@ -96,6 +96,96 @@ def test_any_histories_at_any_block_size(tmp_path_factory, counts, block):
         patch.setattr(campaign, "HISTORY_BLOCK", block)
         results = trials(*counts)
         assert written(tmp_path_factory.mktemp("rounds"), results) == reference_rounds_csv(results)
+
+
+def trapped(stored, period, length):
+    """A stand-in trial whose forced orbit was skipped after the stored rounds."""
+    return SimpleNamespace(history=History(10**6, stored, skip=(period, length)))
+
+
+def counted_paths(monkeypatch):
+    """Record the rows of each `_csv_rows` call and (trial, a, rows) of each `_span_rows` call."""
+    csv_calls, span_calls = [], []
+
+    def counting_csv(columns):
+        csv_calls.append(len(columns[0]))
+        return _csv_rows(columns)
+
+    def counting_span(trial, a, counts):
+        span_calls.append((trial, a, len(counts)))
+        return _span_rows(trial, a, counts)
+
+    monkeypatch.setattr(campaign, "_csv_rows", counting_csv)
+    monkeypatch.setattr(campaign, "_span_rows", counting_span)
+    return csv_calls, span_calls
+
+
+def test_rounds_from_the_span_boundary_take_the_span_path(tmp_path, monkeypatch):
+    csv_calls, span_calls = counted_paths(monkeypatch)
+    results = [*trials([5, 6, 7]), trapped([3, 4], 1, 25_000), *trials([1, 2])]
+    assert written(tmp_path, results) == reference_rounds_csv(results)
+    # trial 1's rounds 1..9999 close the block it shares with trial 0, then
+    # its rounds 10000..25000 go one span each; trial 2 ends the last block
+    assert csv_calls == [8192, 9999 - 8189, 2]
+    assert span_calls == [(1, 1, SPAN), (1, 2, 5001)]
+
+
+def test_a_span_with_counts_of_two_widths_falls_back_to_csv_rows(tmp_path, monkeypatch):
+    csv_calls, span_calls = counted_paths(monkeypatch)
+    # counts alternate 9 and 10 from round 3: span 1 straddles a power of ten,
+    # span 2 holds only counts of 99999
+    results = [trapped([1, 1, 9, 10], 2, 2 * SPAN - 1), trapped([99999], 1, 2 * SPAN + 6)]
+    data = written(tmp_path, results)
+    assert data == reference_rounds_csv(results)
+    assert b"\n0,10000,10\n0,10001,9\n" in data and data.endswith(b"\n1,20006,99999\n")
+    assert span_calls == [(0, 1, SPAN), (1, 1, SPAN), (1, 2, 7)]
+    # trial 0: two head blocks and its span; trial 1: two head blocks only
+    assert csv_calls == [8192, 9999 - 8192, SPAN, 8192, 9999 - 8192]
+
+
+def test_a_trial_of_a_million_and_one_rounds(tmp_path):
+    results = [trapped([3, 1, 2], 2, 10**6 + 1)]
+    data = written(tmp_path, results)
+    assert data == reference_rounds_csv(results)
+    assert data.endswith(b"\n0,999999,2\n0,1000000,1\n0,1000001,2\n")
+
+
+def test_long_trials_with_indices_of_one_to_five_digits(tmp_path):
+    long = {3: 0, 42: 9, 517: 10, 6031: 12345, 10_000: 2**40}
+    results = [
+        trapped([long[i]], 1, 2 * SPAN + 5) if i in long else trials([i % 7])[0]
+        for i in range(10_001)
+    ]
+    data = written(tmp_path, results)
+    assert data == reference_rounds_csv(results)
+    assert b"\n6031,20005,12345\n6032,1,5\n" in data
+    assert data.endswith(b"\n10000,20005,%d\n" % 2**40)
+
+
+@st.composite
+def long_compact_histories(draw):
+    """A skipped forced orbit of 1-3 spans ending within two rounds of a span boundary."""
+    lo, hi = draw(st.sampled_from([(0, 9), (10, 99), (1000, 9999), (2**31, 2**31 + 9), (5, 14)]))
+    period = draw(st.integers(1, 4))
+    stored = draw(st.lists(st.integers(lo, hi), min_size=period, max_size=12))
+    length = draw(st.integers(1, 3)) * SPAN + draw(st.integers(-2, 2))
+    return History(10**6, stored, skip=(period, length))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            long_compact_histories(),
+            st.lists(st.integers(0, 99), max_size=5).map(lambda c: History(10**6, c)),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_any_long_compact_histories(tmp_path_factory, histories):
+    results = [SimpleNamespace(history=h) for h in histories]
+    assert written(tmp_path_factory.mktemp("rounds"), results) == reference_rounds_csv(results)
 
 
 def percent_rows(columns) -> bytes:
