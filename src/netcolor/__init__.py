@@ -32,9 +32,7 @@ from .engine import (
     RoundRecord,
     Strategy,
     TrialResult,
-    available_set,
     initial_state,
-    is_happy,
     is_proper,
     run,
     step,

@@ -382,6 +382,9 @@ def sweep(
     For erdos_renyi sweeps, a fixed p overrides the default policy of
     holding the expected degree at avg_degree across n.
     """
+    if p is None and not (math.isfinite(avg_degree) and avg_degree >= 0):
+        # min(1.0, inf / n) and min(1.0, nan) are both 1: complete graphs
+        raise ConfigError(f"avg_degree must be finite and >= 0, got {avg_degree}")
     rows = []
     for n in ns:
         if family == "erdos_renyi":

@@ -24,8 +24,8 @@ per-call cost dominates small rounds: with numpy-only rounds a K3 trial
 took about 3x as long (34 to 104 us) and an ER(1000) trial about 9%
 longer. run() and step() play them, the verification suite samples the
 numpy round over stacked copies of a graph, and the tests pin both draw
-for draw to the oracle's independent twin of the rules. available_set()
-lists an excluded set's complement.
+for draw to the oracle's independent twin of the rules, which alone
+lists available sets over range(k).
 
 Happiness is monotone: a happy player keeps its color, and a redraw
 takes a color no neighbor holds or, under Frugal, the player's own,
@@ -59,6 +59,7 @@ rounds from the period; RoundRecords are built on access.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -67,13 +68,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import (
-    ENUMERATION_CAP,
-    ConfigError,
-    ContractViolation,
-    EnumerationLimitError,
-    IllegalPaletteError,
-)
+from .errors import ConfigError, ContractViolation, IllegalPaletteError
 from .graph import Graph
 
 
@@ -123,6 +118,9 @@ class GameConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if self.max_rounds > sys.maxsize:
+            # a History's length, read back by indexing, must fit an index
+            raise ConfigError(f"max_rounds must be <= {sys.maxsize}, got {self.max_rounds}")
         if self.enforce_k_bound:
             need = self.strategy.min_colors(g.max_degree())
             if self.k < need:
@@ -291,12 +289,6 @@ class TrialResult:
     min_available: int | None
 
 
-def is_happy(g: Graph, s: ColoringState, v: int) -> bool:
-    """True iff no neighbor of v shares v's color."""
-    c = s.colors[v]
-    return all(s.colors[u] != c for u in g.neighbors(v))
-
-
 # Below this many vertices a Python scan beats numpy's per-call overhead.
 VECTOR_SCAN_MIN = 32
 
@@ -336,33 +328,6 @@ def _keeps_own(strategy: Strategy) -> bool:
     """Whether a player's own color stays out of its excluded set: the rule
     that sets Frugal apart. Every excluded set is built through it."""
     return strategy is Strategy.FRUGAL
-
-
-def available_set(g: Graph, s: ColoringState, v: int, strategy: Strategy, k: int) -> frozenset[int]:
-    """The set an unhappy v samples from next round, listed over range(k).
-
-    It is the complement of the excluded set the rounds draw from by rank.
-    Calling this on a happy vertex is a contract violation: a happy
-    player keeps its color and draws from no set.
-    """
-    if is_happy(g, s, v):
-        raise ContractViolation(
-            f"available_set called on happy vertex {v}; happy players keep their color"
-        )
-    if k > ENUMERATION_CAP:
-        raise EnumerationLimitError(
-            f"palette k = {k} exceeds enumeration cap {ENUMERATION_CAP}; "
-            "available_set() lists range(k), step() and run() have no limit"
-        )
-    used = {s.colors[u] for u in g.neighbors(v)}
-    if _keeps_own(strategy):
-        used.discard(s.colors[v])
-    out = frozenset(c for c in range(k) if c not in used)
-    if not out:
-        raise ContractViolation(
-            f"empty available set at vertex {v}: neighbors cover all {k} colors (palette bound violated)"
-        )
-    return out
 
 
 def _draw_ranks(rng: random.Random, sizes):

@@ -1,10 +1,4 @@
-"""Exception types shared across the package, and the enumeration cap."""
-
-# Largest enumeration the package builds in one piece: a joint support,
-# transition fan-out or breadth-first level of transitions of the oracle,
-# or a palette listed over range(k) by the oracle or the engine's
-# available_set().
-ENUMERATION_CAP = 10**7
+"""Exception types shared across the package."""
 
 
 class NetcolorError(Exception):
@@ -34,14 +28,15 @@ class ContractViolation(NetcolorError):
     """Raised when a runtime invariant that should be impossible is observed.
 
     Examples: a Greedy player with an empty available set, or a happy
-    vertex handed to a redraw routine.
+    player that turns unhappy in a round.
     """
 
 
 class EnumerationLimitError(NetcolorError):
     """Raised when an exact computation would exceed a fixed cap.
 
-    The caps are ENUMERATION_CAP here and the oracle's STATE_CAP, both
-    fixed. The message reports the offending size; past a cap, estimate
-    by Monte Carlo instead.
+    The caps are the oracle's ENUMERATION_CAP and STATE_CAP, both fixed;
+    run() and step() enumerate nothing and have no such limit. The
+    message reports the offending size; past a cap, estimate by Monte
+    Carlo instead.
     """

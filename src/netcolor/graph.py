@@ -257,6 +257,10 @@ def read_edge_list(path: str) -> Graph:
             except ValueError:
                 raise GraphFormatError(f"{path}:{lineno}: non-integer field in {line!r}") from None
             if header is None:
+                if a < 0 or b < 0:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: header values must be non-negative, got {a} {b}"
+                    )
                 header = (a, b)
                 continue
             pairs.append((a, b))
@@ -265,8 +269,6 @@ def read_edge_list(path: str) -> Graph:
     if header is None:
         raise GraphFormatError(f"{path}: missing 'n m' header line")
     n, m = header
-    if n < 0 or m < 0:
-        raise GraphFormatError(f"{path}: header values must be non-negative, got {n} {m}")
     if len(pairs) != m:
         raise GraphFormatError(f"{path}: header declares {m} edges, file has {len(pairs)}")
     try:

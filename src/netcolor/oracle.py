@@ -32,8 +32,13 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import ColoringState, GameConfig, Strategy
-from .errors import ENUMERATION_CAP, ContractViolation, EnumerationLimitError
+from .errors import ContractViolation, EnumerationLimitError
 from .graph import Graph
+
+# Largest enumeration built in one piece: a joint support, a transition
+# fan-out, a breadth-first level of transitions, or a palette listed
+# over range(k).
+ENUMERATION_CAP = 10**7
 
 # Largest state space k^n exact_expected_tau explores.
 STATE_CAP = 10**5

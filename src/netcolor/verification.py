@@ -176,6 +176,8 @@ def one_round_counts(
     unhappy vertices would not fit, EnumerationLimitError is raised before
     anything is drawn.
     """
+    if trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials}")
     n, k = g.n, cfg.k
     unhappy = np.array(unhappy_vertices(g, ColoringState(colors, 1)), dtype=np.intp)
     if not unhappy.size:
@@ -222,6 +224,8 @@ def chi_square_agreement(
     chi-square statistic above the AGREEMENT_ALPHA critical value, or on
     any per-outcome |z| above 4.
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     dist = one_round_distribution(g, ColoringState(colors, 1), strategy, k)
     expected = {out.colors: float(p) for out, p in dist.support}
     cfg = GameConfig(k=k, strategy=strategy, seed=seed)

@@ -350,6 +350,17 @@ def test_trapped_campaign_memory_does_not_grow_with_max_rounds():
          "--k-rule", "delta+1"),
         ("bounds", "--n", "0"),
         ("bounds", "--n", "5", "--failure-prob", "1.5"),
+        # min(1.0, inf / n) and min(1.0, nan) would both play complete graphs
+        ("sweep", "--family", "erdos_renyi", "--n", "50", "--avg-degree", "inf",
+         "--strategy", "frugal", "--k-rule", "delta+1", "--trials", "2"),
+        ("sweep", "--family", "erdos_renyi", "--n", "50", "--avg-degree", "nan",
+         "--strategy", "frugal", "--k-rule", "delta+1", "--trials", "2"),
+        ("sweep", "--family", "erdos_renyi", "--n", "50", "--avg-degree", "-3",
+         "--strategy", "frugal", "--k-rule", "delta+1", "--trials", "2"),
+        # a trapped trial's History would have a length past sys.maxsize
+        ("run", "--family", "complete", "--n", "3", "--strategy", "greedy", "--k", "3",
+         "--allow-illegal-k", "--max-rounds", "100000000000000000000", "--trials", "2",
+         "--seed", "1"),
     ],
 )
 def test_config_errors_exit_2(argv, capsys):

@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -19,16 +20,13 @@ from netcolor import (
     IllegalPaletteError,
     RoundRecord,
     Strategy,
-    available_set,
     complete_graph,
     erdos_renyi,
     from_edge_list,
     initial_state,
-    is_happy,
     is_proper,
     path_graph,
     run,
-    star_graph,
     step,
     unhappy_vertices,
 )
@@ -48,52 +46,13 @@ def test_min_colors():
     assert Strategy.FRUGAL.min_colors(4) == 5
 
 
-def test_is_happy_examples():
-    rainbow = ColoringState((0, 1, 2), 1)
-    assert is_happy(TRIANGLE, rainbow, 0)
-    s = ColoringState((0, 0, 1), 1)
-    assert is_happy(TRIANGLE, s, 2)
-    assert not is_happy(TRIANGLE, s, 0)
-    edgeless = from_edge_list([], 3)
-    assert is_happy(edgeless, s, 1)
-
-
-def test_available_set_examples():
-    s = ColoringState((0, 0, 1), 1)
-    assert available_set(TRIANGLE, s, 0, Strategy.FRUGAL, 3) == frozenset({0, 2})
-    assert available_set(TRIANGLE, s, 0, Strategy.GREEDY, 3) == frozenset({2})
-    assert available_set(TRIANGLE, s, 0, Strategy.GREEDY, 4) == frozenset({2, 3})
-
-
-def test_available_set_rejects_happy_vertex():
-    s = ColoringState((0, 0, 1), 1)
-    with pytest.raises(ContractViolation, match="happy"):
-        available_set(TRIANGLE, s, 2, Strategy.FRUGAL, 3)
-
-
-def test_available_set_empty_greedy_raises():
-    # center sees every color, so the greedy pool is empty at this k
-    star = star_graph(4)
-    s = ColoringState((0, 0, 1, 2), 1)
-    with pytest.raises(ContractViolation, match="empty available set"):
-        available_set(star, s, 0, Strategy.GREEDY, 3)
-
-
-def test_available_set_refuses_palettes_above_the_enumeration_cap(monkeypatch):
-    s = ColoringState((0, 0, 0), 1)
-    with monkeypatch.context() as m:
-        m.setattr(engine, "ENUMERATION_CAP", 3)
-        assert available_set(TRIANGLE, s, 0, Strategy.FRUGAL, 3) == frozenset({0, 1, 2})
-        with pytest.raises(EnumerationLimitError, match="k = 4 "):
-            available_set(TRIANGLE, s, 0, Strategy.FRUGAL, 4)
-    # range(2**32 - 1) would take tens of GB; the guard raises before building it
+def test_run_and_step_draw_by_rank_at_the_largest_palette():
+    # range(2**32 - 1) would take tens of GB; the rounds draw by rank and never list it
     k = 2**32 - 1
-    with pytest.raises(EnumerationLimitError, match=f"k = {k} "):
-        available_set(TRIANGLE, s, 0, Strategy.GREEDY, k)
-    # step plays run's round, which draws by rank and never lists range(k)
     c = cfg(k, Strategy.FRUGAL, initial=(0, 0, 0))
     played = run(TRIANGLE, c)
     assert played.tau == 2
+    s = ColoringState((0, 0, 0), 1)
     assert step(TRIANGLE, s, c, random.Random(c.seed)) == (played.final_state, played.history[1])
 
 
@@ -133,6 +92,10 @@ def test_config_validation():
     cfg(2**32 - 1, Strategy.FRUGAL).validate(TRIANGLE)
     with pytest.raises(ValueError, match="max_rounds"):
         cfg(3, Strategy.FRUGAL, max_rounds=0).validate(TRIANGLE)
+    # a trial's History must have an index-sized length
+    with pytest.raises(ConfigError, match="max_rounds must be <="):
+        cfg(3, Strategy.FRUGAL, max_rounds=sys.maxsize + 1).validate(TRIANGLE)
+    cfg(3, Strategy.FRUGAL, max_rounds=sys.maxsize).validate(TRIANGLE)
     # random.Random(-s) is random.Random(s)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         cfg(3, Strategy.FRUGAL, seed=-1).validate(TRIANGLE)
@@ -157,8 +120,10 @@ K40 = complete_graph(40)
     lambda rng: step(TRIANGLE, ColoringState((0, 0, 3), 1), cfg(3, Strategy.FRUGAL), rng),
     # 39 unhappy vertices: the numpy round
     lambda rng: step(K40, ColoringState((0,) * 39 + (40,), 1), cfg(40, Strategy.FRUGAL), rng),
+    lambda rng: step(TRIANGLE, ColoringState((0, 0, 1), 1),
+                     cfg(3, Strategy.FRUGAL, max_rounds=sys.maxsize + 1), rng),
 ], ids=["k=0", "k=2**40", "short-initial", "illegal-palette", "state-color>=k",
-        "state-color>=k-vector-round"])
+        "state-color>=k-vector-round", "max_rounds>sys.maxsize"])
 def test_initial_state_and_step_refuse_what_run_refuses(call):
     rng = random.Random(7)
     before = rng.getstate()

@@ -133,6 +133,8 @@ def test_edge_list_comments_and_blanks(tmp_path):
         ("3 1\nzero 1\n", "non-integer"),
         ("2 1\n0 5\n", "out of range"),
         ("2 1\n1 1\n", "self-loop"),
+        # refused on the header line, before any edge is read
+        ("3 -1\n0 1\n", ":1: header values must be non-negative"),
     ],
 )
 def test_edge_list_format_errors(tmp_path, content, fragment):

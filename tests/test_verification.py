@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import netcolor.engine as engine
-from netcolor import GameConfig, Strategy, complete_graph, run
+from netcolor import ConfigError, GameConfig, Strategy, complete_graph, run
 from netcolor.verification import (
     AGREEMENT_INSTANCES,
     CORPUS,
@@ -15,6 +16,7 @@ from netcolor.verification import (
     chi_square_agreement,
     conflicted_colorings,
     corpus_for,
+    one_round_counts,
     run_all,
 )
 
@@ -79,6 +81,17 @@ def test_chi_square_report_fields():
     assert rep["chi2"] <= rep["chi2_threshold"]
     assert rep["max_abs_z"] <= 4.0
     assert rep["dof"] == 3  # four equally likely outcomes
+    # a negative sample would pass with a negative chi2, and an empty one divide by zero
+    for trials in (-5, 0):
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            chi_square_agreement(g, colors, strategy, k, trials=trials)
+    # a proper start is counted without drawing, so it must be refused up front
+    rng = random.Random(0)
+    before = rng.getstate()
+    with pytest.raises(ConfigError, match="trials must be >= 0"):
+        one_round_counts(g, (0, 1, 2), GameConfig(k=k, strategy=strategy, seed=0), rng, -5)
+    assert rng.getstate() == before
+    assert one_round_counts(g, colors, GameConfig(k=k, strategy=strategy, seed=0), rng, 0) == {}
 
 
 def test_agreement_covers_both_strategies():
