@@ -14,7 +14,6 @@ from .bounds import (
     check_dominance,
     frugal_bounds,
     greedy_bound,
-    max_expectation_bound,
     mu,
 )
 from .campaign import (

@@ -1,7 +1,9 @@
 """Closed-form convergence bounds and the envelope-dominance check.
 
-All logarithms are natural. The guarantees here are extremely loose at
-desk scale (mu is about 1e-4), so the dominance checker always reports
+All logarithms are natural. Every frugal bound and the envelope rest on
+one rate, mu(), which the two-round happiness floor fixes; nothing here
+takes it as a parameter. The guarantees are extremely loose at desk
+scale (mu is about 1e-4), so the dominance checker always reports
 per-point margins rather than a bare verdict; a trivially-passing check
 should look trivial.
 """
@@ -30,12 +32,19 @@ def mu() -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Frugal convergence bounds for an n-player game."""
+    """Frugal convergence bounds for an n-player game, all at rate mu.
+
+    The max of n rate-mu exponentials has mean at most the minimum of
+    h(a) = a + n exp(-mu a)/mu, reached at a_n = ln(n)/mu, where it is
+    max_expectation_bound = (1 + ln n)/mu; e_t_bound is twice that.
+    """
 
     mu: float
     e_t_bound: float
     var_t_bound: float
     n: int
+    a_n: float
+    max_expectation_bound: float
 
 
 def frugal_bounds(n: int) -> BoundReport:
@@ -48,6 +57,8 @@ def frugal_bounds(n: int) -> BoundReport:
         e_t_bound=(2.0 / m) * (1.0 + math.log(n)),
         var_t_bound=4.0 * n / (m * m),
         n=n,
+        a_n=math.log(n) / m,
+        max_expectation_bound=(1.0 + math.log(n)) / m,
     )
 
 
@@ -58,26 +69,6 @@ def greedy_bound(n: int, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must be in (0, 1), got {delta}")
     return GREEDY_CONSTANT * math.log(n / delta)
-
-
-@dataclass(frozen=True)
-class MaxExpectationBound:
-    """Bound on the mean of the max of n rate-mu exponentials."""
-
-    a_n: float
-    bound: float
-
-
-def max_expectation_bound(n: int, mu_value: float) -> MaxExpectationBound:
-    """Minimize h(a) = a + n exp(-mu a)/mu: a_n = ln(n)/mu, giving E(max) <= (1 + ln n)/mu."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if mu_value <= 0.0:
-        raise ConfigError(f"mu must be positive, got {mu_value}")
-    return MaxExpectationBound(
-        a_n=math.log(n) / mu_value,
-        bound=(1.0 + math.log(n)) / mu_value,
-    )
 
 
 @dataclass(frozen=True)
@@ -109,8 +100,8 @@ class DominanceReport:
 DOMINANCE_ALPHA = 1e-3
 
 
-def check_dominance(samples, mu_value: float) -> DominanceReport:
-    """Check P(tau >= t) <= exp(-mu t / 2) + DKW band at every observed t.
+def check_dominance(samples) -> DominanceReport:
+    """Check P(tau >= t) <= exp(-mu t / 2) + DKW band at every observed t, mu = mu().
 
     The left-limit survival P(tau >= t) is the right quantity to compare
     at t because the envelope is continuous there.
@@ -119,6 +110,7 @@ def check_dominance(samples, mu_value: float) -> DominanceReport:
     if not values:
         raise ConfigError("samples must be non-empty")
     n = len(values)
+    m = mu()
     band = math.sqrt(math.log(2.0 / DOMINANCE_ALPHA) / (2.0 * n))
     values.sort()
     grid = []
@@ -130,7 +122,7 @@ def check_dominance(samples, mu_value: float) -> DominanceReport:
         while j < n and values[j] == t:
             j += 1
         survival = (n - i) / n  # fraction of samples >= t
-        envelope = math.exp(-mu_value * t / 2.0)
+        envelope = math.exp(-m * t / 2.0)
         margin = envelope + band - survival
         if margin < 0.0:
             violations += 1
@@ -141,6 +133,6 @@ def check_dominance(samples, mu_value: float) -> DominanceReport:
         violations=violations,
         sample_size=n,
         band=band,
-        mu=mu_value,
+        mu=m,
         alpha=DOMINANCE_ALPHA,
     )

@@ -234,11 +234,11 @@ def write_rounds_csv(path: str, results) -> None:
     Rows are read from each history with History.count_range a bounded
     piece at a time and written at once, so memory stays O(HISTORY_BLOCK
     + SPAN) even for a trial whose forced orbit was skipped: rounds below
-    SPAN in blocks that may span trials, later rounds one span at a time.
+    SPAN in HISTORY_BLOCK-row blocks across trials, later rounds one span at a time.
     """
     with open(path, "wb") as fh:
         fh.write(b"trial,round,unhappy_count\n")
-        for rows in _round_rows(results, HISTORY_BLOCK):
+        for rows in _round_rows(results):
             fh.write(rows)
 
 
@@ -248,10 +248,10 @@ def write_rounds_csv(path: str, results) -> None:
 SPAN = 10**4
 
 
-def _round_rows(results, size: int):
+def _round_rows(results):
     """Yield the rows of every trial's rounds, in order, as bytes-like objects.
 
-    Rounds 1..SPAN - 1 go into blocks of `size` rows, the last maybe
+    Rounds 1..SPAN - 1 go into blocks of HISTORY_BLOCK rows, the last maybe
     fewer, that run across trials and are formatted by `_csv_rows`; a
     block is also cut where a trial's later rounds start. Those follow
     as one `_span_rows` call per span.
@@ -262,11 +262,11 @@ def _round_rows(results, size: int):
         rounds = len(history)
         head = min(rounds, SPAN - 1)
         while lo < head:
-            piece = history.count_range(lo, min(head, lo + size - filled))
+            piece = history.count_range(lo, min(head, lo + HISTORY_BLOCK - filled))
             pending.append((i, lo + 1, piece))
             filled += len(piece)
             lo += len(piece)
-            if filled == size or lo == head < rounds:
+            if filled == HISTORY_BLOCK or lo == head < rounds:
                 yield _csv_rows(_block_columns(pending))
                 pending, filled = [], 0
         for start in range(SPAN, rounds + 1, SPAN):
@@ -380,8 +380,13 @@ def sweep(
     """One campaign per n, plus the closed-form envelope column.
 
     For erdos_renyi sweeps, a fixed p overrides the default policy of
-    holding the expected degree at avg_degree across n.
+    holding the expected degree at avg_degree across n. Every size is
+    checked before the first campaign runs.
     """
+    ns = list(ns)
+    for n in ns:
+        if n < 1:
+            raise ConfigError(f"n must be >= 1, got {n}")
     if p is None and not (math.isfinite(avg_degree) and avg_degree >= 0):
         # min(1.0, inf / n) and min(1.0, nan) are both 1: complete graphs
         raise ConfigError(f"avg_degree must be finite and >= 0, got {avg_degree}")

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .bounds import frugal_bounds, greedy_bound, max_expectation_bound
+from .bounds import frugal_bounds, greedy_bound
 from .campaign import (
     K_RULES,
     ExperimentSpec,
@@ -229,14 +229,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     report = frugal_bounds(args.n)
-    best = max_expectation_bound(args.n, report.mu)
     payload = {
         "n": report.n,
         "mu": report.mu,
         "e_t_bound": report.e_t_bound,
         "var_t_bound": report.var_t_bound,
-        "a_n": best.a_n,
-        "max_expectation_bound": best.bound,
+        "a_n": report.a_n,
+        "max_expectation_bound": report.max_expectation_bound,
     }
     if args.failure_prob is not None:
         payload["failure_prob"] = args.failure_prob

@@ -129,13 +129,16 @@ class GameConfig:
                     f"(max degree {g.max_degree()}), got k={self.k}"
                 )
         if self.initial is not None:
-            if len(self.initial) != g.n:
-                raise ConfigError(
-                    f"initial assignment has {len(self.initial)} entries for n={g.n}"
-                )
-            for v, c in enumerate(self.initial):
-                if not 0 <= c < self.k:
-                    raise ConfigError(f"initial color {c} at vertex {v} outside [0, {self.k})")
+            check_coloring(g, self.initial, self.k)
+
+
+def check_coloring(g: Graph, colors, k: int) -> None:
+    """Refuse colors unless it is a state of the game: one color in [0, k) per vertex of g."""
+    if len(colors) != g.n:
+        raise ConfigError(f"coloring has {len(colors)} entries for n={g.n}")
+    for v, c in enumerate(colors):
+        if not 0 <= c < k:
+            raise ConfigError(f"color {c} at vertex {v} outside [0, {k})")
 
 
 @dataclass(frozen=True)

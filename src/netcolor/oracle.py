@@ -3,7 +3,9 @@
 Everything here recomputes the game's rules from scratch instead of
 calling the engine's samplers: the two code paths must stay independent
 so the engine/oracle agreement test retains its power to catch faults
-in either one.
+in either one. The laws refuse with ConfigError, before any cache
+lookup or enumeration, a coloring that is not a state of the game
+(:func:`engine.check_coloring`) and a vertex not of the graph.
 
 The laws and floor probabilities count outcomes as integers and turn
 each count into a probability once, as the exact Fraction(count, size)
@@ -31,8 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import ColoringState, GameConfig, Strategy
-from .errors import ContractViolation, EnumerationLimitError
+from .engine import ColoringState, GameConfig, Strategy, check_coloring
+from .errors import ConfigError, ContractViolation, EnumerationLimitError
 from .graph import Graph
 
 # Largest enumeration built in one piece: a joint support, a transition
@@ -76,6 +78,13 @@ def _is_unhappy(g: Graph, colors, v: int) -> bool:
 
 def _unhappy_list(g: Graph, colors) -> list[int]:
     return [v for v in range(g.n) if _is_unhappy(g, colors, v)]
+
+
+def _check_vertex_state(g: Graph, colors, v: int, k: int) -> None:
+    """Refuse a coloring that is not a state of the game, or a vertex not of g."""
+    check_coloring(g, colors, k)
+    if not 0 <= v < g.n:
+        raise ConfigError(f"vertex {v} outside [0, {g.n})")
 
 
 def _check_palette(k: int) -> None:
@@ -140,6 +149,7 @@ def _relabel(colors) -> tuple[int, ...]:
 def one_round_distribution(g: Graph, s: ColoringState, strategy: Strategy, k: int) -> Distribution:
     """Exact law of the next state: happy vertices stick, unhappy draw jointly."""
     colors = s.colors
+    check_coloring(g, colors, k)
     options, size = _next_colorings(
         g, colors, _unhappy_list(g, colors), strategy, k, "joint support"
     )
@@ -194,6 +204,7 @@ def available_size_distribution(
     coloring), so colorings that differ only by color names share one.
     """
     colors = s.colors
+    _check_vertex_state(g, colors, v, k)
     if not _is_unhappy(g, colors, v):
         raise ContractViolation(f"vertex {v} is happy; the size law is defined for unhappy vertices")
     key = None
@@ -299,6 +310,7 @@ def two_round_happiness_prob(
     colorings that differ only by color names share an entry.
     """
     colors = s.colors
+    _check_vertex_state(g, colors, v, k)
     if not _is_unhappy(g, colors, v):
         return Fraction(1)
     if cache is None:

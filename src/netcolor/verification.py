@@ -18,8 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import check_dominance, mu
-from .engine import ColoringState, GameConfig, Strategy, _vector_round, run, unhappy_vertices
+from .bounds import check_dominance
+from .engine import (
+    ColoringState,
+    GameConfig,
+    Strategy,
+    _vector_round,
+    check_coloring,
+    run,
+    unhappy_vertices,
+)
 from .errors import ConfigError, EnumerationLimitError
 from .graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from .oracle import (
@@ -179,6 +187,7 @@ def one_round_counts(
     if trials < 0:
         raise ConfigError(f"trials must be >= 0, got {trials}")
     n, k = g.n, cfg.k
+    check_coloring(g, colors, k)
     unhappy = np.array(unhappy_vertices(g, ColoringState(colors, 1)), dtype=np.intp)
     if not unhappy.size:
         return {tuple(colors): trials} if trials else {}
@@ -269,11 +278,12 @@ AGREEMENT_INSTANCES = (
 )
 
 
-def check_engine_agreement(trials: int = 10**5, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_engine_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
+    """chi_square_agreement on each AGREEMENT_INSTANCES entry, instance i at seed + i."""
     per_instance = {}
     ok = True
     for i, (name, g, colors, strategy, k) in enumerate(AGREEMENT_INSTANCES):
-        rep = chi_square_agreement(g, colors, strategy, k, trials=trials, seed=seed + i)
+        rep = chi_square_agreement(g, colors, strategy, k, seed=seed + i)
         per_instance[name] = rep
         ok = ok and rep["passed"]
     return CheckResult(
@@ -281,11 +291,15 @@ def check_engine_agreement(trials: int = 10**5, seed: int = DEFAULT_SEED) -> Che
     )
 
 
-def check_envelope_dominance(trials: int = 2000, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Fresh frugal campaign on a triangle; tau samples must sit under the envelope."""
+# Trials of the frugal triangle campaign check_envelope_dominance samples.
+ENVELOPE_TRIALS = 2000
+
+
+def check_envelope_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
+    """Taus of ENVELOPE_TRIALS frugal triangle trials, seed + i, must sit under the envelope."""
     g = complete_graph(3)
     taus = []
-    for i in range(trials):
+    for i in range(ENVELOPE_TRIALS):
         r = run(g, GameConfig(k=3, strategy=Strategy.FRUGAL, seed=seed + i), retention="counts")
         if r.tau is None:
             return CheckResult(
@@ -294,7 +308,7 @@ def check_envelope_dominance(trials: int = 2000, seed: int = DEFAULT_SEED) -> Ch
                 details={"error": f"trial {i} timed out"},
             )
         taus.append(r.tau)
-    report = check_dominance(taus, mu())
+    report = check_dominance(taus)
     return CheckResult(
         name="envelope_dominance",
         passed=report.violations == 0,

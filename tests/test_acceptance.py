@@ -220,7 +220,7 @@ def test_6_envelope_dominates_every_campaign(campaigns, capsys):
         bound = frugal_bounds(spec.graph.n).e_t_bound
         mean = res.summary.mean_tau
         taus = [r.tau for r in res.results]
-        rep = check_dominance(taus, mu())
+        rep = check_dominance(taus)
         min_margin = min(p.margin for p in rep.grid)
         details.append(f"{name}: mean/bound={mean / bound:.2e}, min margin={min_margin:.4f}")
         if mean > bound or rep.violations != 0:

@@ -9,7 +9,6 @@ from netcolor import (
     check_dominance,
     frugal_bounds,
     greedy_bound,
-    max_expectation_bound,
     mu,
 )
 from netcolor.bounds import GREEDY_CONSTANT, TWO_ROUND_FLOOR
@@ -105,42 +104,33 @@ def test_greedy_bound_validation():
 
 
 def test_max_expectation_n1():
-    got = max_expectation_bound(1, mu())
+    got = frugal_bounds(1)
     assert got.a_n == 0.0
-    assert math.isclose(got.bound, 1 / mu(), rel_tol=1e-15)
+    assert math.isclose(got.max_expectation_bound, 1 / mu(), rel_tol=1e-15)
 
 
-def envelope_max_objective(a: float, n: int, mu_value: float) -> float:
+def envelope_max_objective(a: float, n: int) -> float:
     """h(a) = a + n exp(-mu a)/mu; its minimum over a is the max-expectation bound."""
-    return a + n * math.exp(-mu_value * a) / mu_value
+    return a + n * math.exp(-mu() * a) / mu()
 
 
-@given(st.integers(1, 10**6), st.sampled_from([1.0, 0.1, 0.000105]))
-def test_objective_minimized_at_a_n(n, m):
-    best = max_expectation_bound(n, m)
-    h_star = envelope_max_objective(best.a_n, n, m)
+@given(st.integers(1, 10**6))
+def test_objective_minimized_at_a_n(n):
+    best = frugal_bounds(n)
+    h_star = envelope_max_objective(best.a_n, n)
+    assert math.isclose(h_star, best.max_expectation_bound, rel_tol=1e-12)
     for probe in (best.a_n - 1.0, best.a_n + 1.0):
-        assert envelope_max_objective(probe, n, m) > h_star
+        assert envelope_max_objective(probe, n) > h_star
 
 
 @given(st.integers(1, 10**6))
 def test_factor_two_relation(n):
-    assert math.isclose(
-        2 * max_expectation_bound(n, mu()).bound,
-        frugal_bounds(n).e_t_bound,
-        rel_tol=1e-12,
-    )
-
-
-def test_max_expectation_validation():
-    with pytest.raises(ValueError):
-        max_expectation_bound(0, mu())
-    with pytest.raises(ValueError):
-        max_expectation_bound(5, 0.0)
+    rep = frugal_bounds(n)
+    assert math.isclose(2 * rep.max_expectation_bound, rep.e_t_bound, rel_tol=1e-12)
 
 
 def test_dominance_all_ones():
-    report = check_dominance([1] * 500, mu())
+    report = check_dominance([1] * 500)
     assert report.violations == 0
     assert report.grid[0].empirical_survival == 1.0
     assert report.grid[0].envelope_survival > 0.9999
@@ -151,14 +141,14 @@ def test_dominance_envelope_samples_pass():
     rng = random.Random(12345)
     m = mu()
     samples = [math.ceil(2 * rng.expovariate(m)) for _ in range(10**4)]
-    report = check_dominance(samples, m)
+    report = check_dominance(samples)
     assert report.violations == 0
     assert report.sample_size == 10**4
 
 
 def test_dominance_detects_heavy_tail():
     t = 200_000
-    report = check_dominance([t] * 50, mu())
+    report = check_dominance([t] * 50)
     assert report.violations == 1
     point = report.grid[0]
     assert point.empirical_survival == 1.0
@@ -168,12 +158,12 @@ def test_dominance_detects_heavy_tail():
 
 def test_dominance_rejects_empty():
     with pytest.raises(ValueError):
-        check_dominance([], mu())
+        check_dominance([])
 
 
 @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=300))
 def test_dominance_survival_steps_down(samples):
-    report = check_dominance(samples, mu())
+    report = check_dominance(samples)
     ts = [p.t for p in report.grid]
     assert ts == sorted(set(ts))
     surv = [p.empirical_survival for p in report.grid]

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from netcolor import (
+    ConfigError,
     ContractViolation,
     ExperimentSpec,
     IllegalPaletteError,
@@ -214,6 +215,15 @@ def test_sweep_empty_is_header_only():
     assert rows == []
     table = format_sweep_csv(rows)
     assert table == ",".join(SWEEP_COLUMNS) + "\n"
+
+
+def test_sweep_refuses_a_bad_size_before_any_campaign(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(campaign, "run_campaign", ran)
+    with pytest.raises(ConfigError, match="n must be >= 1, got 0"):
+        sweep([50, 0], "erdos_renyi", Strategy.FRUGAL, trials=2)
 
 
 def test_sweep_two_vertex_complete():

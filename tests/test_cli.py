@@ -48,6 +48,15 @@ def test_gen_erdos_renyi_needs_p_and_seed():
                    "--graph-seed", "1") == 0
 
 
+def test_run_erdos_renyi_graph_seed_defaults_to_seed(capsys):
+    def spec_hash(*graph_seed):
+        assert run_cli("run", "--family", "erdos_renyi", "--n", "30", "--p", "0.2",
+                       "--strategy", "frugal", "--trials", "2", "--seed", "7", *graph_seed) == 0
+        return json.loads(capsys.readouterr().out)["spec_hash"]
+
+    assert spec_hash() == spec_hash("--graph-seed", "7") != spec_hash("--graph-seed", "8")
+
+
 def test_run_with_family(tmp_path, capsys):
     out = tmp_path / "trials.csv"
     rc = run_cli(
@@ -356,6 +365,11 @@ def test_trapped_campaign_memory_does_not_grow_with_max_rounds():
         ("sweep", "--family", "erdos_renyi", "--n", "50", "--avg-degree", "nan",
          "--strategy", "frugal", "--k-rule", "delta+1", "--trials", "2"),
         ("sweep", "--family", "erdos_renyi", "--n", "50", "--avg-degree", "-3",
+         "--strategy", "frugal", "--k-rule", "delta+1", "--trials", "2"),
+        # avg_degree / n divided by zero, and n = 50 played before the bad size
+        ("sweep", "--family", "erdos_renyi", "--n", "0",
+         "--strategy", "frugal", "--k-rule", "delta+1", "--trials", "2"),
+        ("sweep", "--family", "erdos_renyi", "--n", "50,0",
          "--strategy", "frugal", "--k-rule", "delta+1", "--trials", "2"),
         # a trapped trial's History would have a length past sys.maxsize
         ("run", "--family", "complete", "--n", "3", "--strategy", "greedy", "--k", "3",

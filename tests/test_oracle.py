@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import netcolor.oracle as oracle
 from netcolor import (
     ColoringState,
+    ConfigError,
     ContractViolation,
     EnumerationLimitError,
     GameConfig,
@@ -181,6 +182,38 @@ def test_available_size_memo_checks_happiness_before_the_cache():
 
     with pytest.raises(ContractViolation, match="happy"):
         available_size_distribution(TRIANGLE, S001, 2, Strategy.FRUGAL, 3, cache=Answers())
+
+
+@pytest.mark.parametrize(
+    "colors,v,message",
+    [
+        ((0, 0, 5), 0, "color 5 at vertex 2 outside"),
+        ((0, 0, -1), 0, "color -1 at vertex 2 outside"),
+        ((0, 0, 1, 1), 0, "4 entries for n=3"),
+        ((0, 0), 0, "2 entries for n=3"),
+        ((0, 0, 1), 3, "vertex 3 outside"),
+        ((0, 0, 1), -1, "vertex -1 outside"),
+    ],
+)
+def test_oracle_refuses_what_is_not_a_state_of_the_game(monkeypatch, colors, v, message):
+    """Refused before any cache lookup, happiness shortcut or enumeration."""
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the oracle went past its input check")
+
+    class Reached(dict):
+        get = reached
+
+    monkeypatch.setattr(oracle, "_is_unhappy", reached)
+    monkeypatch.setattr(oracle, "_joint_draws", reached)
+    s = ColoringState(colors, 1)
+    with pytest.raises(ConfigError, match=message):
+        available_size_distribution(TRIANGLE, s, v, Strategy.FRUGAL, 3, cache=Reached())
+    with pytest.raises(ConfigError, match=message):
+        two_round_happiness_prob(TRIANGLE, s, v, Strategy.FRUGAL, 3, cache=Reached())
+    if 0 <= v < 3:  # the one-round law takes no vertex
+        with pytest.raises(ConfigError, match=message):
+            one_round_distribution(TRIANGLE, s, Strategy.FRUGAL, 3)
 
 
 MEMO_INSTANCES = [(inst.name, inst.graph, inst.k) for inst in CORPUS] + [

@@ -1,10 +1,23 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 import netcolor.engine as engine
-from netcolor import ConfigError, GameConfig, Strategy, complete_graph, run
+import netcolor.oracle as oracle
+from netcolor import (
+    ColoringState,
+    ConfigError,
+    GameConfig,
+    Strategy,
+    available_size_distribution,
+    complete_graph,
+    run,
+    two_round_happiness_prob,
+    verification,
+)
+from netcolor.cli import main
 from netcolor.verification import (
     AGREEMENT_INSTANCES,
     CORPUS,
@@ -66,6 +79,32 @@ def test_two_round_floor_full_corpus():
     assert res.details["min_prob"] == str(Fraction(9, 16))
 
 
+def test_floor_checks_report_every_violation(monkeypatch, capsys):
+    # a size-law floor no probability clears, and a two-round floor only certainty clears
+    monkeypatch.setattr(oracle, "AVAILABLE_SIZE_FLOOR", Fraction(2))
+    monkeypatch.setattr(verification, "two_round_floor_holds", lambda prob: prob >= 1)
+    size, two = check_available_size_floor("fast"), check_two_round_floor("fast")
+    assert size.passed is False and two.passed is False
+    assert len(size.details["violations"]) == size.details["checked"]
+    assert two.details["violations"]
+    by_name = {inst.name: inst for inst in FAST_CORPUS}
+    for res, keys in ((size, {"threshold"}), (two, set())):
+        for violation in res.details["violations"]:
+            assert set(violation) == {"instance", "coloring", "vertex", "prob"} | keys
+            inst = by_name[violation["instance"]]
+            state = ColoringState(tuple(violation["coloring"]), 1)
+            args = (inst.graph, state, violation["vertex"], Strategy.FRUGAL, inst.k)
+            if keys:
+                law = available_size_distribution(*args)
+                assert violation["prob"] == str(law.prob_at_least)
+                assert violation["threshold"] == str(law.threshold)
+            else:
+                assert Fraction(violation["prob"]) == two_round_happiness_prob(*args) < 1
+    assert main(["verify", "--level", "fast"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["passed"] for c in payload["checks"]] == [False, False, True, True]
+
+
 def test_fast_level_is_a_subset():
     fast = check_available_size_floor("fast")
     full = check_available_size_floor("full")
@@ -94,10 +133,30 @@ def test_chi_square_report_fields():
     assert one_round_counts(g, colors, GameConfig(k=k, strategy=strategy, seed=0), rng, 0) == {}
 
 
+@pytest.mark.parametrize(
+    "colors,message",
+    [
+        ((0, 0, 5), "color 5 at vertex 2 outside"),
+        ((0, 0, -1), "color -1 at vertex 2 outside"),
+        ((0, 0, 1, 2), "4 entries for n=3"),
+        ((0, 0), "2 entries for n=3"),
+    ],
+)
+def test_agreement_refuses_what_is_not_a_state_of_the_game(colors, message):
+    name, g, _, strategy, k = AGREEMENT_INSTANCES[0]
+    with pytest.raises(ConfigError, match=message):
+        chi_square_agreement(g, colors, strategy, k, trials=100)
+    rng = random.Random(0)
+    before = rng.getstate()
+    with pytest.raises(ConfigError, match=message):
+        one_round_counts(g, colors, GameConfig(k=k, strategy=strategy, seed=0), rng, 100)
+    assert rng.getstate() == before
+
+
 def test_agreement_covers_both_strategies():
     strategies = {inst[3] for inst in AGREEMENT_INSTANCES}
     assert strategies == {Strategy.FRUGAL, Strategy.GREEDY}
-    res = check_engine_agreement(trials=20000)
+    res = check_engine_agreement()
     assert res.passed
     assert set(res.details) == {"triangle_k3_frugal", "triangle_k4_greedy"}
 
@@ -142,7 +201,7 @@ def test_biased_sampling_fault_is_caught(monkeypatch):
 
 
 def test_envelope_dominance_check():
-    res = check_envelope_dominance(trials=2000)
+    res = check_envelope_dominance()
     assert res.passed
     assert res.details["violations"] == 0
     assert res.details["sample_size"] == 2000
