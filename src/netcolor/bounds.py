@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 
 # Per-two-round success floor for an unhappy frugal player. Its exact
@@ -37,38 +39,57 @@ class BoundReport:
     The max of n rate-mu exponentials has mean at most the minimum of
     h(a) = a + n exp(-mu a)/mu, reached at a_n = ln(n)/mu, where it is
     max_expectation_bound = (1 + ln n)/mu; e_t_bound is twice that.
+    The fields are in the order `netcolor bounds` prints them.
     """
 
+    n: int
     mu: float
     e_t_bound: float
     var_t_bound: float
-    n: int
     a_n: float
     max_expectation_bound: float
 
 
 def frugal_bounds(n: int) -> BoundReport:
-    """E(T) <= (2/mu)(1 + ln n) and Var(T) <= 4n/mu^2."""
+    """E(T) <= (2/mu)(1 + ln n) and Var(T) <= 4n/mu^2.
+
+    An n whose variance bound is not a finite float (n above about 4.98e299)
+    is refused.
+    """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     m = mu()
     return BoundReport(
+        n=n,
         mu=m,
         e_t_bound=(2.0 / m) * (1.0 + math.log(n)),
-        var_t_bound=4.0 * n / (m * m),
-        n=n,
+        var_t_bound=_finite(lambda: 4.0 * n / (m * m), "4n/mu^2"),
         a_n=math.log(n) / m,
         max_expectation_bound=(1.0 + math.log(n)) / m,
     )
 
 
 def greedy_bound(n: int, delta: float) -> float:
-    """Round budget C * log(n/delta) sufficient with probability 1 - delta."""
+    """Round budget C * log(n/delta) sufficient with probability 1 - delta.
+
+    An n/delta past the largest float is refused.
+    """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must be in (0, 1), got {delta}")
-    return GREEDY_CONSTANT * math.log(n / delta)
+    return GREEDY_CONSTANT * math.log(_finite(lambda: n / delta, "n/delta"))
+
+
+def _finite(compute, formula: str) -> float:
+    """compute(), refused with ConfigError unless it is a finite float."""
+    try:
+        value = compute()
+    except OverflowError:  # an int n past the largest float
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"n is too large: {formula} is not a finite float")
+    return value
 
 
 @dataclass(frozen=True)
@@ -104,30 +125,23 @@ def check_dominance(samples) -> DominanceReport:
     """Check P(tau >= t) <= exp(-mu t / 2) + DKW band at every observed t, mu = mu().
 
     The left-limit survival P(tau >= t) is the right quantity to compare
-    at t because the envelope is continuous there.
+    at t because the envelope is continuous there. The grid is the
+    distinct samples, from np.unique over the sorted samples: t's first
+    index there is the count of samples below t.
     """
-    values = list(samples)
-    if not values:
+    values = np.sort(list(samples))
+    if not values.size:
         raise ConfigError("samples must be non-empty")
     n = len(values)
     m = mu()
     band = math.sqrt(math.log(2.0 / DOMINANCE_ALPHA) / (2.0 * n))
-    values.sort()
+    ts, below = np.unique(values, return_index=True)
     grid = []
-    violations = 0
-    i = 0
-    while i < n:
-        t = values[i]
-        j = i
-        while j < n and values[j] == t:
-            j += 1
+    for t, i in zip(ts.tolist(), below.tolist()):
         survival = (n - i) / n  # fraction of samples >= t
         envelope = math.exp(-m * t / 2.0)
-        margin = envelope + band - survival
-        if margin < 0.0:
-            violations += 1
-        grid.append(GridPoint(t, survival, envelope, margin))
-        i = j
+        grid.append(GridPoint(t, survival, envelope, envelope + band - survival))
+    violations = sum(p.margin < 0.0 for p in grid)
     return DominanceReport(
         grid=tuple(grid),
         violations=violations,

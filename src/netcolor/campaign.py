@@ -21,26 +21,26 @@ from .engine import HISTORY_BLOCK, GameConfig, Strategy, TrialResult, is_proper,
 from .errors import ConfigError, ContractViolation
 from .graph import Graph, format_edge_list, generate
 
-K_RULES = ("delta+1", "delta+2")
+# Each k rule's palette size less the graph's max degree.
+_K_RULE_OFFSETS = {"delta+1": 1, "delta+2": 2}
+K_RULES = tuple(_K_RULE_OFFSETS)
 
 
 def resolve_k(g: Graph, strategy: Strategy, k: int | None = None, k_rule: str | None = None) -> int:
-    """Turn an explicit k or a rule into a palette size for this graph.
+    """Turn an explicit k or a rule, one of K_RULES, into a palette size for this graph.
 
-    With neither given, the strategy's minimum legal palette is used.
+    A rule adds its offset to the max degree. With neither given, the
+    strategy's minimum legal palette is used.
     """
     if k is not None and k_rule is not None:
         raise ConfigError("give either k or k_rule, not both")
     if k is not None:
         return k
-    delta = g.max_degree()
     if k_rule is None:
-        return strategy.min_colors(delta)
-    if k_rule == "delta+1":
-        return delta + 1
-    if k_rule == "delta+2":
-        return delta + 2
-    raise ConfigError(f"unknown k rule {k_rule!r}; choose from {K_RULES}")
+        return strategy.min_colors(g.max_degree())
+    if k_rule not in _K_RULE_OFFSETS:
+        raise ConfigError(f"unknown k rule {k_rule!r}; choose from {K_RULES}")
+    return g.max_degree() + _K_RULE_OFFSETS[k_rule]
 
 
 @dataclass(frozen=True)
@@ -212,10 +212,12 @@ def summarize(spec: ExperimentSpec, results, wall_time: float) -> CampaignSummar
 
 
 def quantile_95(values) -> float:
-    """Empirical 0.95 quantile: smallest x with at least 95% of mass at or below."""
-    ordered = sorted(values)
-    idx = max(0, math.ceil(0.95 * len(ordered)) - 1)
-    return ordered[idx]
+    """Empirical 0.95 quantile: smallest x with at least 95% of mass at or below.
+
+    That is numpy's inverted_cdf method, which returns a sample, never an
+    interpolation between two.
+    """
+    return np.quantile(values, 0.95, method="inverted_cdf")
 
 
 def write_trials_csv(path: str, results) -> None:

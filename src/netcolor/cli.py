@@ -14,6 +14,7 @@ word; an unknown key exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,10 +28,10 @@ from .campaign import (
     run_campaign,
     sweep,
 )
-from .engine import Strategy
+from .engine import RETENTIONS, Strategy
 from .errors import ContractViolation, EnumerationLimitError, NetcolorError
 from .graph import FAMILIES, format_edge_list, generate, read_edge_list, write_edge_list
-from .verification import DEFAULT_SEED, run_all
+from .verification import DEFAULT_SEED, LEVELS, run_all
 
 
 class UsageError(Exception):
@@ -105,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--family", choices=FAMILIES, help="generator family")
     run_p.add_argument("--n", help="vertex count for generated graphs")
     run_p.add_argument("--allow-illegal-k", action="store_true")
-    run_p.add_argument("--retention", choices=["full", "counts"], default="counts")
+    run_p.add_argument("--retention", choices=RETENTIONS, default="counts")
     run_p.add_argument("--out", help="per-trial CSV path")
     run_p.add_argument("--rounds-out", help="per-round unhappy-count CSV path")
 
@@ -119,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--out", help="table CSV path (default: stdout)")
 
     verify_p = sub.add_parser("verify", help="run the built-in verification suite")
-    verify_p.add_argument("--level", choices=["fast", "full"], default="fast")
+    verify_p.add_argument("--level", choices=LEVELS, default="fast")
     verify_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify_p.add_argument("--out", help="write the JSON report here too")
 
@@ -152,9 +153,7 @@ def _load_graph(args: argparse.Namespace):
             n = int(args.n)
         except ValueError:
             raise UsageError(f"--n expects an integer, got {args.n!r}") from None
-        seed = args.graph_seed
-        if args.family == "erdos_renyi" and seed is None:
-            seed = args.seed
+        seed = args.seed if args.graph_seed is None else args.graph_seed
         return generate(args.family, n, p=args.p, seed=seed)
     raise UsageError("a graph is required: --graph FILE or --family NAME --n N")
 
@@ -228,15 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    report = frugal_bounds(args.n)
-    payload = {
-        "n": report.n,
-        "mu": report.mu,
-        "e_t_bound": report.e_t_bound,
-        "var_t_bound": report.var_t_bound,
-        "a_n": report.a_n,
-        "max_expectation_bound": report.max_expectation_bound,
-    }
+    payload = dataclasses.asdict(frugal_bounds(args.n))
     if args.failure_prob is not None:
         payload["failure_prob"] = args.failure_prob
         payload["greedy_bound"] = greedy_bound(args.n, args.failure_prob)

@@ -92,6 +92,9 @@ class Strategy(Enum):
 # randrange(k) must take one 32-bit word per try for the bulk reads.
 MAX_K = 2**32
 
+# What the game takes as an integer: a Python or a numpy one.
+_INTEGERS = (int, np.integer)
+
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -111,11 +114,19 @@ class GameConfig:
     initial: tuple[int, ...] | None = None
 
     def validate(self, g: Graph) -> None:
+        # randrange(2.0) is deprecated, random.Random(1.5) seeds a stream
+        # no integer seed gives, and max_rounds=2.5 would play 3 rounds
+        if not isinstance(self.k, _INTEGERS):
+            raise ConfigError(f"k must be an integer, got {self.k!r}")
         if not 1 <= self.k < MAX_K:
             raise ConfigError(f"k must be >= 1 and < 2**32, got {self.k}")
+        if not isinstance(self.seed, _INTEGERS):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             # random.Random(s) seeds with abs(s): seeds -s and s would repeat a stream
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.max_rounds, _INTEGERS):
+            raise ConfigError(f"max_rounds must be an integer, got {self.max_rounds!r}")
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.max_rounds > sys.maxsize:
@@ -133,10 +144,12 @@ class GameConfig:
 
 
 def check_coloring(g: Graph, colors, k: int) -> None:
-    """Refuse colors unless it is a state of the game: one color in [0, k) per vertex of g."""
+    """Refuse colors unless it is a state of the game: one integer in [0, k) per vertex of g."""
     if len(colors) != g.n:
         raise ConfigError(f"coloring has {len(colors)} entries for n={g.n}")
     for v, c in enumerate(colors):
+        if not isinstance(c, _INTEGERS):
+            raise ConfigError(f"color {c!r} at vertex {v} is not an integer")
         if not 0 <= c < k:
             raise ConfigError(f"color {c} at vertex {v} outside [0, {k})")
 
@@ -292,6 +305,10 @@ class TrialResult:
     min_available: int | None
 
 
+# The per-round records run() can keep: every unhappy set, or only the counts.
+RETENTIONS = ("full", "counts")
+
+
 # Below this many vertices a Python scan beats numpy's per-call overhead.
 VECTOR_SCAN_MIN = 32
 
@@ -419,10 +436,10 @@ def run(
     history's records and the stream come out as if every round had been
     played. A timeout is a value (tau=None), not an error.
     """
-    if retention not in ("full", "counts"):
-        raise ConfigError(f"retention must be 'full' or 'counts', got {retention!r}")
+    if retention not in RETENTIONS:
+        raise ConfigError(f"retention must be one of {RETENTIONS}, got {retention!r}")
     cfg.validate(g)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(int(cfg.seed))  # Random refuses numpy integers
     n = g.n
     # colors is a list in scalar rounds and an array in vector rounds
     colors: list[int] | np.ndarray = _initial_colors(g, cfg, rng)

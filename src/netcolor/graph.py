@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import GraphFormatError
 
-FAMILIES = ("complete", "cycle", "path", "star", "erdos_renyi")
-
 
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
@@ -160,6 +158,12 @@ def star_graph(n: int) -> Graph:
     return from_edge_list([(0, v) for v in range(1, n)], n)
 
 
+# The families built from n alone; erdos_renyi also takes p and a seed.
+_BUILDERS = {"complete": complete_graph, "cycle": cycle_graph, "path": path_graph,
+             "star": star_graph}
+FAMILIES = (*_BUILDERS, "erdos_renyi")
+
+
 # Pairs decided per numpy call; one double each, so 512 KB at a time.
 PAIR_CHUNK = 1 << 16
 
@@ -177,10 +181,14 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise GraphFormatError(f"edge probability must be in [0, 1], got {p}")
+    if not isinstance(seed, (int, np.integer)):
+        # random.Random(1.5) seeds from the float's hash: a graph no integer seed gives
+        raise GraphFormatError(f"graph seed must be an integer, got {seed!r}")
     if seed < 0:
         # random.Random(s) seeds with abs(s): seeds -s and s would give one graph
         raise GraphFormatError(f"graph seed must be >= 0, got {seed}")
-    doubles = np.random.Generator(mt19937_at(random.Random(seed)))
+    # int(): random.Random refuses numpy integers
+    doubles = np.random.Generator(mt19937_at(random.Random(int(seed))))
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * (2 * n - rows - 1) // 2  # index of pair (u, u + 1)
     total = n * (n - 1) // 2
@@ -209,25 +217,20 @@ def mt19937_at(rng: random.Random) -> np.random.MT19937:
 
 
 def generate(kind: str, n: int, p: float | None = None, seed: int | None = None) -> Graph:
-    """Dispatch to a named generator family.
+    """A graph of the family named kind, one of FAMILIES.
 
-    erdos_renyi requires both p and seed; the fixed families ignore them.
+    The fixed families (complete, cycle, path, star) are built from n
+    alone and ignore p and seed; erdos_renyi requires both.
     """
-    if kind == "complete":
-        return complete_graph(n)
-    if kind == "cycle":
-        return cycle_graph(n)
-    if kind == "path":
-        return path_graph(n)
-    if kind == "star":
-        return star_graph(n)
-    if kind == "erdos_renyi":
-        if p is None:
-            raise GraphFormatError("erdos_renyi requires p")
-        if seed is None:
-            raise GraphFormatError("erdos_renyi requires a seed")
-        return erdos_renyi(n, p, seed)
-    raise GraphFormatError(f"unknown graph family {kind!r}; choose from {FAMILIES}")
+    if kind in _BUILDERS:
+        return _BUILDERS[kind](n)
+    if kind != "erdos_renyi":
+        raise GraphFormatError(f"unknown graph family {kind!r}; choose from {FAMILIES}")
+    if p is None:
+        raise GraphFormatError("erdos_renyi requires p")
+    if seed is None:
+        raise GraphFormatError("erdos_renyi requires a seed")
+    return erdos_renyi(n, p, seed)
 
 
 def _check_n(n: int) -> None:

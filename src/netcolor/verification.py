@@ -60,13 +60,14 @@ CORPUS = (
 
 FAST_CORPUS = CORPUS[:2]
 
+# The corpus of each verify level.
+LEVELS = {"fast": FAST_CORPUS, "full": CORPUS}
+
 
 def corpus_for(level: str):
-    if level == "fast":
-        return FAST_CORPUS
-    if level == "full":
-        return CORPUS
-    raise ConfigError(f"level must be 'fast' or 'full', got {level!r}")
+    if level not in LEVELS:
+        raise ConfigError(f"level must be one of {tuple(LEVELS)}, got {level!r}")
+    return LEVELS[level]
 
 
 def conflicted_colorings(g: Graph, k: int):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netcolor import (
+    ConfigError,
     check_dominance,
     frugal_bounds,
     greedy_bound,
@@ -94,6 +96,19 @@ def test_greedy_bound_matches_extended_precision(n, delta):
     assert rel_err(greedy_bound(n, delta), ref) <= 1e-12
 
 
+def test_bounds_refuse_an_n_past_the_largest_float():
+    # 4n/mu^2 was inf at 10**300, and 4.0 * n raised OverflowError at 10**400
+    for n in (10**300, 10**400):
+        with pytest.raises(ConfigError, match="n is too large: 4n/mu"):
+            frugal_bounds(n)
+    for n, delta in ((10**400, 0.5), (10**307, 1e-3)):
+        with pytest.raises(ConfigError, match="n is too large: n/delta"):
+            greedy_bound(n, delta)
+    big = frugal_bounds(10**299)
+    assert all(math.isfinite(v) for v in dataclasses.astuple(big))
+    assert math.isfinite(greedy_bound(10**299, 1e-3))
+
+
 def test_greedy_bound_validation():
     with pytest.raises(ValueError):
         greedy_bound(0, 0.1)
@@ -172,3 +187,6 @@ def test_dominance_survival_steps_down(samples):
     band = report.band
     for p in report.grid:
         assert math.isclose(p.margin, p.envelope_survival + band - p.empirical_survival)
+        # samples come unsorted: the grid must count from the sorted ones
+        assert p.empirical_survival == sum(x >= p.t for x in samples) / len(samples)
+    assert report.violations == sum(p.margin < 0.0 for p in report.grid)

@@ -375,6 +375,9 @@ def test_trapped_campaign_memory_does_not_grow_with_max_rounds():
         ("run", "--family", "complete", "--n", "3", "--strategy", "greedy", "--k", "3",
          "--allow-illegal-k", "--max-rounds", "100000000000000000000", "--trials", "2",
          "--seed", "1"),
+        # a var_t_bound of Infinity is not JSON, and 4.0 * 10**400 overflows
+        ("bounds", "--n", str(10**300)),
+        ("bounds", "--n", str(10**400)),
     ],
 )
 def test_config_errors_exit_2(argv, capsys):

@@ -69,6 +69,13 @@ def test_initial_state_validation():
         cfg(3, Strategy.FRUGAL, initial=(0, 1)).validate(g)
     with pytest.raises(ValueError, match="outside"):
         cfg(3, Strategy.FRUGAL, initial=(0, 1, 3)).validate(g)
+    # 1.5 lies in [0, 3) but is no color: run() would play it as a fourth one
+    with pytest.raises(ConfigError, match="color 1.5 at vertex 2 is not an integer"):
+        cfg(3, Strategy.FRUGAL, initial=(0, 0, 1.5)).validate(g)
+    with pytest.raises(ConfigError, match="color 1.0 at vertex 2 is not an integer"):
+        run(g, cfg(3, Strategy.FRUGAL, initial=(0, 0, 1.0)))
+    # numpy integers are integers
+    assert run(g, cfg(3, Strategy.FRUGAL, initial=tuple(np.arange(3)))).tau == 1
 
 
 def test_initial_state_singleton_palette():
@@ -100,6 +107,14 @@ def test_config_validation():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         cfg(3, Strategy.FRUGAL, seed=-1).validate(TRIANGLE)
     cfg(3, Strategy.FRUGAL, seed=0).validate(TRIANGLE)
+    # randrange(2.0) is deprecated, seed 1.5 plays a stream no integer seed
+    # gives, and max_rounds=2.5 would time out after 3 rounds
+    for field, value in (("k", 3.0), ("seed", 1.5), ("max_rounds", 2.5), ("k", "3")):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            cfg(**{"k": 3, "strategy": Strategy.FRUGAL, field: value}).validate(TRIANGLE)
+    played = run(TRIANGLE, cfg(np.int64(3), Strategy.FRUGAL, seed=np.uint32(1),
+                               max_rounds=np.int64(50)))
+    assert played == run(TRIANGLE, cfg(3, Strategy.FRUGAL, seed=1, max_rounds=50))
     with pytest.raises(IllegalPaletteError):
         cfg(2, Strategy.FRUGAL).validate(TRIANGLE)
     with pytest.raises(IllegalPaletteError):
@@ -122,8 +137,16 @@ K40 = complete_graph(40)
     lambda rng: step(K40, ColoringState((0,) * 39 + (40,), 1), cfg(40, Strategy.FRUGAL), rng),
     lambda rng: step(TRIANGLE, ColoringState((0, 0, 1), 1),
                      cfg(3, Strategy.FRUGAL, max_rounds=sys.maxsize + 1), rng),
+    lambda rng: initial_state(TRIANGLE, cfg(3.0, Strategy.FRUGAL), rng),
+    lambda rng: initial_state(TRIANGLE, cfg(3, Strategy.FRUGAL, initial=(0, 0, 1.5)), rng),
+    lambda rng: step(TRIANGLE, ColoringState((0, 0, 1.5), 1), cfg(3, Strategy.FRUGAL), rng),
+    lambda rng: step(TRIANGLE, ColoringState((0, 0, 1), 1), cfg(3, Strategy.FRUGAL, seed=1.5),
+                     rng),
+    lambda rng: step(TRIANGLE, ColoringState((0, 0, 1), 1),
+                     cfg(3, Strategy.FRUGAL, max_rounds=2.5), rng),
 ], ids=["k=0", "k=2**40", "short-initial", "illegal-palette", "state-color>=k",
-        "state-color>=k-vector-round", "max_rounds>sys.maxsize"])
+        "state-color>=k-vector-round", "max_rounds>sys.maxsize", "k=3.0", "initial-color=1.5",
+        "state-color=1.5", "seed=1.5", "max_rounds=2.5"])
 def test_initial_state_and_step_refuse_what_run_refuses(call):
     rng = random.Random(7)
     before = rng.getstate()

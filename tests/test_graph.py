@@ -1,5 +1,6 @@
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +16,7 @@ from netcolor import (
     star_graph,
     write_edge_list,
 )
-from netcolor.graph import format_edge_list
+from netcolor.graph import Graph, format_edge_list
 
 
 def test_triangle_from_edge_list():
@@ -92,6 +93,8 @@ def test_generator_bounds():
         cycle_graph(2)
     with pytest.raises(GraphFormatError):
         erdos_renyi(10, 1.5, seed=0)
+    with pytest.raises(GraphFormatError, match="vertex count must be >= 0, got -1"):
+        from_edge_list([], -1)
 
 
 def test_erdos_renyi_refuses_negative_seed():
@@ -100,6 +103,30 @@ def test_erdos_renyi_refuses_negative_seed():
         erdos_renyi(30, 0.2, seed=-7)
     with pytest.raises(GraphFormatError, match="got -1"):
         generate("erdos_renyi", 30, p=0.2, seed=-1)
+    # random.Random(1.5) seeds from the float's hash: a graph no integer seed gives
+    with pytest.raises(GraphFormatError, match="graph seed must be an integer, got 1.5"):
+        erdos_renyi(10, 0.5, seed=1.5)
+    with pytest.raises(GraphFormatError, match="got 1.0"):
+        generate("erdos_renyi", 10, p=0.5, seed=1.0)
+    assert erdos_renyi(10, 0.5, seed=np.int64(1)) == erdos_renyi(10, 0.5, seed=1)
+
+
+@pytest.mark.parametrize(
+    "n, adjacency, message",
+    [
+        (2, ((1,), (0,), ()), "adjacency length differs from n"),
+        (3, ((2, 1), (0,), (0,)), "adjacency of 0 not sorted/deduplicated"),
+        (2, ((1,), (0, 0)), "adjacency of 1 not sorted/deduplicated"),
+        (2, ((0, 1), (0,)), "self-loop at 0"),
+        (2, ((5,), ()), "neighbor 5 of 0 out of range"),
+        (3, ((1,), (0, 2), ()), r"asymmetric edge \(1, 2\)"),
+    ],
+    ids=["too-many-rows", "unsorted", "duplicate", "self-loop", "out-of-range", "asymmetric"],
+)
+def test_validate_refuses_malformed_adjacency(n, adjacency, message):
+    # the constructor trusts its adjacency, so it builds what the generators never do
+    with pytest.raises(GraphFormatError, match=f"^{message}$"):
+        Graph(n, adjacency).validate()
 
 
 def test_erdos_renyi_reproducible():

@@ -193,6 +193,8 @@ def test_available_size_memo_checks_happiness_before_the_cache():
         ((0, 0), 0, "2 entries for n=3"),
         ((0, 0, 1), 3, "vertex 3 outside"),
         ((0, 0, 1), -1, "vertex -1 outside"),
+        # 1.5 lies in [0, 3): it was read as a fourth color, for 8/9
+        ((0, 0, 1.5), 0, "color 1.5 at vertex 2 is not an integer"),
     ],
 )
 def test_oracle_refuses_what_is_not_a_state_of_the_game(monkeypatch, colors, v, message):

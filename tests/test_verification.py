@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from netcolor.cli import main
 from netcolor.verification import (
     AGREEMENT_INSTANCES,
     CORPUS,
+    DEFAULT_SEED,
     FAST_CORPUS,
     check_available_size_floor,
     check_engine_agreement,
@@ -140,6 +142,7 @@ def test_chi_square_report_fields():
         ((0, 0, -1), "color -1 at vertex 2 outside"),
         ((0, 0, 1, 2), "4 entries for n=3"),
         ((0, 0), "2 entries for n=3"),
+        ((0, 0, 1.5), "color 1.5 at vertex 2 is not an integer"),
     ],
 )
 def test_agreement_refuses_what_is_not_a_state_of_the_game(colors, message):
@@ -206,6 +209,22 @@ def test_envelope_dominance_check():
     assert res.details["violations"] == 0
     assert res.details["sample_size"] == 2000
     assert res.details["min_margin"] > 0
+
+
+def test_envelope_dominance_reports_a_timed_out_trial(monkeypatch, capsys):
+    real_run = verification.run
+
+    def fourth_trial_times_out(g, cfg, **kwargs):
+        result = real_run(g, cfg, **kwargs)
+        return dataclasses.replace(result, tau=None) if cfg.seed == DEFAULT_SEED + 3 else result
+
+    monkeypatch.setattr(verification, "run", fourth_trial_times_out)
+    res = check_envelope_dominance()
+    assert res.passed is False
+    assert res.details == {"error": "trial 3 timed out"}
+    assert main(["verify", "--level", "fast"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["passed"] for c in payload["checks"]] == [True, True, True, False]
 
 
 def test_run_all_fast():
