@@ -235,8 +235,9 @@ def write_rounds_csv(path: str, results) -> None:
 
     Rows are read from each history with History.count_range a bounded
     piece at a time and written at once, so memory stays O(HISTORY_BLOCK
-    + SPAN) even for a trial whose forced orbit was skipped: rounds below
-    SPAN in HISTORY_BLOCK-row blocks across trials, later rounds one span at a time.
+    + SPAN) even for a trial whose forced orbit was skipped: a trial of
+    fewer than SPAN rounds in HISTORY_BLOCK-row blocks across trials, a
+    longer one in fixed-width pieces of at most SPAN rows.
     """
     with open(path, "wb") as fh:
         fh.write(b"trial,round,unhappy_count\n")
@@ -244,37 +245,72 @@ def write_rounds_csv(path: str, results) -> None:
             fh.write(rows)
 
 
-# From round SPAN on, a trial's rows are written one aligned span
-# [a * SPAN, (a + 1) * SPAN) at a time: each round of span a is the
-# digits of a followed by the four digits of its offset in the span.
+# A trial of at least SPAN rounds is written in pieces whose round numbers
+# all have the same digits: rounds [10^(d-1), 10^d) for d = 1..4, then
+# one aligned span [a * SPAN, (a + 1) * SPAN) at a time, each round of
+# span a being the digits of a followed by the four digits of its offset.
 SPAN = 10**4
 
 
 def _round_rows(results):
     """Yield the rows of every trial's rounds, in order, as bytes-like objects.
 
-    Rounds 1..SPAN - 1 go into blocks of HISTORY_BLOCK rows, the last maybe
-    fewer, that run across trials and are formatted by `_csv_rows`; a
-    block is also cut where a trial's later rounds start. Those follow
-    as one `_span_rows` call per span.
+    A trial of fewer than SPAN rounds goes into blocks of HISTORY_BLOCK
+    rows, the last maybe fewer, that run across trials and are formatted
+    by `_csv_rows`. A longer trial cuts the block and goes through
+    `_long_trial_rows`.
     """
     pending, filled = [], 0  # (trial, first round, counts) pieces of the next block
     for i, r in enumerate(results):
         history, lo = r.history, 0
         rounds = len(history)
-        head = min(rounds, SPAN - 1)
-        while lo < head:
-            piece = history.count_range(lo, min(head, lo + HISTORY_BLOCK - filled))
+        if rounds >= SPAN:
+            if pending:
+                yield _csv_rows(_block_columns(pending))
+                pending, filled = [], 0
+            yield from _long_trial_rows(i, history)
+            continue
+        while lo < rounds:
+            piece = history.count_range(lo, min(rounds, lo + HISTORY_BLOCK - filled))
             pending.append((i, lo + 1, piece))
             filled += len(piece)
             lo += len(piece)
-            if filled == HISTORY_BLOCK or lo == head < rounds:
+            if filled == HISTORY_BLOCK:
                 yield _csv_rows(_block_columns(pending))
                 pending, filled = [], 0
-        for start in range(SPAN, rounds + 1, SPAN):
-            yield _span_rows(i, start // SPAN, history.count_range(start - 1, start - 1 + SPAN))
     if pending:
         yield _csv_rows(_block_columns(pending))
+
+
+def _long_trial_rows(trial: int, history):
+    """Yield the rows of a trial of at least SPAN rounds, one `_span_rows` piece at a time.
+
+    Rounds 1..SPAN - 1 are four pieces, one per number of digits, then
+    each span follows. A span is instead copied from the one before it,
+    by `_copy_span`, when that one lies wholly after the stored rounds,
+    the skipped orbit's period divides SPAN and its counts have one
+    width, and both span numbers have as many digits: the two spans then
+    hold the same counts at every offset.
+    """
+    prefix = b"%d," % trial
+    head = history.count_range(0, SPAN - 1)
+    for d in range(1, 5):
+        first = 10 ** (d - 1)
+        yield _span_rows(prefix, d, first, head[first - 1 : 10 * first - 1])
+    rounds, stored = len(history), history.stored_rounds
+    period = history.skip[0] if history.skip is not None else 0
+    repeats = (period > 0 and SPAN % period == 0
+               and _width(history.count_range(stored - period, stored)) is not None)
+    rows, lead = None, b""
+    for a in range(1, rounds // SPAN + 1):
+        lo, number = a * SPAN - 1, b"%d" % a  # lo: the index of round a * SPAN
+        hi = min(lo + SPAN, rounds)
+        if repeats and lo - SPAN >= stored and len(number) == len(lead):
+            rows = _copy_span(rows, len(prefix), number, hi - lo)
+        else:
+            rows = _span_rows(prefix + number, 4, 0, history.count_range(lo, hi))
+        lead = number
+        yield rows
 
 
 def _block_columns(pending):
@@ -285,31 +321,40 @@ def _block_columns(pending):
     return np.repeat(trials, lengths), rounds, np.concatenate(pieces)
 
 
-# "0000".."9999": the four ASCII digits of each offset in a span, one V4 element each
-_OFFSET_DIGITS = (
-    np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
-    .reshape(SPAN, 4).view("V4").ravel()
-)
+# "0000".."9999": the four ASCII digits of each offset in a span, one row each
+_OFFSET_DIGITS = np.stack(
+    np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1
+).reshape(SPAN, 4)
 
 
-def _span_rows(trial: int, a: int, counts: np.ndarray) -> bytes | bytearray:
-    """The rows of rounds a * SPAN .. a * SPAN + len(counts) - 1 of one trial, a >= 1.
+def _width(counts: np.ndarray) -> int | None:
+    """The number of digits every count has, or None when they differ."""
+    width = len(str(int(counts.max())))
+    return width if len(str(int(counts.min()))) == width else None
 
-    When every count has the same number of digits, every row has the same
-    width: the template row "trial,a0000,0..0\\n" is repeated, the offset
-    digits are copied from _OFFSET_DIGITS as strided V4 elements, and the
-    count digits are written over the zeros. Otherwise the span goes
-    through `_csv_rows`.
+
+def _span_rows(prefix: bytes, digits: int, first_offset: int, counts) -> bytes | bytearray:
+    """Row j: prefix, the last `digits` digits of offset first_offset + j, ",", counts[j].
+
+    The prefix is "trial," followed by the round's leading digits, if
+    any. When every count has the same number of digits, every row has
+    the same width: the template row "prefix0..0,0..0\\n" is repeated,
+    the round digits are copied from _OFFSET_DIGITS as strided void
+    elements, and the count digits are written over the zeros. Otherwise
+    the piece goes through `_csv_rows`.
     """
     m = len(counts)
-    width = len(str(int(counts.max())))
-    if len(str(int(counts.min()))) != width:
-        rounds = np.arange(a * SPAN, a * SPAN + m)
-        return _csv_rows((np.full(m, trial), rounds, counts))
-    template = b"%d,%d0000,%s\n" % (trial, a, b"0" * width)
+    width = _width(counts)
+    if width is None:
+        trial, lead = prefix.split(b",")
+        first = int(lead + b"%0*d" % (digits, first_offset))
+        return _csv_rows((np.full(m, int(trial)), np.arange(first, first + m), counts))
+    template = prefix + b"0" * digits + b"," + b"0" * width + b"\n"
     row = len(template)
     rows = bytearray(template) * m
-    np.ndarray(m, "V4", rows, row - width - 6, (row,))[:] = _OFFSET_DIGITS[:m]
+    void = "V%d" % digits
+    source = np.ndarray(m, void, _OFFSET_DIGITS, 4 * first_offset + 4 - digits, (4,))
+    np.ndarray(m, void, rows, len(prefix), (row,))[:] = source
     table = np.frombuffer(rows, np.uint8).reshape(m, row)
     q = counts
     for pos in range(row - 2, row - 1 - width, -1):
@@ -317,6 +362,16 @@ def _span_rows(trial: int, a: int, counts: np.ndarray) -> bytes | bytearray:
         table[:, pos] = q - nxt * 10 + 48
         q = nxt
     table[:, row - 1 - width] = q + 48  # the leading digit, below 10
+    return rows
+
+
+def _copy_span(previous: bytearray, at: int, number: bytes, m: int) -> bytearray:
+    """A new buffer: the first m rows of the fixed-width span previous, with
+    the span number that starts at byte `at` of each row replaced by number."""
+    row = len(previous) // SPAN
+    rows = previous[: m * row]
+    for pos, digit in enumerate(number, at):
+        np.ndarray(m, np.uint8, rows, pos, (row,))[:] = digit  # one strided column per digit
     return rows
 
 
@@ -382,8 +437,9 @@ def sweep(
     """One campaign per n, plus the closed-form envelope column.
 
     For erdos_renyi sweeps, a fixed p overrides the default policy of
-    holding the expected degree at avg_degree across n. Every size is
-    checked before the first campaign runs.
+    holding the expected degree at avg_degree across n; the fixed families
+    ignore p and the graph seed. Every size is checked before the first
+    campaign runs.
     """
     ns = list(ns)
     for n in ns:
@@ -394,11 +450,8 @@ def sweep(
         raise ConfigError(f"avg_degree must be finite and >= 0, got {avg_degree}")
     rows = []
     for n in ns:
-        if family == "erdos_renyi":
-            pn = p if p is not None else min(1.0, avg_degree / n)
-            g = generate(family, n, p=pn, seed=base_seed if graph_seed is None else graph_seed)
-        else:
-            g = generate(family, n)
+        pn = p if p is not None else min(1.0, avg_degree / n)
+        g = generate(family, n, p=pn, seed=base_seed if graph_seed is None else graph_seed)
         spec = ExperimentSpec(
             graph=g,
             k=resolve_k(g, strategy, k=k, k_rule=k_rule),

@@ -158,6 +158,19 @@ def _load_graph(args: argparse.Namespace):
     raise UsageError("a graph is required: --graph FILE or --family NAME --n N")
 
 
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Refuse an --out or --rounds-out path that is a directory or lies in no directory."""
+    for flag in ("out", "rounds_out"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        name = "--" + flag.replace("_", "-")
+        if os.path.isdir(path):
+            raise UsageError(f"{name} {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"{name} {path}: no such directory")
+
+
 def _strategy(args: argparse.Namespace) -> Strategy:
     if args.strategy is None:
         raise UsageError("--strategy is required (greedy or frugal)")
@@ -266,6 +279,7 @@ def main(argv=None) -> int:
             # the file's options go first, so the command line's flags win
             tokens = load_config(args.config, vars(args))
             args = parser.parse_args([args.command, *tokens, *argv[1:]])
+        _check_output_paths(args)  # before any work, not after it
         status = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout must fail here, not at exit
         return status

@@ -218,6 +218,11 @@ class History(Sequence):
         """(period, length) of a skipped forced orbit, else None."""
         return self._skip
 
+    @property
+    def stored_rounds(self) -> int:
+        """Number of stored rounds: all of them, or those before a skipped orbit's repeats."""
+        return len(self._stored)
+
     def __len__(self) -> int:
         return len(self._stored) if self.skip is None else self.skip[1]
 

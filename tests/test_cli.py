@@ -396,6 +396,30 @@ def test_runtime_value_error_exits_1(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: boom\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("run", "--family", "complete", "--n", "3", "--strategy", "frugal"), "--rounds-out"),
+        (("run", "--family", "complete", "--n", "3", "--strategy", "frugal"), "--out"),
+        (("sweep", "--family", "complete", "--n", "3", "--strategy", "frugal"), "--out"),
+        (("verify",), "--out"),
+        (("gen", "--family", "complete", "--n", "3"), "--out"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_bad_output_paths_are_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, flag, where):
+    def ran(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for name in ("run_campaign", "sweep", "run_all", "generate"):
+        monkeypatch.setattr(netcolor.cli, name, ran)
+    path = tmp_path / "missing" / "out.csv" if where == "missing directory" else tmp_path
+    assert run_cli(*argv, flag, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} {path}")
+
+
 def test_config_error_is_a_value_error():
     assert issubclass(ConfigError, ValueError) and issubclass(ConfigError, netcolor.NetcolorError)
     with pytest.raises(ConfigError, match="jobs"):

@@ -108,8 +108,23 @@ def test_initial_state_matches_randrange(n, k):
             "c35fd1a6b52d48631e79e636b5ea56a011f79f71f7b815363276bcb0d66f0e21",
             "04dbadae956cc8f53a770d08d9fc73b11af3b1cd27e5b63da574ee76c404b766",
         ),
+        (
+            # 9 of 10 trials trapped to the cap: their rows run past round
+            # 10^5, so the rounds' span numbers cross 9 -> 10
+            ExperimentSpec(
+                graph=complete_graph(3),
+                k=3,
+                strategy=Strategy.GREEDY,
+                trials=10,
+                base_seed=0,
+                max_rounds=10**5 + 7,
+                allow_illegal_k=True,
+            ),
+            "3accc85de3014753825d63eed524b4e8003e83cfd19a33280e9898923e3580e8",
+            "00e71db5b0b4cd43d4554c31abbc1baf60e38fc41eb3f09bdd23c06ee13962e4",
+        ),
     ],
-    ids=["er1000_k19_frugal", "k3_k3_greedy_illegal"],
+    ids=["er1000_k19_frugal", "k3_k3_greedy_illegal", "k3_k3_greedy_trapped_long"],
 )
 def test_campaign_csv_digests(spec, trials_digest, rounds_digest, tmp_path):
     trials, rounds = tmp_path / "trials.csv", tmp_path / "rounds.csv"

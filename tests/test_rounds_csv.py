@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netcolor import History, campaign
-from netcolor.campaign import SPAN, _csv_rows, _span_rows, write_rounds_csv
+from netcolor.campaign import SPAN, _copy_span, _csv_rows, _span_rows, write_rounds_csv
 
 
 def reference_rounds_csv(results) -> bytes:
@@ -104,50 +104,141 @@ def trapped(stored, period, length):
 
 
 def counted_paths(monkeypatch):
-    """Record the rows of each `_csv_rows` call and (trial, a, rows) of each `_span_rows` call."""
-    csv_calls, span_calls = [], []
+    """Record each `_csv_rows` call's rows, each `_span_rows` call's
+    (prefix, digits, first offset, rows) and each `_copy_span` call's
+    (span number, rows)."""
+    csv_calls, span_calls, copy_calls = [], [], []
 
     def counting_csv(columns):
         csv_calls.append(len(columns[0]))
         return _csv_rows(columns)
 
-    def counting_span(trial, a, counts):
-        span_calls.append((trial, a, len(counts)))
-        return _span_rows(trial, a, counts)
+    def counting_span(prefix, digits, first_offset, counts):
+        span_calls.append((prefix, digits, first_offset, len(counts)))
+        return _span_rows(prefix, digits, first_offset, counts)
+
+    def counting_copy(previous, at, number, m):
+        copy_calls.append((number, m))
+        return _copy_span(previous, at, number, m)
 
     monkeypatch.setattr(campaign, "_csv_rows", counting_csv)
     monkeypatch.setattr(campaign, "_span_rows", counting_span)
-    return csv_calls, span_calls
+    monkeypatch.setattr(campaign, "_copy_span", counting_copy)
+    return csv_calls, span_calls, copy_calls
+
+
+def head_pieces(prefix):
+    """The `_span_rows` calls of rounds 1..SPAN - 1: one piece per number of digits."""
+    return [(prefix, 1, 1, 9), (prefix, 2, 10, 90), (prefix, 3, 100, 900), (prefix, 4, 1000, 9000)]
 
 
 def test_rounds_from_the_span_boundary_take_the_span_path(tmp_path, monkeypatch):
-    csv_calls, span_calls = counted_paths(monkeypatch)
+    csv_calls, span_calls, copy_calls = counted_paths(monkeypatch)
     results = [*trials([5, 6, 7]), trapped([3, 4], 1, 25_000), *trials([1, 2])]
     assert written(tmp_path, results) == reference_rounds_csv(results)
-    # trial 1's rounds 1..9999 close the block it shares with trial 0, then
-    # its rounds 10000..25000 go one span each; trial 2 ends the last block
-    assert csv_calls == [8192, 9999 - 8189, 2]
-    assert span_calls == [(1, 1, SPAN), (1, 2, 5001)]
+    # trial 1 is long, so it cuts the block of trial 0; its rounds 1..9999
+    # go as four pieces and 10000..19999 as one span, and 20000..25000
+    # repeat that span; trial 2 ends the last block
+    assert csv_calls == [3, 2]
+    assert span_calls == [*head_pieces(b"1,"), (b"1,1", 4, 0, SPAN)]
+    assert copy_calls == [(b"2", 5001)]
 
 
 def test_a_span_with_counts_of_two_widths_falls_back_to_csv_rows(tmp_path, monkeypatch):
-    csv_calls, span_calls = counted_paths(monkeypatch)
-    # counts alternate 9 and 10 from round 3: span 1 straddles a power of ten,
-    # span 2 holds only counts of 99999
+    csv_calls, span_calls, copy_calls = counted_paths(monkeypatch)
+    # counts alternate 9 and 10 from round 3: every piece of trial 0 straddles
+    # a power of ten; trial 1 holds only counts of 99999
     results = [trapped([1, 1, 9, 10], 2, 2 * SPAN - 1), trapped([99999], 1, 2 * SPAN + 6)]
     data = written(tmp_path, results)
     assert data == reference_rounds_csv(results)
     assert b"\n0,10000,10\n0,10001,9\n" in data and data.endswith(b"\n1,20006,99999\n")
-    assert span_calls == [(0, 1, SPAN), (1, 1, SPAN), (1, 2, 7)]
-    # trial 0: two head blocks and its span; trial 1: two head blocks only
-    assert csv_calls == [8192, 9999 - 8192, SPAN, 8192, 9999 - 8192]
+    assert span_calls == [
+        *head_pieces(b"0,"), (b"0,1", 4, 0, SPAN), *head_pieces(b"1,"), (b"1,1", 4, 0, SPAN),
+    ]
+    # trial 0: its four head pieces and its span; trial 1: none
+    assert csv_calls == [9, 90, 900, 9000, SPAN]
+    assert copy_calls == [(b"2", 7)]
 
 
-def test_a_trial_of_a_million_and_one_rounds(tmp_path):
+def test_a_trial_of_a_million_and_one_rounds(tmp_path, monkeypatch):
+    _, span_calls, copy_calls = counted_paths(monkeypatch)
     results = [trapped([3, 1, 2], 2, 10**6 + 1)]
     data = written(tmp_path, results)
     assert data == reference_rounds_csv(results)
     assert data.endswith(b"\n0,999999,2\n0,1000000,1\n0,1000001,2\n")
+    assert b"\n0,99999,2\n0,100000,1\n0,100001,2\n" in data
+    # a span is copied from the one before it unless its number has
+    # another digit count: spans 1, 10 and 100 are formatted
+    assert span_calls[4:] == [(b"0,1", 4, 0, SPAN), (b"0,10", 4, 0, SPAN), (b"0,100", 4, 0, 2)]
+    copied = [*range(2, 10), *range(11, 100)]
+    assert copy_calls == [(b"%d" % a, SPAN) for a in copied]
+
+
+def test_a_trapped_trial_formats_one_tail_span_of_nine(tmp_path, monkeypatch):
+    _, span_calls, copy_calls = counted_paths(monkeypatch)
+    results = [trapped([3, 1, 2], 2, 10**5)]
+    assert written(tmp_path, results) == reference_rounds_csv(results)
+    # spans 2..9 repeat span 1; span 10 (round 100000 alone) has a
+    # two-digit number, so it is formatted
+    assert span_calls == [*head_pieces(b"0,"), (b"0,1", 4, 0, SPAN), (b"0,10", 4, 0, 1)]
+    assert copy_calls == [(b"%d" % a, SPAN) for a in range(2, 10)]
+
+
+def test_an_orbit_whose_period_does_not_divide_the_span(tmp_path, monkeypatch):
+    _, span_calls, copy_calls = counted_paths(monkeypatch)
+    results = [trapped([5, 6, 7, 8], 3, 5 * SPAN + 3)]
+    assert written(tmp_path, results) == reference_rounds_csv(results)
+    # offset j of span a is round a * SPAN + j, whose place in the period
+    # moves with a, so every span is formatted
+    assert span_calls[4:] == [(b"0,%d" % a, 4, 0, SPAN) for a in range(1, 5)] + [(b"0,5", 4, 0, 4)]
+    assert copy_calls == []
+
+
+@pytest.mark.parametrize(
+    "history",
+    [
+        History(10**6, [4], skip=(1, 3 * SPAN + 1234)),
+        History(10**6, [2, 7, 3], skip=(2, 4 * SPAN + 17)),
+        History(10**6, [5, 0, 1, 0, 1], skip=(2, 2 * SPAN + 9999)),
+        # full retention: each stored round is a position in sets
+        History(10**6, [1, 0, 1], sets=(frozenset({0, 1}), frozenset({2})), skip=(2, 3 * SPAN + 5)),
+    ],
+    ids=["period1", "period2", "period2_after_an_entry", "period2_full_retention"],
+)
+def test_periods_one_and_two_end_in_a_partial_span(tmp_path, monkeypatch, history):
+    _, span_calls, copy_calls = counted_paths(monkeypatch)
+    results = [SimpleNamespace(history=history)]
+    assert written(tmp_path, results) == reference_rounds_csv(results)
+    # span 1 is formatted, the rest copied, the last one in part
+    spans = len(history) // SPAN
+    assert span_calls[4:] == [(b"0,1", 4, 0, SPAN)]
+    assert copy_calls == [(b"%d" % a, SPAN) for a in range(2, spans)] + [
+        (b"%d" % spans, len(history) - spans * SPAN + 1)
+    ]
+
+
+def test_a_span_after_one_holding_stored_rounds_is_formatted(tmp_path, monkeypatch):
+    _, span_calls, copy_calls = counted_paths(monkeypatch)
+    # the stored rounds run to round 15002, inside span 1; span 2 is the
+    # first one whose previous span repeats the orbit throughout
+    results = [trapped([7] * 15_000 + [1, 2], 2, 4 * SPAN + 3)]
+    data = written(tmp_path, results)
+    assert data == reference_rounds_csv(results)
+    assert b"\n0,15000,7\n0,15001,1\n0,15002,2\n0,15003,1\n" in data
+    assert span_calls[4:] == [(b"0,1", 4, 0, SPAN), (b"0,2", 4, 0, SPAN)]
+    assert copy_calls == [(b"3", SPAN), (b"4", 4)]
+
+
+def test_a_head_piece_whose_counts_change_width(tmp_path, monkeypatch):
+    csv_calls, span_calls, _ = counted_paths(monkeypatch)
+    # rounds 10..99 hold counts 9 and 10; every other piece has one width
+    stored = [3] * 9 + [9] * 45 + [10] * 45 + [5] * 900 + [6] * 9000
+    results = [trapped(stored, 1, SPAN + 3)]
+    data = written(tmp_path, results)
+    assert data == reference_rounds_csv(results)
+    assert b"\n0,54,9\n0,55,10\n" in data
+    assert csv_calls == [90]
+    assert span_calls == [*head_pieces(b"0,"), (b"0,1", 4, 0, 4)]
 
 
 def test_long_trials_with_indices_of_one_to_five_digits(tmp_path):
