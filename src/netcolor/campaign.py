@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import frugal_bounds
-from .engine import HISTORY_BLOCK, GameConfig, Strategy, TrialResult, is_proper, run
+from .engine import DEFAULT_MAX_ROUNDS, HISTORY_BLOCK, GameConfig, Strategy, TrialResult, is_proper, run
 from .errors import ConfigError, ContractViolation
 from .graph import Graph, format_edge_list, generate
 
@@ -52,7 +52,7 @@ class ExperimentSpec:
     strategy: Strategy
     trials: int
     base_seed: int
-    max_rounds: int = 10**6
+    max_rounds: int = DEFAULT_MAX_ROUNDS
     retention: str = "counts"
     allow_illegal_k: bool = False
     initial: tuple[int, ...] | None = None
@@ -431,7 +431,7 @@ def sweep(
     p: float | None = None,
     avg_degree: float = 8.0,
     graph_seed: int | None = None,
-    max_rounds: int = 10**6,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
     jobs: int = 1,
 ) -> list[dict]:
     """One campaign per n, plus the closed-form envelope column.

@@ -28,9 +28,9 @@ from .campaign import (
     run_campaign,
     sweep,
 )
-from .engine import RETENTIONS, Strategy
+from .engine import DEFAULT_MAX_ROUNDS, RETENTIONS, Strategy
 from .errors import ContractViolation, EnumerationLimitError, NetcolorError
-from .graph import FAMILIES, format_edge_list, generate, read_edge_list, write_edge_list
+from .graph import FAMILIES, format_edge_list, generate, read_edge_list
 from .verification import DEFAULT_SEED, LEVELS, run_all
 
 
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--strategy", choices=[s.value for s in Strategy])
     campaign.add_argument("--trials", type=int, default=100)
     campaign.add_argument("--seed", type=int, default=0, help="base seed; trial i uses seed+i")
-    campaign.add_argument("--max-rounds", type=int, default=10**6)
+    campaign.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
     campaign.add_argument("--jobs", type=int, default=1)
     campaign.add_argument("--config", help="key=value config file; flags win")
 
@@ -159,16 +159,30 @@ def _load_graph(args: argparse.Namespace):
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
-    """Refuse an --out or --rounds-out path that is a directory or lies in no directory."""
+    """Refuse an --out or --rounds-out path that is empty, a directory or in no directory.
+
+    An empty path is not read as stdout: run's stdout carries its summary.
+    """
     for flag in ("out", "rounds_out"):
         path = getattr(args, flag, None)
-        if not path:
+        if path is None:
             continue
         name = "--" + flag.replace("_", "-")
+        if not path:
+            raise UsageError(f"{name} is empty")
         if os.path.isdir(path):
             raise UsageError(f"{name} {path} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise UsageError(f"{name} {path}: no such directory")
+
+
+def _write_out(path: str | None, text: str) -> None:
+    """Write text to the --out file path, or to stdout when no path was given."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _strategy(args: argparse.Namespace) -> Strategy:
@@ -219,12 +233,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_rounds=args.max_rounds,
         jobs=args.jobs,
     )
-    table = format_sweep_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table)
-    else:
-        sys.stdout.write(table)
+    _write_out(args.out, format_sweep_csv(rows))
     return 0
 
 
@@ -234,8 +243,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        _write_out(args.out, text + "\n")
     return 0 if passed else 1
 
 
@@ -250,10 +258,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     g = generate(args.family, args.n, p=args.p, seed=args.graph_seed)
-    if args.out:
-        write_edge_list(g, args.out)
-    else:
-        sys.stdout.write(format_edge_list(g))
+    _write_out(args.out, format_edge_list(g))
     return 0
 
 

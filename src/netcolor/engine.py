@@ -20,12 +20,13 @@ rows from there on. Both take for each redraw the r-th color outside its
 excluded set (the neighbors' colors, less the player's own under
 Frugal), found by rank in O(degree) whatever k is, and both draw the
 same colors from the same stream. The Python round stays because numpy's
-per-call cost dominates small rounds: with numpy-only rounds a K3 trial
-took about 3x as long (34 to 104 us) and an ER(1000) trial about 9%
-longer. run() and step() play them, the verification suite samples the
-numpy round over stacked copies of a graph, and the tests pin both draw
-for draw to the oracle's independent twin of the rules, which alone
-lists available sets over range(k).
+per-call cost dominates small rounds: with numpy-only rounds, 2000 K3
+trials took 3.3x as long (91 to 305 ms), 40 cycle(100) trials 64% longer
+and 40 ER(1000) trials 3% longer (median of 7 interleaved passes on a
+2-CPU host, Python 3.11, numpy 2.4). run() and step() play them, the
+verification suite samples the numpy round over stacked copies of a
+graph, and the tests pin both draw for draw to the oracle's independent
+twin of the rules, which alone lists available sets over range(k).
 
 Happiness is monotone: a happy player keeps its color, and a redraw
 takes a color no neighbor holds or, under Frugal, the player's own,
@@ -92,6 +93,9 @@ class Strategy(Enum):
 # randrange(k) must take one 32-bit word per try for the bulk reads.
 MAX_K = 2**32
 
+# Rounds a trial plays before it times out, unless told otherwise.
+DEFAULT_MAX_ROUNDS = 10**6
+
 # What the game takes as an integer: a Python or a numpy one.
 _INTEGERS = (int, np.integer)
 
@@ -109,7 +113,7 @@ class GameConfig:
     k: int
     strategy: Strategy
     seed: int
-    max_rounds: int = 10**6
+    max_rounds: int = DEFAULT_MAX_ROUNDS
     enforce_k_bound: bool = True
     initial: tuple[int, ...] | None = None
 
@@ -314,7 +318,9 @@ class TrialResult:
 RETENTIONS = ("full", "counts")
 
 
-# Below this many vertices a Python scan beats numpy's per-call overhead.
+# Below this many vertices a Python scan beats numpy's per-call overhead:
+# with numpy scans only, 2000 K3 trials took 8% longer (112 to 121 ms,
+# same host and method as the round timings in the module docstring).
 VECTOR_SCAN_MIN = 32
 
 

@@ -88,76 +88,55 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-def _floor_cases(level: str):
-    """Every case the exact floor checks visit, in order.
+def _floor_scan(level: str, law, holds, fields) -> tuple[list, list[dict]]:
+    """law at every unhappy vertex of every conflicted coloring of the level's corpus.
 
-    Yields (instance, coloring, state, unhappy vertex, cache) for each
-    unhappy vertex of each conflicted coloring of the level's corpus;
-    cache is one fresh dict per instance, to share across its cases.
+    law is called as ``law(graph, state, v, Strategy.FRUGAL, k, cache=cache)``
+    with one fresh cache per instance. Returns (every value of law, in
+    order; one violation record per value failing holds, which gives its
+    instance, coloring and vertex followed by ``fields(value)``).
     """
+    values = []
+    violations = []
     for inst in corpus_for(level):
         cache: dict = {}
         for colors in conflicted_colorings(inst.graph, inst.k):
             state = ColoringState(colors, 1)
             for v in _unhappy_list(inst.graph, colors):
-                yield inst, colors, state, v, cache
+                value = law(inst.graph, state, v, Strategy.FRUGAL, inst.k, cache=cache)
+                values.append(value)
+                if not holds(value):
+                    violations.append({"instance": inst.name, "coloring": list(colors),
+                                       "vertex": v, **fields(value)})
+    return values, violations
 
 
 def check_available_size_floor(level: str = "full") -> CheckResult:
     """Exact tail floor on |available set| after one round, corpus-wide."""
-    checked = 0
-    violations = []
-    for inst, colors, state, v, cache in _floor_cases(level):
-        res = available_size_distribution(
-            inst.graph, state, v, Strategy.FRUGAL, inst.k, cache=cache
-        )
-        checked += 1
-        if not res.holds:
-            violations.append(
-                {
-                    "instance": inst.name,
-                    "coloring": list(colors),
-                    "vertex": v,
-                    "prob": str(res.prob_at_least),
-                    "threshold": str(res.threshold),
-                }
-            )
+    laws, violations = _floor_scan(
+        level, available_size_distribution, lambda law: law.holds,
+        lambda law: {"prob": str(law.prob_at_least), "threshold": str(law.threshold)},
+    )
     return CheckResult(
         name="available_size_floor",
         passed=not violations,
-        details={"level": level, "checked": checked, "violations": violations},
+        details={"level": level, "checked": len(laws), "violations": violations},
     )
 
 
 def check_two_round_floor(level: str = "full") -> CheckResult:
     """Exact two-round happiness floor, corpus-wide, with the worst case reported."""
-    checked = 0
-    violations = []
-    min_prob = None
-    for inst, colors, state, v, cache in _floor_cases(level):
-        prob = two_round_happiness_prob(
-            inst.graph, state, v, Strategy.FRUGAL, inst.k, cache=cache
-        )
-        checked += 1
-        if min_prob is None or prob < min_prob:
-            min_prob = prob
-        if not two_round_floor_holds(prob):
-            violations.append(
-                {
-                    "instance": inst.name,
-                    "coloring": list(colors),
-                    "vertex": v,
-                    "prob": str(prob),
-                }
-            )
+    probs, violations = _floor_scan(
+        level, two_round_happiness_prob, two_round_floor_holds, lambda prob: {"prob": str(prob)}
+    )
     return CheckResult(
         name="two_round_happiness_floor",
         passed=not violations,
         details={
             "level": level,
-            "checked": checked,
+            "checked": len(probs),
             "violations": violations,
-            "min_prob": str(min_prob),
+            "min_prob": str(min(probs, default=None)),
         },
     )
 

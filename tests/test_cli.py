@@ -406,18 +406,23 @@ def test_runtime_value_error_exits_1(monkeypatch, capsys):
         (("gen", "--family", "complete", "--n", "3"), "--out"),
     ],
 )
-@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "empty"])
 def test_bad_output_paths_are_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, flag, where):
     def ran(*args, **kwargs):
         raise AssertionError("work ran")
 
     for name in ("run_campaign", "sweep", "run_all", "generate"):
         monkeypatch.setattr(netcolor.cli, name, ran)
-    path = tmp_path / "missing" / "out.csv" if where == "missing directory" else tmp_path
+    monkeypatch.chdir(tmp_path)  # where a relative path would be written
+    # an empty path is not stdout either: run's stdout carries the summary JSON
+    path, reason = {"missing directory": (tmp_path / "missing" / "out.csv", "no such directory"),
+                    "directory": (tmp_path, "is a directory"), "empty": ("", "is empty")}[where]
     assert run_cli(*argv, flag, str(path)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} {path}")
+    assert reason in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_error_is_a_value_error():

@@ -89,10 +89,13 @@ def test_floor_checks_report_every_violation(monkeypatch, capsys):
     assert size.passed is False and two.passed is False
     assert len(size.details["violations"]) == size.details["checked"]
     assert two.details["violations"]
+    # verify prints the JSON in insertion order, so the key order is output too
+    assert list(size.details) == ["level", "checked", "violations"]
+    assert list(two.details) == ["level", "checked", "violations", "min_prob"]
     by_name = {inst.name: inst for inst in FAST_CORPUS}
-    for res, keys in ((size, {"threshold"}), (two, set())):
+    for res, keys in ((size, ["threshold"]), (two, [])):
         for violation in res.details["violations"]:
-            assert set(violation) == {"instance", "coloring", "vertex", "prob"} | keys
+            assert list(violation) == ["instance", "coloring", "vertex", "prob", *keys]
             inst = by_name[violation["instance"]]
             state = ColoringState(tuple(violation["coloring"]), 1)
             args = (inst.graph, state, violation["vertex"], Strategy.FRUGAL, inst.k)
