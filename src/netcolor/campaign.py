@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import frugal_bounds
-from .engine import DEFAULT_MAX_ROUNDS, HISTORY_BLOCK, GameConfig, Strategy, TrialResult, is_proper, run
+from .engine import (DEFAULT_MAX_ROUNDS, HISTORY_BLOCK, _INTEGERS, GameConfig, Strategy,
+                     TrialResult, is_proper, run)
 from .errors import ConfigError, ContractViolation
 from .graph import Graph, format_edge_list, generate
 
@@ -58,6 +59,8 @@ class ExperimentSpec:
     initial: tuple[int, ...] | None = None
 
     def validate(self) -> None:
+        if not isinstance(self.trials, _INTEGERS):
+            raise ConfigError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         self.trial_config(0).validate(self.graph)
@@ -159,9 +162,11 @@ def run_campaign(
     is re-validated as proper.
     """
     spec.validate()
-    start = time.perf_counter()
+    if not isinstance(jobs, _INTEGERS):
+        raise ConfigError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    start = time.perf_counter()
     if jobs == 1:
         results = [
             run(spec.graph, spec.trial_config(i), retention=spec.retention)
@@ -233,11 +238,11 @@ def write_trials_csv(path: str, results) -> None:
 def write_rounds_csv(path: str, results) -> None:
     """Long-format per-round unhappy counts: trial,round,unhappy_count.
 
-    Rows are read from each history with History.count_range a bounded
-    piece at a time and written at once, so memory stays O(HISTORY_BLOCK
-    + SPAN) even for a trial whose forced orbit was skipped: a trial of
-    fewer than SPAN rounds in HISTORY_BLOCK-row blocks across trials, a
-    longer one in fixed-width pieces of at most SPAN rows.
+    Rows are read from each history with History.count_range and written
+    a bounded piece at a time, so memory stays O(HISTORY_BLOCK + SPAN)
+    even for a trial whose forced orbit was skipped: trials of fewer than
+    SPAN rounds whole, gathered into blocks of at least HISTORY_BLOCK
+    rows, a longer one in fixed-width pieces of at most SPAN rows.
     """
     with open(path, "wb") as fh:
         fh.write(b"trial,round,unhappy_count\n")
@@ -255,29 +260,21 @@ SPAN = 10**4
 def _round_rows(results):
     """Yield the rows of every trial's rounds, in order, as bytes-like objects.
 
-    A trial of fewer than SPAN rounds goes into blocks of HISTORY_BLOCK
-    rows, the last maybe fewer, that run across trials and are formatted
-    by `_csv_rows`. A longer trial cuts the block and goes through
-    `_long_trial_rows`.
+    Whole trials of fewer than SPAN rounds go into a block for `_csv_rows`,
+    yielded once it holds at least HISTORY_BLOCK rows or a longer trial
+    comes, which goes through `_long_trial_rows`.
     """
-    pending, filled = [], 0  # (trial, first round, counts) pieces of the next block
+    pending, filled = [], 0  # (trial, counts) of the next block, and its rows
     for i, r in enumerate(results):
-        history, lo = r.history, 0
-        rounds = len(history)
+        rounds = len(r.history)
+        if rounds < SPAN:
+            pending.append((i, r.history.count_range(0, rounds)))
+            filled += rounds
+        if pending and (filled >= HISTORY_BLOCK or rounds >= SPAN):
+            yield _csv_rows(_block_columns(pending))
+            pending, filled = [], 0
         if rounds >= SPAN:
-            if pending:
-                yield _csv_rows(_block_columns(pending))
-                pending, filled = [], 0
-            yield from _long_trial_rows(i, history)
-            continue
-        while lo < rounds:
-            piece = history.count_range(lo, min(rounds, lo + HISTORY_BLOCK - filled))
-            pending.append((i, lo + 1, piece))
-            filled += len(piece)
-            lo += len(piece)
-            if filled == HISTORY_BLOCK:
-                yield _csv_rows(_block_columns(pending))
-                pending, filled = [], 0
+            yield from _long_trial_rows(i, r.history)
     if pending:
         yield _csv_rows(_block_columns(pending))
 
@@ -314,11 +311,12 @@ def _long_trial_rows(trial: int, history):
 
 
 def _block_columns(pending):
-    trials, firsts, pieces = zip(*pending)
-    lengths = np.array([len(p) for p in pieces])
-    starts = np.cumsum(lengths) - lengths  # row of each piece's first round
-    rounds = np.arange(lengths.sum()) + np.repeat(np.array(firsts) - starts, lengths)
-    return np.repeat(trials, lengths), rounds, np.concatenate(pieces)
+    """The trial, round and count columns of whole trials, each from round 1."""
+    trials, counts = zip(*pending)
+    lengths = np.array([len(c) for c in counts])
+    starts = np.cumsum(lengths) - lengths  # row of each trial's round 1
+    rounds = np.arange(1, lengths.sum() + 1) - np.repeat(starts, lengths)
+    return np.repeat(trials, lengths), rounds, np.concatenate(counts)
 
 
 # "0000".."9999": the four ASCII digits of each offset in a span, one row each
@@ -438,18 +436,16 @@ def sweep(
 
     For erdos_renyi sweeps, a fixed p overrides the default policy of
     holding the expected degree at avg_degree across n; the fixed families
-    ignore p and the graph seed. Every size is checked before the first
-    campaign runs.
+    ignore p and the graph seed. Every size's graph and palette are
+    built and its campaign validated before the first campaign runs.
     """
-    ns = list(ns)
-    for n in ns:
-        if n < 1:
-            raise ConfigError(f"n must be >= 1, got {n}")
     if p is None and not (math.isfinite(avg_degree) and avg_degree >= 0):
         # min(1.0, inf / n) and min(1.0, nan) are both 1: complete graphs
         raise ConfigError(f"avg_degree must be finite and >= 0, got {avg_degree}")
-    rows = []
+    specs = []
     for n in ns:
+        if n < 1:
+            raise ConfigError(f"n must be >= 1, got {n}")
         pn = p if p is not None else min(1.0, avg_degree / n)
         g = generate(family, n, p=pn, seed=base_seed if graph_seed is None else graph_seed)
         spec = ExperimentSpec(
@@ -461,9 +457,13 @@ def sweep(
             max_rounds=max_rounds,
             retention="counts",
         )
+        spec.validate()
+        specs.append(spec)
+    rows = []
+    for spec in specs:
         summary = run_campaign(spec, jobs=jobs).summary
         row = {c: getattr(summary, c) for c in SWEEP_COLUMNS if c != "e_t_bound"}
-        row["e_t_bound"] = frugal_bounds(n).e_t_bound
+        row["e_t_bound"] = frugal_bounds(summary.n).e_t_bound
         rows.append(row)
     return rows
 

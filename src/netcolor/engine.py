@@ -38,21 +38,24 @@ redrawn players that still clash.
 Forced orbits. A round in which every unhappy vertex has a one-element
 set draws nothing: its outcome depends on the coloring alone and the
 stream is left untouched. So once a coloring repeats within an unbroken
-run of such rounds, every later round repeats with it. run() watches
-each run of no-draw rounds with Brent's cycle finder (one stored
-coloring, reset by any round that draws) and, on a repeat of period p,
-jumps over every whole period left before max_rounds, then plays the
-fewer than p rounds that remain. This is the greedy trap at k = Delta + 1
-(and a frugal fixed point at an illegal k): a timed-out trial costs
-O(orbit entry + period) rounds, not O(max_rounds). At a legal k every
-available set has at least two colors, so the finder never fires.
+run of such rounds, every later round repeats with it. run() compares
+each such round's coloring with the last two of its run and, on a match
+at distance p, jumps over every whole period left before max_rounds,
+then plays the fewer than p rounds that remain. Two are enough: a forced
+frugal player keeps its color, and a forced greedy player still unhappy
+takes back its color of two rounds before, which no neighbor took or
+kept in between; only the at most n rounds that make a player happy
+break such a period of 2. A match proves the orbit either way. This is the
+greedy trap at k = Delta + 1 (and a frugal fixed point at an illegal k):
+a timed-out trial costs O(orbit entry) rounds, not O(max_rounds). At a
+legal k every available set has at least two colors, so no round is forced.
 
 History. A trial's per-round records live in a :class:`History` as one
 int64 per stored round: its unhappy count or, under full retention, the
 index of its unhappy set among the trial's distinct sets, each held
 once. run() stores no round after a skipped orbit; the skip (period,
 length) says that every later round repeats the last stored period, so
-a trapped trial's history takes O(orbit entry + period) memory too.
+a trapped trial's history takes O(orbit entry) memory too.
 Lengths, indexing, iteration, pickling and the rounds CSV read those
 rounds from the period; RoundRecords are built on access.
 """
@@ -65,7 +68,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 
@@ -249,41 +251,37 @@ class History(Sequence):
         entries = self._entries(lo, hi)
         return entries if self.sets is None else self._sizes[entries]
 
-    def _rounds(self, lo, hi) -> tuple[np.ndarray, list[frozenset[int]] | None]:
-        """(unhappy counts, unhappy sets or None) of rounds[lo:hi]."""
-        entries = self._entries(lo, hi)
-        if self.sets is None:
-            return entries, None
-        return self._sizes[entries], list(map(self.sets.__getitem__, entries.tolist()))
+    def _records(self, lo, hi) -> list[RoundRecord]:
+        """The RoundRecords of rounds[lo:hi], 0 <= lo <= len and hi as in a slice."""
+        entries, n, sets = self._entries(lo, hi).tolist(), self.n, self.sets
+        if sets is None:
+            return [RoundRecord(i, None, n - count) for i, count in enumerate(entries, lo + 1)]
+        return [RoundRecord(i, sets[e], n - len(sets[e])) for i, e in enumerate(entries, lo + 1)]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
         i = range(len(self))[i]  # bounds and negative indices as for a tuple
-        counts, sets = self._rounds(i, i + 1)
-        return RoundRecord(i + 1, None if sets is None else sets[0], self.n - int(counts[0]))
-
-    def _blocks(self):
-        """(first round, counts, unhappy sets or None) over blocks of the rounds."""
-        for lo in range(0, len(self), HISTORY_BLOCK):
-            yield lo + 1, *self._rounds(lo, lo + HISTORY_BLOCK)
+        return self._records(i, i + 1)[0]
 
     def __iter__(self):
-        n = self.n
-        for first, counts, sets in self._blocks():
-            for i, (count, unhappy) in enumerate(
-                zip(counts.tolist(), repeat(None) if sets is None else sets), first
-            ):
-                yield RoundRecord(i, unhappy, n - count)
+        for lo in range(0, len(self), HISTORY_BLOCK):
+            yield from self._records(lo, lo + HISTORY_BLOCK)
 
     def __eq__(self, other):
         if not isinstance(other, History):
             return NotImplemented
         if len(self) != len(other) or (self.sets is None) != (other.sets is None):
             return False
+
+        def unhappy(h, lo):
+            return list(map(h.sets.__getitem__, h._entries(lo, lo + HISTORY_BLOCK).tolist()))
+
         return all(
-            np.array_equal(self.n - a[1], other.n - b[1]) and a[2] == b[2]
-            for a, b in zip(self._blocks(), other._blocks())
+            np.array_equal(self.n - self.count_range(lo, lo + HISTORY_BLOCK),
+                           other.n - other.count_range(lo, lo + HISTORY_BLOCK))
+            and (self.sets is None or unhappy(self, lo) == unhappy(other, lo))
+            for lo in range(0, len(self), HISTORY_BLOCK)
         )
 
     def __hash__(self) -> int:
@@ -436,16 +434,16 @@ def run(
     (:func:`_vector_round`), smaller ones in Python (:func:`_scalar_round`);
     both draw the same colors from the same stream.
 
-    Rounds that draw nothing are deterministic, so each unbroken run of
-    them is watched for a repeated coloring with Brent's cycle finder
-    (R. P. Brent, BIT 20, 1980): one anchor coloring, moved at powers of
-    two and dropped by any round that draws. On a repeat of period p,
-    every whole period left before max_rounds is skipped, and the history
-    stores no more rounds: its skip repeats the period just played up to
-    max_rounds. The loop then plays the fewer than p rounds that remain
-    for the final coloring. tau, final_state, min_available, the
-    history's records and the stream come out as if every round had been
-    played. A timeout is a value (tau=None), not an error.
+    Rounds that draw nothing depend on the coloring alone, so each
+    no-draw round's coloring is compared with those of the last two
+    rounds, while they drew nothing too; a forced orbit has period 1 or 2
+    (module docstring). On a match at distance p, every whole period left
+    before max_rounds is skipped, and the history stores no more rounds:
+    its skip repeats the period just played up to max_rounds. The loop
+    then plays the fewer than p rounds that remain for the final
+    coloring. tau, final_state, min_available, the history's records and
+    the stream come out as if every round had been played. A timeout is
+    a value (tau=None), not an error.
     """
     if retention not in RETENTIONS:
         raise ConfigError(f"retention must be one of {RETENTIONS}, got {retention!r}")
@@ -462,7 +460,8 @@ def run(
     stored = array("q")
     sets: dict[frozenset[int], int] | None = {} if retention == "full" else None
     min_available: int | None = None
-    anchor: tuple[int, ...] | None = None
+    # the colorings of the last two rounds, while they drew nothing
+    last = before = None
     skip: tuple[int, int] | None = None
     rnd = 1
     while True:
@@ -476,21 +475,17 @@ def run(
             min_available = low
         rnd += 1
         if drew:
-            anchor = None
+            last = before = None
             continue
         coloring = tuple(colors) if isinstance(colors, list) else tuple(colors.tolist())
-        if anchor is None:
-            anchor, power, period = coloring, 1, 0
-            continue
-        period += 1
-        if coloring == anchor:
+        period = 1 if coloring == last else 2 if coloring == before else 0
+        if period:
             # rounds rnd - period .. rnd - 1 are one period, stored; every
             # later round repeats it, so none is stored, and fewer than
             # `period` are left to play after the jump
             skip = (period, cfg.max_rounds)
             rnd += (cfg.max_rounds - rnd) // period * period
-        elif period == power:
-            anchor, power, period = coloring, 2 * power, 0
+        before, last = last, coloring
     if not isinstance(colors, list):
         colors = colors.tolist()
     return TrialResult(

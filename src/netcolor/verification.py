@@ -215,9 +215,11 @@ def chi_square_agreement(
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    # the seed is checked as a game's; any palette the law takes is sampled, legal or not
+    cfg = GameConfig(k=k, strategy=strategy, seed=seed, enforce_k_bound=False)
+    cfg.validate(g)
     dist = one_round_distribution(g, ColoringState(colors, 1), strategy, k)
     expected = {out.colors: float(p) for out, p in dist.support}
-    cfg = GameConfig(k=k, strategy=strategy, seed=seed)
     counts = one_round_counts(g, colors, cfg, random.Random(seed), trials)
 
     unseen = [c for c in counts if c not in expected]

@@ -9,6 +9,7 @@ from netcolor import (
     ConfigError,
     ContractViolation,
     ExperimentSpec,
+    GraphFormatError,
     IllegalPaletteError,
     Strategy,
     complete_graph,
@@ -46,6 +47,9 @@ def test_resolve_k():
 def test_spec_validation():
     with pytest.raises(ValueError, match="trials"):
         spec(trials=0).validate()
+    # range(2.5) would raise TypeError only once the campaign starts
+    with pytest.raises(ConfigError, match="trials must be an integer, got 2.5"):
+        spec(trials=2.5).validate()
     with pytest.raises(IllegalPaletteError):
         spec(k=2).validate()
     spec(k=2, allow_illegal_k=True).validate()
@@ -202,6 +206,8 @@ def test_converged_trial_with_an_improper_coloring_is_refused(monkeypatch, capsy
 def test_jobs_validation():
     with pytest.raises(ValueError, match="jobs"):
         run_campaign(spec(trials=5), jobs=0)
+    with pytest.raises(ConfigError, match="jobs must be an integer, got 1.5"):
+        run_campaign(spec(trials=5), jobs=1.5)
 
 
 def test_quantile_95():
@@ -224,6 +230,11 @@ def test_sweep_refuses_a_bad_size_before_any_campaign(monkeypatch):
     monkeypatch.setattr(campaign, "run_campaign", ran)
     with pytest.raises(ConfigError, match="n must be >= 1, got 0"):
         sweep([50, 0], "erdos_renyi", Strategy.FRUGAL, trials=2)
+    # a size its family cannot build, and one whose palette is refused
+    with pytest.raises(GraphFormatError, match="cycle needs n >= 3, got 2"):
+        sweep([20, 2], "cycle", Strategy.FRUGAL, trials=2)
+    with pytest.raises(IllegalPaletteError):
+        sweep([3, 10], "star", Strategy.FRUGAL, k=3, trials=2)
 
 
 def test_sweep_two_vertex_complete():

@@ -540,13 +540,14 @@ def test_greedy_always_changes_color(gc):
 # initial, seed, orbit entry, period): the coloring of round `entry` recurs
 # every `period` rounds, and run() must equal step() at every max_rounds up
 # to entry + 3 periods + 1. No case has a period above 2, because a forced
-# orbit cannot: a forced frugal player keeps its color, and for greedy the
-# count of (u, v) neighbor pairs where u's color equals v's color of the
-# round before strictly falls whenever a player does not take back its color
-# of two rounds before (its forced color is the only one no neighbor holds),
-# so on an orbit every player repeats with period 1 or 2. The eight-vertex
-# case instead makes the cycle finder move its anchor twice before it meets
-# the repeat.
+# orbit cannot. A greedy redraw takes a color no neighbor held before the
+# round, and a happy neighbor holds another color, so after round t + 1 no
+# neighbor of u holds u's round-t color; if round t + 2 is forced and u is
+# unhappy, that color is u's only free one and u takes it back. A forced
+# frugal player keeps its own color. So within a run of forced rounds
+# x(t + 2) = x(t) under greedy unless round t + 1 made a player happy, and
+# x(t + 1) = x(t) under frugal; test_forced_rounds_repeat_within_two checks
+# both on random starts.
 FORCED_STARTS = [
     pytest.param(TRIANGLE, Strategy.GREEDY, 3, (0, 0, 1), 0, 1, 2, id="greedy-k3-period-2"),
     pytest.param(
@@ -612,12 +613,54 @@ def test_fast_forward_engages(g, strategy, k, initial, seed, entry, period, monk
     assert r.min_available == 1
 
 
+def forced(g, colors, c):
+    """Whether the round from colors draws nothing: every unhappy player has one color."""
+    return all(len(_available(colors, g.neighbors(v), colors[v], c.strategy, c.k)) == 1
+               for v in _unhappy_list(g, colors))
+
+
+@st.composite
+def small_starts(draw):
+    """A graph of 2-7 vertices, a palette of at most its max degree + 1, and a start."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = from_edge_list(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))), n)
+    k = draw(st.integers(1, g.max_degree() + 1))
+    initial = tuple(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    strategy = draw(st.sampled_from(list(Strategy)))
+    return g, GameConfig(k=k, strategy=strategy, seed=draw(st.integers(0, 2**32)),
+                         enforce_k_bound=False, initial=initial)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(small_starts())
+def test_forced_rounds_repeat_within_two(start):
+    # the argument above FORCED_STARTS, checked wherever the rounds played
+    # from x[t] and from x[t + 1] are both forced (x[0] is the start)
+    g, c = start
+    rng = random.Random(c.seed)
+    x = [initial_state(g, c, rng).colors]
+    while len(x) < 12 and _unhappy_list(g, x[-1]):
+        try:
+            x.append(step(g, ColoringState(x[-1], len(x)), c, rng)[0].colors)
+        except ContractViolation as e:  # below the safe palette a set can be empty
+            assert "empty available set" in str(e)
+            break
+    for t in range(len(x) - 2):
+        if not (forced(g, x[t], c) and forced(g, x[t + 1], c)):
+            continue
+        if c.strategy is Strategy.FRUGAL:
+            assert x[t + 1] == x[t]
+        elif _unhappy_list(g, x[t + 1]) == _unhappy_list(g, x[t]):
+            assert x[t + 2] == x[t]
+
+
 def test_trapped_history_stores_only_played_rounds():
     c = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, max_rounds=10**6 + 1,
                    enforce_k_bound=False, initial=(0, 0, 1))
     h = run(TRIANGLE, c).history
-    # rounds 1-4 are stored: the entry and one period of 2, which every later round repeats
-    assert h.skip == (2, 10**6 + 1) and len(h) == 10**6 + 1 and len(h._stored) == 4
+    # rounds 1-3 are stored: the entry and one period of 2, which every later round repeats
+    assert h.skip == (2, 10**6 + 1) and len(h) == 10**6 + 1 and len(h._stored) == 3
     assert len(h.count_range(0, 10)) == 10
     assert h[-1] == RoundRecord(10**6 + 1, frozenset({0, 1}), 1)
     counts = h.count_range(0, len(h))

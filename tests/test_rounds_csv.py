@@ -62,14 +62,16 @@ def test_empty_campaign_and_empty_histories(tmp_path):
     assert written(tmp_path, results) == b"trial,round,unhappy_count\n1,1,3\n"
 
 
-@pytest.mark.parametrize(
-    "lengths",
-    [
-        (8192, 5000, 5000, 1),  # a boundary between trials, then one inside a trial
-        (3, 8191, 8192, 8190, 2),  # boundaries inside trials only
-        (8192, 8192),  # the last row of the file ends a block
-    ],
-)
+# Trial lengths and the rows of each block they are written in: whole
+# trials, a block ending with the trial that brings it to 8192 rows or more
+WHOLE_TRIAL_BLOCKS = {
+    (8192, 5000, 5000, 1): [8192, 10000, 1],  # a trial fills one block, two the next
+    (3, 8191, 8192, 8190, 2): [8194, 8192, 8192],  # 8192-row cuts would split trials 1 and 2
+    (8192, 8192): [8192, 8192],  # the last row of the file ends a block
+}
+
+
+@pytest.mark.parametrize("lengths", list(WHOLE_TRIAL_BLOCKS))
 def test_block_boundaries(tmp_path, monkeypatch, lengths):
     calls = []
 
@@ -81,9 +83,8 @@ def test_block_boundaries(tmp_path, monkeypatch, lengths):
     rng = np.random.default_rng(len(lengths))
     results = trials(*(rng.integers(0, 1000, m) for m in lengths))
     assert written(tmp_path, results) == reference_rounds_csv(results)
-    # one call per full block, across trials, and one for the remainder
-    total = sum(lengths)
-    assert calls == [8192] * (total // 8192) + ([total % 8192] if total % 8192 else [])
+    # one call per block of whole trials, and one for the remainder
+    assert calls == WHOLE_TRIAL_BLOCKS[lengths]
 
 
 @settings(max_examples=50, deadline=None)

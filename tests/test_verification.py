@@ -138,6 +138,17 @@ def test_chi_square_report_fields():
     assert one_round_counts(g, colors, GameConfig(k=k, strategy=strategy, seed=0), rng, 0) == {}
 
 
+def test_agreement_refuses_a_seed_no_game_accepts():
+    name, g, colors, strategy, k = AGREEMENT_INSTANCES[0]
+    # random.Random(-3) plays seed 3's stream, and 1.5 one that no integer seed gives
+    for seed, message in ((-3, "seed must be >= 0"), (1.5, "seed must be an integer")):
+        with pytest.raises(ConfigError, match=message):
+            chi_square_agreement(g, colors, strategy, k, trials=100, seed=seed)
+    # a palette below the safe bound is still sampled: greedy at k = 3 on the triangle
+    rep = chi_square_agreement(g, colors, Strategy.GREEDY, 3, trials=100, seed=3)
+    assert rep["passed"] and rep["chi2"] == 0.0
+
+
 @pytest.mark.parametrize(
     "colors,message",
     [
