@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 # Per-two-round success floor for an unhappy frugal player. Its exact
 # rational bracketing lives in the oracle module; the float is what the
@@ -56,8 +56,7 @@ def frugal_bounds(n: int) -> BoundReport:
     An n whose variance bound is not a finite float (n above about 4.98e299)
     is refused.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    check_int("n", n, 1)
     m = mu()
     return BoundReport(
         n=n,
@@ -74,8 +73,7 @@ def greedy_bound(n: int, delta: float) -> float:
 
     An n/delta past the largest float is refused.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    check_int("n", n, 1)
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must be in (0, 1), got {delta}")
     return GREEDY_CONSTANT * math.log(_finite(lambda: n / delta, "n/delta"))

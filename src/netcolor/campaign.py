@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import frugal_bounds
-from .engine import (DEFAULT_MAX_ROUNDS, HISTORY_BLOCK, _INTEGERS, GameConfig, Strategy,
+from .engine import (DEFAULT_MAX_ROUNDS, HISTORY_BLOCK, GameConfig, Strategy,
                      TrialResult, is_proper, run)
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, check_int
 from .graph import Graph, format_edge_list, generate
 
 # Each k rule's palette size less the graph's max degree.
@@ -59,10 +59,7 @@ class ExperimentSpec:
     initial: tuple[int, ...] | None = None
 
     def validate(self) -> None:
-        if not isinstance(self.trials, _INTEGERS):
-            raise ConfigError(f"trials must be an integer, got {self.trials!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        check_int("trials", self.trials, 1)
         self.trial_config(0).validate(self.graph)
 
     def trial_config(self, trial: int) -> GameConfig:
@@ -162,10 +159,7 @@ def run_campaign(
     is re-validated as proper.
     """
     spec.validate()
-    if not isinstance(jobs, _INTEGERS):
-        raise ConfigError(f"jobs must be an integer, got {jobs!r}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_int("jobs", jobs, 1)
     start = time.perf_counter()
     if jobs == 1:
         results = [
@@ -444,8 +438,7 @@ def sweep(
         raise ConfigError(f"avg_degree must be finite and >= 0, got {avg_degree}")
     specs = []
     for n in ns:
-        if n < 1:
-            raise ConfigError(f"n must be >= 1, got {n}")
+        check_int("n", n, 1)
         pn = p if p is not None else min(1.0, avg_degree / n)
         g = generate(family, n, p=pn, seed=base_seed if graph_seed is None else graph_seed)
         spec = ExperimentSpec(

@@ -71,7 +71,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, IllegalPaletteError
+from .errors import INTEGERS, ConfigError, ContractViolation, IllegalPaletteError, check_int
 from .graph import Graph
 
 
@@ -89,17 +89,15 @@ class Strategy(Enum):
 
     def min_colors(self, max_degree: int) -> int:
         """Smallest palette size this strategy is guaranteed to work with."""
-        return max_degree + 2 if self is Strategy.GREEDY else max_degree + 1
+        # not Strategy.GREEDY: an Enum class attribute takes 0.1 µs on Python 3.11
+        return max_degree + 2 if self._value_ == "greedy" else max_degree + 1
 
 
-# randrange(k) must take one 32-bit word per try for the bulk reads.
-MAX_K = 2**32
+# The largest palette: one randrange(k) try must fit a 32-bit word.
+MAX_K = 2**32 - 1
 
 # Rounds a trial plays before it times out, unless told otherwise.
 DEFAULT_MAX_ROUNDS = 10**6
-
-# What the game takes as an integer: a Python or a numpy one.
-_INTEGERS = (int, np.integer)
 
 
 @dataclass(frozen=True)
@@ -122,22 +120,11 @@ class GameConfig:
     def validate(self, g: Graph) -> None:
         # randrange(2.0) is deprecated, random.Random(1.5) seeds a stream
         # no integer seed gives, and max_rounds=2.5 would play 3 rounds
-        if not isinstance(self.k, _INTEGERS):
-            raise ConfigError(f"k must be an integer, got {self.k!r}")
-        if not 1 <= self.k < MAX_K:
-            raise ConfigError(f"k must be >= 1 and < 2**32, got {self.k}")
-        if not isinstance(self.seed, _INTEGERS):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            # random.Random(s) seeds with abs(s): seeds -s and s would repeat a stream
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not isinstance(self.max_rounds, _INTEGERS):
-            raise ConfigError(f"max_rounds must be an integer, got {self.max_rounds!r}")
-        if self.max_rounds < 1:
-            raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.max_rounds > sys.maxsize:
-            # a History's length, read back by indexing, must fit an index
-            raise ConfigError(f"max_rounds must be <= {sys.maxsize}, got {self.max_rounds}")
+        check_int("k", self.k, 1, MAX_K)
+        # random.Random(s) seeds with abs(s): seeds -s and s would repeat a stream
+        check_int("seed", self.seed, 0)
+        # a History's length, read back by indexing, must fit an index
+        check_int("max_rounds", self.max_rounds, 1, sys.maxsize)
         if self.enforce_k_bound:
             need = self.strategy.min_colors(g.max_degree())
             if self.k < need:
@@ -151,10 +138,11 @@ class GameConfig:
 
 def check_coloring(g: Graph, colors, k: int) -> None:
     """Refuse colors unless it is a state of the game: one integer in [0, k) per vertex of g."""
+    check_int("k", k, 1)
     if len(colors) != g.n:
         raise ConfigError(f"coloring has {len(colors)} entries for n={g.n}")
     for v, c in enumerate(colors):
-        if not isinstance(c, _INTEGERS):
+        if not isinstance(c, INTEGERS):
             raise ConfigError(f"color {c!r} at vertex {v} is not an integer")
         if not 0 <= c < k:
             raise ConfigError(f"color {c} at vertex {v} outside [0, {k})")

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, check_int
 
 
 class Graph:
@@ -122,8 +122,7 @@ def from_edge_list(pairs: Iterable[tuple[int, int]], n: int) -> Graph:
     Duplicate pairs (in either orientation) collapse silently; self-loops
     and out-of-range endpoints are rejected.
     """
-    if n < 0:
-        raise GraphFormatError(f"vertex count must be >= 0, got {n}")
+    check_int("vertex count", n, 0, error=GraphFormatError)
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for a, b in pairs:
         if a == b:
@@ -136,25 +135,25 @@ def from_edge_list(pairs: Iterable[tuple[int, int]], n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    _check_n(n)
+    check_int("n", n, 1, error=GraphFormatError)
     return from_edge_list([(u, v) for u in range(n) for v in range(u + 1, n)], n)
 
 
 def cycle_graph(n: int) -> Graph:
-    _check_n(n)
+    check_int("n", n, 1, error=GraphFormatError)
     if n < 3:
         raise GraphFormatError(f"cycle needs n >= 3, got {n}")
     return from_edge_list([(v, (v + 1) % n) for v in range(n)], n)
 
 
 def path_graph(n: int) -> Graph:
-    _check_n(n)
+    check_int("n", n, 1, error=GraphFormatError)
     return from_edge_list([(v, v + 1) for v in range(n - 1)], n)
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices total: center 0 joined to leaves 1..n-1."""
-    _check_n(n)
+    check_int("n", n, 1, error=GraphFormatError)
     return from_edge_list([(0, v) for v in range(1, n)], n)
 
 
@@ -178,15 +177,12 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     ``a = w0 >> 5`` and ``b = w1 >> 6``. They are read in chunks of
     PAIR_CHUNK pairs, so memory stays bounded for any n.
     """
-    _check_n(n)
+    check_int("n", n, 1, error=GraphFormatError)
     if not 0.0 <= p <= 1.0:
         raise GraphFormatError(f"edge probability must be in [0, 1], got {p}")
-    if not isinstance(seed, (int, np.integer)):
-        # random.Random(1.5) seeds from the float's hash: a graph no integer seed gives
-        raise GraphFormatError(f"graph seed must be an integer, got {seed!r}")
-    if seed < 0:
-        # random.Random(s) seeds with abs(s): seeds -s and s would give one graph
-        raise GraphFormatError(f"graph seed must be >= 0, got {seed}")
+    # random.Random(1.5) seeds from the float's hash, a graph no integer seed
+    # gives, and random.Random(s) seeds with abs(s): seeds -s and s give one graph
+    check_int("graph seed", seed, 0, error=GraphFormatError)
     # int(): random.Random refuses numpy integers
     doubles = np.random.Generator(mt19937_at(random.Random(int(seed))))
     rows = np.arange(n, dtype=np.int64)
@@ -231,11 +227,6 @@ def generate(kind: str, n: int, p: float | None = None, seed: int | None = None)
     if seed is None:
         raise GraphFormatError("erdos_renyi requires a seed")
     return erdos_renyi(n, p, seed)
-
-
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise GraphFormatError(f"generator needs n >= 1, got {n}")
 
 
 def read_edge_list(path: str) -> Graph:

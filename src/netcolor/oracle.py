@@ -4,7 +4,7 @@ Everything here recomputes the game's rules from scratch instead of
 calling the engine's samplers: the two code paths must stay independent
 so the engine/oracle agreement test retains its power to catch faults
 in either one. The laws refuse with ConfigError, before any cache
-lookup or enumeration, a coloring that is not a state of the game
+lookup or enumeration, a palette or a coloring the game cannot have
 (:func:`engine.check_coloring`) and a vertex not of the graph.
 
 The laws and floor probabilities count outcomes as integers and turn
@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import ColoringState, GameConfig, Strategy, check_coloring
-from .errors import ConfigError, ContractViolation, EnumerationLimitError
+from .errors import INTEGERS, ConfigError, ContractViolation, EnumerationLimitError
 from .graph import Graph
 
 # Largest enumeration built in one piece: a joint support, a transition
@@ -83,6 +83,8 @@ def _unhappy_list(g: Graph, colors) -> list[int]:
 def _check_vertex_state(g: Graph, colors, v: int, k: int) -> None:
     """Refuse a coloring that is not a state of the game, or a vertex not of g."""
     check_coloring(g, colors, k)
+    if not isinstance(v, INTEGERS):
+        raise ConfigError(f"vertex {v!r} is not an integer")
     if not 0 <= v < g.n:
         raise ConfigError(f"vertex {v} outside [0, {g.n})")
 

@@ -28,7 +28,7 @@ from .engine import (
     run,
     unhappy_vertices,
 )
-from .errors import ConfigError, EnumerationLimitError
+from .errors import ConfigError, EnumerationLimitError, check_int
 from .graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from .oracle import (
     _unhappy_list,
@@ -164,8 +164,7 @@ def one_round_counts(
     unhappy vertices would not fit, EnumerationLimitError is raised before
     anything is drawn.
     """
-    if trials < 0:
-        raise ConfigError(f"trials must be >= 0, got {trials}")
+    check_int("trials", trials, 0)
     n, k = g.n, cfg.k
     check_coloring(g, colors, k)
     unhappy = np.array(unhappy_vertices(g, ColoringState(colors, 1)), dtype=np.intp)
@@ -213,8 +212,7 @@ def chi_square_agreement(
     chi-square statistic above the AGREEMENT_ALPHA critical value, or on
     any per-outcome |z| above 4.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    check_int("trials", trials, 1)
     # the seed is checked as a game's; any palette the law takes is sampled, legal or not
     cfg = GameConfig(k=k, strategy=strategy, seed=seed, enforce_k_bound=False)
     cfg.validate(g)
@@ -307,11 +305,10 @@ def check_envelope_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
 def run_all(level: str = "fast", seed: int = DEFAULT_SEED) -> tuple[bool, list[dict]]:
     """The whole verify suite; returns (all_passed, per-check report).
 
-    A negative seed is refused before any check runs; the campaign of
+    A bad seed is refused before any check runs; the campaign of
     check_envelope_dominance would refuse it only after the others.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_int("seed", seed, 0)
     checks = [
         check_available_size_floor(level),
         check_two_round_floor(level),

@@ -68,6 +68,11 @@ def test_frugal_bounds_large_n_formula():
 def test_frugal_bounds_rejects_bad_n():
     with pytest.raises(ValueError):
         frugal_bounds(0)
+    # the closed forms would report 2.5 as if it were a number of players
+    with pytest.raises(ConfigError, match="n must be an integer, got 2.5"):
+        frugal_bounds(2.5)
+    with pytest.raises(ConfigError, match="n must be an integer, got 2.5"):
+        greedy_bound(2.5, 0.1)
 
 
 @given(st.integers(1, 10**9))

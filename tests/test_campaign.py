@@ -230,6 +230,9 @@ def test_sweep_refuses_a_bad_size_before_any_campaign(monkeypatch):
     monkeypatch.setattr(campaign, "run_campaign", ran)
     with pytest.raises(ConfigError, match="n must be >= 1, got 0"):
         sweep([50, 0], "erdos_renyi", Strategy.FRUGAL, trials=2)
+    # range(2.5) would raise TypeError while building the graph
+    with pytest.raises(ConfigError, match="n must be an integer, got 2.5"):
+        sweep([50, 2.5], "erdos_renyi", Strategy.FRUGAL, trials=2)
     # a size its family cannot build, and one whose palette is refused
     with pytest.raises(GraphFormatError, match="cycle needs n >= 3, got 2"):
         sweep([20, 2], "cycle", Strategy.FRUGAL, trials=2)

@@ -254,6 +254,9 @@ def test_verify_refuses_a_negative_seed_before_any_check(tmp_path, monkeypatch, 
     assert captured.out == ""
     assert captured.err == "error: seed must be >= 0, got -3\n"
     assert not report_path.exists()
+    # 1.5 passes a sign test; the first campaign would refuse it only after both floors
+    with pytest.raises(ConfigError, match="seed must be an integer, got 1.5"):
+        verification.run_all(seed=1.5)
 
 
 def test_bounds_payload(capsys):

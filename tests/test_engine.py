@@ -94,7 +94,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="k must be"):
         cfg(0, Strategy.FRUGAL).validate(TRIANGLE)
     # one randrange(k) try must fit in one 32-bit word
-    with pytest.raises(ValueError, match="k must be"):
+    with pytest.raises(ConfigError, match="^k must be <= 4294967295, got 4294967296$"):
         cfg(2**32, Strategy.FRUGAL).validate(TRIANGLE)
     cfg(2**32 - 1, Strategy.FRUGAL).validate(TRIANGLE)
     with pytest.raises(ValueError, match="max_rounds"):

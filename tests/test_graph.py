@@ -87,8 +87,15 @@ def test_generate_unknown_family():
 
 
 def test_generator_bounds():
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="n must be >= 1, got 0"):
         generate("complete", 0)
+    # range(2.5) would raise TypeError in every builder
+    for build in (complete_graph, cycle_graph, path_graph, star_graph,
+                  lambda n: generate("complete", n), lambda n: erdos_renyi(n, 0.5, seed=1)):
+        with pytest.raises(GraphFormatError, match="n must be an integer, got 2.5"):
+            build(2.5)
+    with pytest.raises(GraphFormatError, match="vertex count must be an integer, got 2.5"):
+        from_edge_list([(0, 1)], 2.5)
     with pytest.raises(GraphFormatError):
         cycle_graph(2)
     with pytest.raises(GraphFormatError):

@@ -117,6 +117,19 @@ def test_available_size_forced_neighbors_point_mass():
     assert res.holds
 
 
+def test_size_law_threshold_subtracts_the_happy_neighbors_colors():
+    # leaves 1 and 2 are happy, so f = 2 and the threshold is (7 - 2)/5 = 1:
+    # every size counts. A threshold of k/5 that ignored f would drop size 1
+    # and give 2377/2401; on every corpus case both thresholds are <= 1.
+    s = ColoringState((0, 1, 2, 0, 0, 0, 0), 1)
+    res = available_size_distribution(star_graph(7), s, 0, Strategy.FRUGAL, 7)
+    assert (res.f, res.threshold, res.prob_at_least) == (2, 1, 1)
+    assert res.distribution.as_dict() == {
+        1: Fraction(24, 2401), 2: Fraction(432, 2401), 3: Fraction(1164, 2401),
+        4: Fraction(100, 343), 5: Fraction(81, 2401),
+    }
+
+
 def test_available_size_rejects_happy_vertex():
     with pytest.raises(ContractViolation, match="happy"):
         available_size_distribution(TRIANGLE, S001, 2, Strategy.FRUGAL, 3)
@@ -195,6 +208,8 @@ def test_available_size_memo_checks_happiness_before_the_cache():
         ((0, 0, 1), -1, "vertex -1 outside"),
         # 1.5 lies in [0, 3): it was read as a fourth color, for 8/9
         ((0, 0, 1.5), 0, "color 1.5 at vertex 2 is not an integer"),
+        # 1.5 lies in [0, 3) and would be used as an index
+        ((0, 0, 1), 1.5, "vertex 1.5 is not an integer"),
     ],
 )
 def test_oracle_refuses_what_is_not_a_state_of_the_game(monkeypatch, colors, v, message):
@@ -213,9 +228,15 @@ def test_oracle_refuses_what_is_not_a_state_of_the_game(monkeypatch, colors, v, 
         available_size_distribution(TRIANGLE, s, v, Strategy.FRUGAL, 3, cache=Reached())
     with pytest.raises(ConfigError, match=message):
         two_round_happiness_prob(TRIANGLE, s, v, Strategy.FRUGAL, 3, cache=Reached())
-    if 0 <= v < 3:  # the one-round law takes no vertex
+    if v in range(3):  # the one-round law takes no vertex
         with pytest.raises(ConfigError, match=message):
             one_round_distribution(TRIANGLE, s, Strategy.FRUGAL, 3)
+    # k = 2.5 passes 0 <= c < k for every color, and range(2.5) would raise TypeError
+    for law in (available_size_distribution, two_round_happiness_prob):
+        with pytest.raises(ConfigError, match="k must be an integer, got 2.5"):
+            law(TRIANGLE, S001, 0, Strategy.FRUGAL, 2.5, cache=Reached())
+    with pytest.raises(ConfigError, match="k must be an integer, got 2.5"):
+        one_round_distribution(TRIANGLE, S001, Strategy.FRUGAL, 2.5)
 
 
 MEMO_INSTANCES = [(inst.name, inst.graph, inst.k) for inst in CORPUS] + [

@@ -129,11 +129,16 @@ def test_chi_square_report_fields():
     for trials in (-5, 0):
         with pytest.raises(ConfigError, match="trials must be >= 1"):
             chi_square_agreement(g, colors, strategy, k, trials=trials)
+    # range(2.5) would raise TypeError once sampling started
+    with pytest.raises(ConfigError, match="trials must be an integer, got 2.5"):
+        chi_square_agreement(g, colors, strategy, k, trials=2.5)
     # a proper start is counted without drawing, so it must be refused up front
     rng = random.Random(0)
     before = rng.getstate()
     with pytest.raises(ConfigError, match="trials must be >= 0"):
         one_round_counts(g, (0, 1, 2), GameConfig(k=k, strategy=strategy, seed=0), rng, -5)
+    with pytest.raises(ConfigError, match="trials must be an integer, got 2.5"):
+        one_round_counts(g, colors, GameConfig(k=k, strategy=strategy, seed=0), rng, 2.5)
     assert rng.getstate() == before
     assert one_round_counts(g, colors, GameConfig(k=k, strategy=strategy, seed=0), rng, 0) == {}
 
