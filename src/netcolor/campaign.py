@@ -20,7 +20,7 @@ from .bounds import frugal_bounds
 from .engine import (DEFAULT_MAX_ROUNDS, HISTORY_BLOCK, GameConfig, Strategy,
                      TrialResult, is_proper, run)
 from .errors import ConfigError, ContractViolation, check_int
-from .graph import Graph, format_edge_list, generate
+from .graph import Graph, format_edge_list, generate_sizes, int_rows
 
 # Each k rule's palette size less the graph's max degree.
 _K_RULE_OFFSETS = {"delta+1": 1, "delta+2": 2}
@@ -254,7 +254,7 @@ SPAN = 10**4
 def _round_rows(results):
     """Yield the rows of every trial's rounds, in order, as bytes-like objects.
 
-    Whole trials of fewer than SPAN rounds go into a block for `_csv_rows`,
+    Whole trials of fewer than SPAN rounds go into a block for `int_rows`,
     yielded once it holds at least HISTORY_BLOCK rows or a longer trial
     comes, which goes through `_long_trial_rows`.
     """
@@ -265,12 +265,12 @@ def _round_rows(results):
             pending.append((i, r.history.count_range(0, rounds)))
             filled += rounds
         if pending and (filled >= HISTORY_BLOCK or rounds >= SPAN):
-            yield _csv_rows(_block_columns(pending))
+            yield int_rows(_block_columns(pending))
             pending, filled = [], 0
         if rounds >= SPAN:
             yield from _long_trial_rows(i, r.history)
     if pending:
-        yield _csv_rows(_block_columns(pending))
+        yield int_rows(_block_columns(pending))
 
 
 def _long_trial_rows(trial: int, history):
@@ -333,14 +333,14 @@ def _span_rows(prefix: bytes, digits: int, first_offset: int, counts) -> bytes |
     the same width: the template row "prefix0..0,0..0\\n" is repeated,
     the round digits are copied from _OFFSET_DIGITS as strided void
     elements, and the count digits are written over the zeros. Otherwise
-    the piece goes through `_csv_rows`.
+    the piece goes through `int_rows`.
     """
     m = len(counts)
     width = _width(counts)
     if width is None:
         trial, lead = prefix.split(b",")
         first = int(lead + b"%0*d" % (digits, first_offset))
-        return _csv_rows((np.full(m, int(trial)), np.arange(first, first + m), counts))
+        return int_rows((np.full(m, int(trial)), np.arange(first, first + m), counts))
     template = prefix + b"0" * digits + b"," + b"0" * width + b"\n"
     row = len(template)
     rows = bytearray(template) * m
@@ -365,34 +365,6 @@ def _copy_span(previous: bytearray, at: int, number: bytes, m: int) -> bytearray
     for pos, digit in enumerate(number, at):
         np.ndarray(m, np.uint8, rows, pos, (row,))[:] = digit  # one strided column per digit
     return rows
-
-
-def _csv_rows(columns) -> bytes:
-    """The rows "a,b,...\\n" of equal-length non-negative integer columns.
-
-    The bytes are those of "%d" formatting. Each column's decimal digits
-    are written right-aligned into a fixed-width uint8 matrix, with zero
-    bytes as padding; one boolean compress then drops the padding.
-    """
-    columns = [np.asarray(c) for c in columns]
-    maxima = [int(c.max()) if len(c) else 0 for c in columns]
-    widths = [len(str(m)) for m in maxima]
-    table = np.zeros((len(columns[0]), sum(widths) + len(columns)), dtype=np.uint8)
-    end = 0
-    for c, top, width in zip(columns, maxima, widths):
-        q = c.astype(np.uint32 if top < 2**32 else np.uint64)
-        for pos in range(end + width - 1, end - 1, -1):
-            nxt = q // 10
-            digit = (q - nxt * 10).astype(np.uint8)
-            # a leading zero stays padding; the units digit is always written
-            table[:, pos] = digit + 48 if pos == end + width - 1 else np.where(q, digit + 48, 0)
-            q = nxt
-        end += width
-        table[:, end] = ord(",")
-        end += 1
-    table[:, -1] = ord("\n")
-    flat = table.ravel()
-    return flat[flat != 0].tobytes()
 
 
 SWEEP_COLUMNS = (
@@ -430,17 +402,20 @@ def sweep(
 
     For erdos_renyi sweeps, a fixed p overrides the default policy of
     holding the expected degree at avg_degree across n; the fixed families
-    ignore p and the graph seed. Every size's graph and palette are
-    built and its campaign validated before the first campaign runs.
+    ignore p and the graph seed. Every size's graph is built by one
+    generate_sizes call, so erdos_renyi sizes share one read of the graph
+    seed's stream, and every palette and campaign is validated before the
+    first campaign runs.
     """
     if p is None and not (math.isfinite(avg_degree) and avg_degree >= 0):
         # min(1.0, inf / n) and min(1.0, nan) are both 1: complete graphs
         raise ConfigError(f"avg_degree must be finite and >= 0, got {avg_degree}")
-    specs = []
+    ns = list(ns)
     for n in ns:
         check_int("n", n, 1)
-        pn = p if p is not None else min(1.0, avg_degree / n)
-        g = generate(family, n, p=pn, seed=base_seed if graph_seed is None else graph_seed)
+    sizes = [(n, p if p is not None else min(1.0, avg_degree / n)) for n in ns]
+    specs = []
+    for g in generate_sizes(family, sizes, base_seed if graph_seed is None else graph_seed):
         spec = ExperimentSpec(
             graph=g,
             k=resolve_k(g, strategy, k=k, k_rule=k_rule),

@@ -344,7 +344,8 @@ def is_proper(g: Graph, colors: tuple[int, ...]) -> bool:
 def _keeps_own(strategy: Strategy) -> bool:
     """Whether a player's own color stays out of its excluded set: the rule
     that sets Frugal apart. Every excluded set is built through it."""
-    return strategy is Strategy.FRUGAL
+    # not Strategy.FRUGAL: an Enum class attribute takes 0.1 µs on Python 3.11
+    return strategy._value_ == "frugal"
 
 
 def _draw_ranks(rng: random.Random, sizes):

@@ -6,6 +6,7 @@ the same MT19937 stream must reproduce them exactly.
 """
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -43,9 +44,15 @@ def test_erdos_renyi_edge_list_digest(n, p, seed, digest):
 
 
 def reference_erdos_renyi(n, p, seed):
+    """G(n, p)'s sorted neighbor lists from the per-pair loop, built with sets."""
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return from_edge_list(pairs, n)
+    nbrs = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+    return [sorted(s) for s in nbrs]
 
 
 @pytest.mark.parametrize(
@@ -56,7 +63,14 @@ def reference_erdos_renyi(n, p, seed):
 )
 def test_erdos_renyi_matches_per_pair_reference(n, p):
     for seed in (0, 7):
-        assert erdos_renyi(n, p, seed) == reference_erdos_renyi(n, p, seed)
+        g = erdos_renyi(n, p, seed)
+        adjacency = reference_erdos_renyi(n, p, seed)
+        assert [list(g.neighbors(v)) for v in range(n)] == adjacency
+        src, dst = g.arcs()
+        assert src.tolist() == [u for u, nbrs in enumerate(adjacency) for _ in nbrs]
+        assert dst.tolist() == [v for nbrs in adjacency for v in nbrs]
+        assert g.offsets().tolist() == list(itertools.accumulate(map(len, adjacency), initial=0))
+        assert g.max_degree() == max(map(len, adjacency))
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])

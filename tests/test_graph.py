@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netcolor import (
+    ExperimentSpec,
     GraphFormatError,
+    Strategy,
     complete_graph,
     cycle_graph,
     erdos_renyi,
@@ -16,7 +18,8 @@ from netcolor import (
     star_graph,
     write_edge_list,
 )
-from netcolor.graph import Graph, format_edge_list
+from netcolor import graph
+from netcolor.graph import Graph, erdos_renyi_sizes, format_edge_list, generate_sizes
 
 
 def test_triangle_from_edge_list():
@@ -50,6 +53,49 @@ def test_out_of_range_rejected_with_pair_named():
         from_edge_list([(1, 7)], 3)
 
 
+def test_endpoints_are_stored_as_python_ints():
+    # (True, 0) stored True: its edge list read "3 1\n0 True\n", another spec_hash
+    g = from_edge_list([(True, 0)], 3)
+    assert g == from_edge_list([(1, 0)], 3)
+    assert format_edge_list(g) == "3 1\n0 1\n"
+    spec = ExperimentSpec(graph=g, k=3, strategy=Strategy.FRUGAL, trials=1, base_seed=0)
+    assert spec.content_hash() == ExperimentSpec(
+        graph=from_edge_list([(1, 0)], 3), k=3, strategy=Strategy.FRUGAL, trials=1, base_seed=0
+    ).content_hash()
+    for pairs in ([(True, 0)], [(np.int64(2), np.int32(0))], [(np.uint64(1), np.int64(2))],
+                  [np.array([0, 2])], [(True, False), (1, 2)]):
+        g = from_edge_list(pairs, 3)
+        assert g.edge_count == len(pairs)
+        assert all(type(u) is int for v in range(3) for u in g.neighbors(v))
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(0, 1.5)], r"^edge \(0, 1\.5\) has an endpoint that is not an integer$"),
+        ([(0, 1.0)], r"^edge \(0, 1\.0\) has an endpoint that is not an integer$"),
+        ([("a", 1)], r"^edge \('a', 1\) has an endpoint that is not an integer$"),
+        ([(0, 1, 2)], r"^edge \(0, 1, 2\) is not a pair$"),
+        ([(0, 1), (0, 1, 2)], r"^edge \(0, 1, 2\) is not a pair$"),
+        ([(0, 1), 5], r"^edge 5 is not a pair$"),
+        ([(0, 2**70)], r"^edge \(0, 1180591620717411303424\) out of range for n=3$"),
+        # the first bad item in input order, whatever is wrong with the later ones
+        ([(0, 1), (2, 2), (0, 1.5)], r"^self-loop \(2, 2\) not allowed$"),
+        ([(0, 1.5), (2, 2)], r"^edge \(0, 1\.5\) has"),
+        ([(0, 5), (1, 1)], r"^edge \(0, 5\) out of range for n=3$"),
+        ([(1, 1), (0, 5)], r"^self-loop \(1, 1\) not allowed$"),
+        ([(0, 1), (-1, 2)], r"^edge \(-1, 2\) out of range for n=3$"),
+        ([(True, True)], r"^self-loop \(1, 1\) not allowed$"),
+    ],
+    ids=["float", "integral-float", "string", "triple", "ragged", "scalar", "huge",
+         "loop-before-float", "float-before-loop", "range-before-loop", "loop-before-range",
+         "negative", "bool-loop"],
+)
+def test_from_edge_list_names_the_first_bad_item(pairs, message):
+    with pytest.raises(GraphFormatError, match=message):
+        from_edge_list(pairs, 3)
+
+
 def test_neighbors_examples():
     assert complete_graph(3).neighbors(0) == (1, 2)
     assert from_edge_list([], 3).neighbors(1) == ()
@@ -72,6 +118,21 @@ def test_generate_dispatch():
     n = 20
     dense = generate("erdos_renyi", n, p=1.0, seed=1)
     assert dense.edge_count == n * (n - 1) // 2
+
+
+def test_generate_sizes_builds_what_generate_builds():
+    assert generate_sizes("cycle", [(4, None), (5, 0.3), (4, 1.0)]) == [
+        cycle_graph(4), cycle_graph(5), cycle_graph(4)]
+    sizes = [(30, 0.2), (10, 0.5)]
+    assert generate_sizes("erdos_renyi", sizes, 3) == [
+        generate("erdos_renyi", n, p=p, seed=3) for n, p in sizes]
+    assert generate_sizes("star", []) == []
+    with pytest.raises(GraphFormatError, match="requires p"):
+        generate_sizes("erdos_renyi", [(10, 0.5), (20, None)], 1)
+    with pytest.raises(GraphFormatError, match="requires a seed"):
+        generate_sizes("erdos_renyi", sizes)
+    with pytest.raises(GraphFormatError, match="cycle needs n >= 3, got 2"):
+        generate_sizes("cycle", [(5, None), (2, None)])
 
 
 def test_generate_erdos_renyi_requires_p_and_seed():
@@ -118,6 +179,70 @@ def test_erdos_renyi_refuses_negative_seed():
     assert erdos_renyi(10, 0.5, seed=np.int64(1)) == erdos_renyi(10, 0.5, seed=1)
 
 
+# Sizes in no order, a repeated size, n = 1 and 2, p = 0 and 1, and n = 400,
+# whose 79,800 pairs cross the first PAIR_CHUNK boundary.
+SIZES = [(50, 0.1), (10, 0.3), (400, 0.05), (2, 1.0), (1, 0.5), (50, 0.1), (30, 0.0),
+         (40, 1.0), (2, 0.0), (400, 0.01)]
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_multi_size_reader_matches_single_size_erdos_renyi(seed):
+    assert 400 * 399 // 2 > graph.PAIR_CHUNK
+    singles = [erdos_renyi(n, p, seed) for n, p in SIZES]
+    assert erdos_renyi_sizes(SIZES, seed) == singles
+    assert erdos_renyi_sizes(SIZES[::-1], seed) == singles[::-1]
+    assert erdos_renyi_sizes([], seed) == []
+    assert singles[5] is not singles[0] and singles[5] == singles[0]
+    assert singles[6].edge_count == singles[8].edge_count == 0
+    assert singles[3].edge_count == 1 and singles[7].edge_count == 40 * 39 // 2
+
+
+def test_multi_size_reader_refuses_a_later_size_before_drawing(monkeypatch):
+    def drawn(rng):
+        raise AssertionError("a double was drawn")
+
+    monkeypatch.setattr(graph, "mt19937_at", drawn)
+    with pytest.raises(GraphFormatError, match="n must be >= 1, got 0"):
+        erdos_renyi_sizes([(50, 0.1), (0, 0.1)], 1)
+    with pytest.raises(GraphFormatError, match="n must be an integer, got 2.5"):
+        erdos_renyi_sizes([(50, 0.1), (2.5, 0.1)], 1)
+    with pytest.raises(GraphFormatError, match=r"edge probability must be in \[0, 1\], got 1.5"):
+        erdos_renyi_sizes([(50, 0.1), (20, 1.5)], 1)
+    with pytest.raises(GraphFormatError, match="graph seed must be >= 0, got -1"):
+        erdos_renyi_sizes([(50, 0.1), (20, 0.5)], -1)
+    with pytest.raises(GraphFormatError, match="n must be >= 1, got 0"):
+        generate_sizes("erdos_renyi", [(50, 0.1), (0, 0.1)], 1)
+
+
+def f_string_edge_list(g):
+    """The edge-list text as it was formatted before the numpy digit writer."""
+    edges = g.edges()
+    lines = [f"{g.n} {len(edges)}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def graphs_across_digit_counts(draw):
+    # ids on both sides of 9/10, 99/100 and 999/1000
+    n = draw(st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001]))
+    ends = st.one_of(st.integers(0, n - 1),
+                     st.sampled_from([x for x in (0, 8, 9, 10, 98, 99, 100, 999, 1000) if x < n]))
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=40))
+    return from_edge_list(pairs, n)
+
+
+@given(graphs_across_digit_counts())
+def test_format_edge_list_matches_f_strings(g):
+    assert format_edge_list(g) == f_string_edge_list(g)
+
+
+def test_format_edge_list_of_edgeless_graphs():
+    for n in (0, 1, 10, 100):
+        assert format_edge_list(from_edge_list([], n)) == f_string_edge_list(from_edge_list([], n))
+        assert format_edge_list(from_edge_list([], n)) == f"{n} 0\n"
+
+
 @pytest.mark.parametrize(
     "n, adjacency, message",
     [
@@ -131,9 +256,11 @@ def test_erdos_renyi_refuses_negative_seed():
     ids=["too-many-rows", "unsorted", "duplicate", "self-loop", "out-of-range", "asymmetric"],
 )
 def test_validate_refuses_malformed_adjacency(n, adjacency, message):
-    # the constructor trusts its adjacency, so it builds what the generators never do
+    # the constructor trusts its CSR arrays, so it builds what the generators never do
+    offsets = np.cumsum([0, *map(len, adjacency)])
+    targets = np.array([u for nbrs in adjacency for u in nbrs], dtype=np.intp)
     with pytest.raises(GraphFormatError, match=f"^{message}$"):
-        Graph(n, adjacency).validate()
+        Graph(n, offsets, targets).validate()
 
 
 def test_erdos_renyi_reproducible():

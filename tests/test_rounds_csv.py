@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netcolor import History, campaign
-from netcolor.campaign import SPAN, _copy_span, _csv_rows, _span_rows, write_rounds_csv
+from netcolor.campaign import SPAN, _copy_span, _span_rows, write_rounds_csv
+from netcolor.graph import int_rows
 
 
 def reference_rounds_csv(results) -> bytes:
@@ -77,9 +78,9 @@ def test_block_boundaries(tmp_path, monkeypatch, lengths):
 
     def counting(columns):
         calls.append(len(columns[0]))
-        return _csv_rows(columns)
+        return int_rows(columns)
 
-    monkeypatch.setattr(campaign, "_csv_rows", counting)
+    monkeypatch.setattr(campaign, "int_rows", counting)
     rng = np.random.default_rng(len(lengths))
     results = trials(*(rng.integers(0, 1000, m) for m in lengths))
     assert written(tmp_path, results) == reference_rounds_csv(results)
@@ -105,14 +106,14 @@ def trapped(stored, period, length):
 
 
 def counted_paths(monkeypatch):
-    """Record each `_csv_rows` call's rows, each `_span_rows` call's
+    """Record each `int_rows` call's rows, each `_span_rows` call's
     (prefix, digits, first offset, rows) and each `_copy_span` call's
     (span number, rows)."""
     csv_calls, span_calls, copy_calls = [], [], []
 
     def counting_csv(columns):
         csv_calls.append(len(columns[0]))
-        return _csv_rows(columns)
+        return int_rows(columns)
 
     def counting_span(prefix, digits, first_offset, counts):
         span_calls.append((prefix, digits, first_offset, len(counts)))
@@ -122,7 +123,7 @@ def counted_paths(monkeypatch):
         copy_calls.append((number, m))
         return _copy_span(previous, at, number, m)
 
-    monkeypatch.setattr(campaign, "_csv_rows", counting_csv)
+    monkeypatch.setattr(campaign, "int_rows", counting_csv)
     monkeypatch.setattr(campaign, "_span_rows", counting_span)
     monkeypatch.setattr(campaign, "_copy_span", counting_copy)
     return csv_calls, span_calls, copy_calls
@@ -287,10 +288,10 @@ def percent_rows(columns) -> bytes:
 def test_csv_rows_at_and_above_two_to_the_32():
     big = [0, 9, 2**32 - 1, 2**32, 10**10, 2**63 - 1]
     columns = [np.array(big), np.array(big[::-1]), np.arange(len(big))]
-    assert _csv_rows(columns) == percent_rows(columns)
+    assert int_rows(columns) == percent_rows(columns)
     top = np.array([2**64 - 1, 10**19, 10**19 - 1, 1], dtype=np.uint64)
-    assert _csv_rows([top]) == percent_rows([top.tolist()])
-    assert _csv_rows([top]).split(b"\n")[0] == b"18446744073709551615"
+    assert int_rows([top]) == percent_rows([top.tolist()])
+    assert int_rows([top]).split(b"\n")[0] == b"18446744073709551615"
 
 
 @settings(max_examples=100, deadline=None)
@@ -301,4 +302,4 @@ def test_csv_rows_at_and_above_two_to_the_32():
     )
 )
 def test_csv_rows_matches_percent_d(columns):
-    assert _csv_rows([np.array(c, dtype=np.int64) for c in columns]) == percent_rows(columns)
+    assert int_rows([np.array(c, dtype=np.int64) for c in columns]) == percent_rows(columns)
