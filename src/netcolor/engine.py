@@ -72,7 +72,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import INTEGERS, ConfigError, ContractViolation, IllegalPaletteError, check_int
-from .graph import Graph
+from .graph import Graph, sorted_distinct
 
 
 class Strategy(Enum):
@@ -592,10 +592,7 @@ def _vector_round(
     keys = rows * k + nbr_colors  # below 2**63: rows < 2**31 and colors < k < 2**32
     if _keeps_own(cfg.strategy):
         keys = keys[nbr_colors != own[rows]]
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
+    keys = sorted_distinct(keys)
     key_rows = keys // k
     excluded = np.bincount(key_rows, minlength=m)
     sizes = k - excluded
