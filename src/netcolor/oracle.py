@@ -13,15 +13,20 @@ over the joint support. The one-round law and the two-round
 probability list every joint draw; the available-size law
 counts them with a dynamic program over the colors v's neighbors cover.
 exact_expected_tau works in doubles: it builds the absorbing chain with
-numpy over base-k codes of the colorings and solves it with one sparse
-solve.
+numpy over base-k codes of the colorings, lumped onto classes of
+colorings, and solves it with one sparse solve.
 
 Both strategies are equivariant under any permutation of the palette:
 renaming colors renames the available sets and leaves every draw
 uniform. Probabilities of happiness therefore depend on a coloring only
 up to renaming, and available_size_distribution and
 two_round_happiness_prob memoize on colorings relabeled by first
-appearance (:func:`_relabel`).
+appearance (:func:`_relabel`); two_round_happiness_prob also groups its
+round-one outcomes that way, with the numpy twin :func:`_relabel_rows`.
+For the same reason exact_expected_tau's chain lumps onto the classes of
+colorings under the permutations that fix its start. Its
+reachable_states and trapped_states are sums of class sizes, so they
+count colorings, and its caps count colorings too.
 """
 
 from __future__ import annotations
@@ -53,6 +58,9 @@ AVAILABLE_SIZE_FLOOR = Fraction(1, 16)
 # (digits re-verified against extended-precision evaluation in the tests).
 TWO_ROUND_FLOOR_LO = Fraction("0.0001052804218607104233849382566116")
 TWO_ROUND_FLOOR_HI = Fraction("0.0001052804218607104233849382566117")
+
+# Round-one outcomes two_round_happiness_prob lists in one numpy array.
+ROW_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -97,12 +105,13 @@ def _check_palette(k: int) -> None:
         )
 
 
-def _available(colors, nbrs, own: int, strategy: Strategy, k: int) -> tuple[int, ...]:
+def _available(used, own: int, strategy: Strategy, k: int) -> tuple[int, ...]:
+    """Sorted available colors of a player of color own whose neighbors hold the colors in used."""
     # Independent twin of the engine's candidate computation; keep it that way.
     _check_palette(k)
-    used = {colors[u] for u in nbrs}
     free = [c for c in range(k) if c not in used]
-    if strategy is Strategy.GREEDY or own not in used:
+    # not Strategy.GREEDY: an Enum class attribute takes 0.1 µs on Python 3.11
+    if strategy._value_ == "greedy" or own not in used:
         return tuple(free)
     return tuple(sorted(free + [own]))
 
@@ -110,11 +119,20 @@ def _available(colors, nbrs, own: int, strategy: Strategy, k: int) -> tuple[int,
 def _joint_draws(g: Graph, colors, movers, strategy: Strategy, k: int, what: str):
     """Available sets of the movers and the size of their joint support.
 
-    Raises on an empty set and when the joint support exceeds
-    ENUMERATION_CAP, before anything is enumerated; what names the
-    support in the message.
+    Raises as _support_size does, before anything is enumerated.
     """
-    avails = [_available(colors, g.neighbors(u), colors[u], strategy, k) for u in movers]
+    avails = [
+        _available({colors[w] for w in g.neighbors(u)}, colors[u], strategy, k) for u in movers
+    ]
+    return avails, _support_size(colors, movers, avails, what)
+
+
+def _support_size(colors, movers, avails, what: str) -> int:
+    """The size of the movers' joint support.
+
+    Raises on an empty available set and when the joint support exceeds
+    ENUMERATION_CAP; what names the support in the message.
+    """
     for u, a in zip(movers, avails):
         if not a:
             raise ContractViolation(f"empty available set at vertex {u} in coloring {tuple(colors)}")
@@ -124,7 +142,7 @@ def _joint_draws(g: Graph, colors, movers, strategy: Strategy, k: int, what: str
         # support can be far longer: past 10^18 say only its magnitude
         text = str(size) if size <= 10**18 else f"~10^{math.log10(size):.1f}"
         raise EnumerationLimitError(f"{what} {text} exceeds enumeration cap {ENUMERATION_CAP}")
-    return avails, size
+    return size
 
 
 def _next_colorings(g: Graph, colors, movers, strategy: Strategy, k: int, what: str):
@@ -146,6 +164,50 @@ def _relabel(colors) -> tuple[int, ...]:
     """colors renamed 0, 1, 2, ... in order of first appearance: (2, 0, 2) -> (0, 1, 0)."""
     names: dict[int, int] = {}
     return tuple(names.setdefault(c, len(names)) for c in colors)
+
+
+def _relabel_rows(rows, fixed=()) -> np.ndarray:
+    """Each row's colors not in fixed renamed, in order of first appearance,
+    onto the sorted colors not in fixed.
+
+    That is the code-smallest coloring the row maps to under the palette
+    permutations fixing every color of fixed. With fixed=() it is _relabel
+    row by row: [[2, 0, 2]] -> [[0, 1, 0]].
+    """
+    # one contiguous array per position, renamed in place
+    cols = np.asarray(rows).T.copy()
+    n, m = cols.shape
+    # first[p, r]: the first position of row r holding the color at p
+    first = np.repeat(np.arange(n)[:, None], m, axis=1)
+    for q in range(n - 2, -1, -1):
+        np.copyto(first[q + 1 :], q, where=cols[q + 1 :] == cols[q])
+    new = first == np.arange(n)[:, None]
+    # The j-th new color of a row takes the j-th smallest color not in
+    # fixed; a color seen before takes the name it got at its first position.
+    names = np.arange(n)
+    if fixed:
+        new &= ~np.isin(cols, fixed)
+        names = np.setdiff1d(np.arange(n + len(fixed)), fixed)
+    named = np.zeros(m, dtype=np.intp)
+    flat, at = cols.reshape(-1), np.arange(m)
+    for p in range(n):
+        cols[p] = np.where(new[p], names[named], flat[first[p] * m + at])
+        named += new[p]
+    return cols.T
+
+
+def _row_codes(rows, base: int) -> np.ndarray:
+    """One int64 per row, equal exactly when the rows are; entries lie in [0, base)."""
+    codes = np.zeros(len(rows), dtype=np.int64)
+    span = 1  # the codes so far lie in [0, span)
+    for column in rows.T:
+        if span > (2**63 - 1) // base:
+            # number the distinct codes so far 0, 1, ..., so the next digit fits
+            codes = np.unique(codes, return_inverse=True)[1]
+            span = len(rows)
+        codes = codes * base + column
+        span *= base
+    return codes
 
 
 def one_round_distribution(g: Graph, s: ColoringState, strategy: Strategy, k: int) -> Distribution:
@@ -207,7 +269,11 @@ def available_size_distribution(
     """
     colors = s.colors
     _check_vertex_state(g, colors, v, k)
-    if not _is_unhappy(g, colors, v):
+    nbrs = g.neighbors(v)
+    # Each vertex of v's closed neighborhood gets its neighbors' colors once:
+    # that set decides whether it moves, and builds its available set.
+    used_v = {colors[u] for u in nbrs}
+    if colors[v] not in used_v:
         raise ContractViolation(f"vertex {v} is happy; the size law is defined for unhappy vertices")
     key = None
     if cache is not None:
@@ -215,31 +281,34 @@ def available_size_distribution(
         hit = cache.get(key)
         if hit is not None:
             return hit
-    nbrs = g.neighbors(v)
-    movers = sorted(u for u in set(nbrs) | {v} if _is_unhappy(g, colors, u))
-    avails, size = _joint_draws(g, colors, movers, strategy, k, "joint support")
-    pos = {u: i for i, u in enumerate(movers)}
+    # the available set of each vertex of the closed neighborhood that moves
+    avail_of: dict[int, tuple[int, ...]] = {}
+    for u in sorted((v, *nbrs)):
+        used = used_v if u == v else {colors[w] for w in g.neighbors(u)}
+        if colors[u] in used:
+            avail_of[u] = _available(used, colors[u], strategy, k)
+    size = _support_size(colors, list(avail_of), list(avail_of.values()), "joint support")
     # one bit per color a neighbor can hold after the round, handed out as
     # the colors appear, so masks stay as short as the neighborhood's
     # colors whatever k is
     bit: dict[int, int] = {}
     held = 0
     for u in nbrs:
-        if u not in pos:
+        if u not in avail_of:
             held |= bit.setdefault(colors[u], 1 << len(bit))
     # f: the distinct colors of the neighbors that stay put
     f = len(bit)
     covered = {held: 1}
     for u in nbrs:
-        if u in pos:
-            bits = [bit.setdefault(c, 1 << len(bit)) for c in avails[pos[u]]]
+        if u in avail_of:
+            bits = [bit.setdefault(c, 1 << len(bit)) for c in avail_of[u]]
             folded: dict[int, int] = {}
             for mask, ways in covered.items():
                 for b in bits:
                     m = mask | b
                     folded[m] = folded.get(m, 0) + ways
             covered = folded
-    own = avails[pos[v]]
+    own = avail_of[v]
     own_bits = sum(bit.get(c, 0) for c in own)
     counts: dict[int, int] = {}
     for mask, ways in covered.items():
@@ -251,14 +320,15 @@ def available_size_distribution(
         if clash < len(own):
             counts[free] = counts.get(free, 0) + ways * (len(own) - clash)
     dist = Distribution(tuple((sz, Fraction(c, size)) for sz, c in sorted(counts.items())))
-    prob = Fraction(sum(c for sz, c in counts.items() if 5 * sz >= k - f), size)
+    good = sum(c for sz, c in counts.items() if 5 * sz >= k - f)
     result = AvailableSizeCheck(
         distribution=dist,
         threshold=Fraction(k - f, 5),
-        prob_at_least=prob,
+        prob_at_least=Fraction(good, size),
         floor=AVAILABLE_SIZE_FLOOR,
         f=f,
-        holds=prob >= AVAILABLE_SIZE_FLOOR,
+        # good / size >= AVAILABLE_SIZE_FLOOR, in integers
+        holds=good * AVAILABLE_SIZE_FLOOR.denominator >= AVAILABLE_SIZE_FLOOR.numerator * size,
     )
     if key is not None:
         cache[key] = result
@@ -310,6 +380,15 @@ def two_round_happiness_prob(
     of the 2-ball), where relabeled means renamed by first
     appearance; both strategies are equivariant under renaming colors, so
     colorings that differ only by color names share an entry.
+
+    The round-one outcomes are listed in numpy, in itertools.product
+    order, ROW_CHUNK at a time, and v's happiness is tested row by row.
+    The outcomes left (all of them when shortcut=False) are grouped by
+    their relabeled 2-ball coloring, in order of first appearance. Each
+    group's round-two counts come from the cache or, once, from its first
+    outcome, and count once per outcome of the group. So the value, the
+    cache entries and their insertion order are those of taking the
+    outcomes one at a time.
     """
     colors = s.colors
     _check_vertex_state(g, colors, v, k)
@@ -325,22 +404,53 @@ def two_round_happiness_prob(
     ball2 = sorted({w for u in ball1 for w in (u, *g.neighbors(u))})
     movers1 = [u for u in ball2 if _is_unhappy(g, colors, u)]
     avails1, size1 = _joint_draws(g, colors, movers1, strategy, k, "round-one joint support")
+    col = {u: i for i, u in enumerate(ball2)}
+    at_v, beside_v = [col[v]], [col[u] for u in g.neighbors(v)]
+    base = np.array([colors[u] for u in ball2], dtype=np.int64)
+    # the movers' columns and options, last mover first
+    digits = [(col[u], np.array(a)) for u, a in zip(movers1[::-1], avails1[::-1])]
     happy = 0
+    # relabeled 2-ball coloring -> [round-one outcomes, the first one's 2-ball
+    # colors], in order of first appearance
+    groups: dict[tuple, list] = {}
+    for lo in range(0, size1, ROW_CHUNK):
+        # outcome j is j in the mixed radix of the movers' set sizes, the last
+        # mover's digit varying fastest: itertools.product order
+        rest = np.arange(lo, min(lo + ROW_CHUNK, size1))
+        rows = np.tile(base, (rest.size, 1))
+        for c, options in digits:
+            rest, digit = np.divmod(rest, options.size)
+            rows[:, c] = options[digit]
+        if shortcut:
+            done = (rows[:, beside_v] != rows[:, at_v]).all(axis=1)
+            happy += int(np.count_nonzero(done))
+            rows = rows[~done]
+        relabeled = _relabel_rows(rows)
+        _, first, outcomes = np.unique(
+            _row_codes(relabeled, len(ball2)), return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        first = first[order]
+        for ball, row, count in zip(
+            map(tuple, relabeled[first].tolist()), rows[first].tolist(), outcomes[order].tolist()
+        ):
+            group = groups.get(ball)
+            if group is None:
+                groups[ball] = [count, row]
+            else:
+                group[0] += count
     # round-two support size -> favourable round-two draws summed over outcomes
     favourable: dict[int, int] = {}
     work = list(colors)
-    for draws in itertools.product(*avails1):
-        for u, c in zip(movers1, draws):
-            work[u] = c
-        if shortcut and not _is_unhappy(g, work, v):
-            happy += 1
-            continue
-        sub = ("round_two", v, strategy, k, _relabel([work[u] for u in ball2]))
+    for ball, (outcomes, row) in groups.items():
+        sub = ("round_two", v, strategy, k, ball)
         counts = cache.get(sub)
         if counts is None:
+            for u, c in zip(ball2, row):
+                work[u] = c
             counts = cache[sub] = _second_round_counts(g, work, v, ball1, strategy, k)
         count, size2 = counts
-        favourable[size2] = favourable.get(size2, 0) + count
+        favourable[size2] = favourable.get(size2, 0) + count * outcomes
     den = math.lcm(*favourable)
     num = happy * den + sum(c * (den // size2) for size2, c in favourable.items())
     prob = Fraction(num, size1 * den)
@@ -378,28 +488,46 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     """Expected tau of the game's absorbing chain, counting the start as round 1.
 
     A coloring is the integer code sum of color_v * k^(n-1-v), so code
-    order is the sorted order of the color tuples. From the initial
-    distribution, the reachable colorings are expanded in numpy one BFS
-    level at a time: each level's unhappy masks come from the arcs, and
-    each transient coloring gets its option lists (the sorted available
-    set of a mover, the own color of a happy vertex) and its successors in
-    itertools.product order, each with probability 1 / fan-out. A level
-    holding a transition fan-out above ENUMERATION_CAP, more than
-    ENUMERATION_CAP transitions in all, or an empty available set, is
-    refused before its successors are expanded.
+    order is the sorted order of the color tuples. The chain is explored
+    and solved on classes of colorings: those that the palette
+    permutations fixing the start map onto one another. The uniform start
+    keeps every permutation; a given initial coloring keeps those of the
+    colors it does not use. Both strategies are equivariant under them, so
+    the chain lumps onto the classes (strong lumpability: Kemeny and
+    Snell, Finite Markov Chains, 1960, ch. 6). A class is represented by
+    its code-smallest member (:func:`_relabel_rows`); one relabeling of
+    all k^n colorings gives every coloring's class and, counted, every
+    class's size, (k-f)!/(k-f-j)! for the f colors the start fixes and
+    the j other colors its members use.
 
-    Each explored coloring's happy count is recorded. Happiness is
-    monotone, so a transition that lowers it raises ContractViolation;
-    this checks the oracle's own rules, not the engine's. States that
-    cannot reach a proper coloring, found by
-    scipy.sparse.csgraph.breadth_first_order over the reversed
-    transitions, make the expectation infinite; their count is reported.
-    Otherwise I - Q over the transient states, most happy first and in
-    code order within a happy count, is one block lower triangular
-    scipy.sparse CSR matrix. (I - Q) x = 1 is solved with spsolve in that
-    natural order (the residual must be <= 1e-10), and the result is 1
-    plus the sum of initial mass times x, added in code order. A state
-    space above STATE_CAP is refused before anything is explored.
+    From the start's classes, the reachable classes are expanded in numpy
+    one BFS level at a time: each level's unhappy masks come from the
+    arcs, and each transient representative gets its option lists (the
+    sorted available set of a mover, the own color of a happy vertex) and
+    its successors in itertools.product order, each with probability
+    1 / fan-out. The class table maps the successors to their classes,
+    and the transitions from one class into another are summed when the
+    matrix is built. The
+    caps count colorings, as if every member of a class were expanded: a
+    state space k^n above STATE_CAP is refused before anything is
+    explored, and a level holding a transition fan-out above
+    ENUMERATION_CAP, more than ENUMERATION_CAP transitions summed over
+    the members of its classes, or an empty available set, is refused
+    before its successors are expanded.
+
+    Each explored class's happy count is recorded. Happiness is monotone,
+    so a transition that lowers it raises ContractViolation; this checks
+    the oracle's own rules, not the engine's. Classes that cannot reach a
+    proper coloring, found by scipy.sparse.csgraph.breadth_first_order
+    over the reversed transitions, make the expectation infinite.
+    reachable_states and trapped_states count colorings: they are sums of
+    class sizes. Otherwise I - Q over the transient classes, most happy
+    first and in code order within a happy count, is one block lower
+    triangular scipy.sparse CSR matrix. (I - Q) x = 1 is solved with
+    spsolve in that natural order (the residual must be <= 1e-10), and
+    the result is 1 plus, over the start's classes in code order, each
+    class's share of the initial mass (|C| / k^n from the uniform start)
+    times its x, added one term at a time.
     """
     cfg.validate(g)
     n, k = g.n, cfg.k
@@ -412,15 +540,22 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
             raise EnumerationLimitError(f"state space k^n = {space} exceeds state cap {STATE_CAP}")
     place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     if cfg.initial is None:
-        init = np.arange(states, dtype=np.int64)
+        fixed = ()
+        start = np.arange(states, dtype=np.int64)
     else:
-        init = np.array([sum(c * int(p) for c, p in zip(cfg.initial, place))], dtype=np.int64)
+        fixed = tuple(sorted(set(cfg.initial)))
+        start = np.array([sum(c * int(p) for c, p in zip(cfg.initial, place))], dtype=np.int64)
+    # the code of every coloring's class, the colorings of each class, and
+    # the start's classes
+    classes = _relabel_rows(np.arange(states)[:, None] // place % k, fixed) @ place
+    members = np.bincount(classes, minlength=states)
+    init = np.unique(classes[start])
 
     seen = np.zeros(states, dtype=bool)
     seen[init] = True
-    # transitions out of each coloring; 0 for proper and unexplored ones
+    # transitions out of each class; 0 for proper and unexplored ones
     fanout = np.zeros(states, dtype=np.int64)
-    # happy vertices of each explored coloring
+    # happy vertices of each explored class
     happy = np.zeros(states, dtype=np.int64)
     sources, targets = [], []
     frontier = init
@@ -444,18 +579,19 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
             raise EnumerationLimitError(
                 f"transition fan-out {int(fan.max())} exceeds enumeration cap {ENUMERATION_CAP}"
             )
-        if fan.sum() > ENUMERATION_CAP:
+        level = int(members[frontier] @ fan)
+        if level > ENUMERATION_CAP:
             raise EnumerationLimitError(
-                f"BFS level of {int(fan.sum())} transitions exceeds enumeration cap {ENUMERATION_CAP}"
+                f"BFS level of {level} transitions exceeds enumeration cap {ENUMERATION_CAP}"
             )
         fanout[frontier] = fan
-        succ = _successor_codes(ranked, sizes, fan, place)
+        succ = classes[_successor_codes(ranked, sizes, fan, place)]
         sources.append(np.repeat(frontier, fan))
         targets.append(succ)
         frontier = np.unique(succ[~seen[succ]])
         seen[frontier] = True
 
-    reachable = int(np.count_nonzero(seen))
+    reachable = int(members[seen].sum())
     transient = np.flatnonzero(fanout)
     m = transient.size
     if m == 0:
@@ -474,19 +610,20 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
             f"lowers the happy count from {happy[s]} to {happy[t]}"
         )
     # reversed transitions, plus a root (node `states`) pointing at every
-    # reachable proper coloring: what the root reaches can be absorbed
+    # reachable proper class: what the root reaches can be absorbed
     proper = np.flatnonzero(seen & (fanout == 0))
     heads = np.append(dst, np.full(proper.size, states))
     tails = np.append(src, proper)
     back = csr_array((np.ones(heads.size), (heads, tails)), shape=(states + 1, states + 1))
     absorbed = np.zeros(states + 1, dtype=bool)
     absorbed[breadth_first_order(back, states, return_predecessors=False)] = True
-    trapped = int(np.count_nonzero(seen & ~absorbed[:states]))
+    trapped = int(members[seen & ~absorbed[:states]].sum())
     if trapped:
         return ExpectedTau(math.inf, reachable, trapped)
 
     # most-happy first, code order within a level: no transition lowers the
-    # happy count, so I - Q is block lower triangular in this order
+    # happy count, so I - Q is block lower triangular in this order; the
+    # transitions from one class into another are summed into one entry
     index = np.full(states, -1, dtype=np.int64)
     index[transient[np.argsort(-happy[transient], kind="stable")]] = np.arange(m)
     stay = fanout[dst] > 0
@@ -505,10 +642,12 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     if not residual <= 1e-10:
         raise ContractViolation(f"absorption solve residual {residual} above 1e-10")
 
-    start = index[init]
+    live = index[init] >= 0
+    # each start class's share of the initial mass times x, one term at a
+    # time in code order
+    share = members[init] / members[init].sum()
     expected = 1.0
-    # initial mass times x, added one term at a time in code order
-    for term in ((1.0 / init.size) * x[start[start >= 0]]).tolist():
+    for term in (share[live] * x[index[init[live]]]).tolist():
         expected += term
     return ExpectedTau(expected, reachable, 0)
 

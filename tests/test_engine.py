@@ -296,7 +296,7 @@ def reference_round(g, colors, c, rng, rnd):
     nxt = list(colors)
     sizes = []
     for v in _unhappy_list(g, colors):
-        avail = _available(colors, g.neighbors(v), colors[v], c.strategy, c.k)
+        avail = _available({colors[u] for u in g.neighbors(v)}, colors[v], c.strategy, c.k)
         if not avail:
             raise ContractViolation(f"empty available set at vertex {v} in round {rnd}")
         sizes.append(len(avail))
@@ -615,7 +615,7 @@ def test_fast_forward_engages(g, strategy, k, initial, seed, entry, period, monk
 
 def forced(g, colors, c):
     """Whether the round from colors draws nothing: every unhappy player has one color."""
-    return all(len(_available(colors, g.neighbors(v), colors[v], c.strategy, c.k)) == 1
+    return all(len(_available({colors[u] for u in g.neighbors(v)}, colors[v], c.strategy, c.k)) == 1
                for v in _unhappy_list(g, colors))
 
 

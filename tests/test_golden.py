@@ -7,6 +7,7 @@ the same MT19937 stream must reproduce them exactly.
 
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -23,7 +24,13 @@ from netcolor import (
     run_campaign,
 )
 from netcolor.graph import format_edge_list
-from netcolor.verification import AGREEMENT_INSTANCES, DEFAULT_SEED, one_round_counts
+from netcolor.verification import (
+    AGREEMENT_INSTANCES,
+    DEFAULT_SEED,
+    check_available_size_floor,
+    check_two_round_floor,
+    one_round_counts,
+)
 
 
 def sha256(data: bytes) -> str:
@@ -163,3 +170,16 @@ def test_agreement_sampler_digest(index, digest):
     rng = random.Random(seed)
     counts = one_round_counts(g, colors, GameConfig(k=k, strategy=strategy, seed=seed), rng, 10**5)
     assert sha256(repr((list(counts.items()), rng.getstate())).encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "check, digest",
+    [
+        (check_available_size_floor, "7cdb2aacc5965c774a1ec79ebb320660b3bd6b83469abbba99dfe7ce118aef7d"),
+        (check_two_round_floor, "987c7d392636465b8fb67715dce152b92d24af1ac5f17392263158e1fa869922"),
+    ],
+    ids=["available_size_floor", "two_round_floor"],
+)
+def test_exact_floor_details_digest(check, digest):
+    # counts and exact Fraction strings: the same on every numpy and scipy
+    assert sha256(json.dumps(check("full").details).encode()) == digest

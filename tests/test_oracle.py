@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -262,6 +263,110 @@ def test_two_round_memo_matches_uncached(name, g, k, shortcut):
             assert isinstance(shared, Fraction) and shared == alone, (colors, v)
             cases += 1
     assert sum(1 for key in cache if key[0] == "two_round") < cases
+
+
+def two_round_by_loop(g, s, v, strategy, k, *, shortcut=True, cache=None):
+    """two_round_happiness_prob by a Python loop over the round-one outcomes.
+
+    The enumeration two_round_happiness_prob used before it listed the
+    outcomes in numpy and grouped them; kept as the reference whose
+    values and cache entries, in order, it must reproduce.
+    """
+    colors = s.colors
+    if not oracle._is_unhappy(g, colors, v):
+        return Fraction(1)
+    if cache is None:
+        cache = {}
+    key = ("two_round", v, strategy, k, shortcut, oracle._relabel(colors))
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    ball1 = [v, *g.neighbors(v)]
+    ball2 = sorted({w for u in ball1 for w in (u, *g.neighbors(u))})
+    movers1 = [u for u in ball2 if oracle._is_unhappy(g, colors, u)]
+    avails1, size1 = oracle._joint_draws(g, colors, movers1, strategy, k, "round-one joint support")
+    happy = 0
+    favourable: dict[int, int] = {}
+    work = list(colors)
+    for draws in itertools.product(*avails1):
+        for u, c in zip(movers1, draws):
+            work[u] = c
+        if shortcut and not oracle._is_unhappy(g, work, v):
+            happy += 1
+            continue
+        sub = ("round_two", v, strategy, k, oracle._relabel([work[u] for u in ball2]))
+        counts = cache.get(sub)
+        if counts is None:
+            counts = cache[sub] = oracle._second_round_counts(g, work, v, ball1, strategy, k)
+        count, size2 = counts
+        favourable[size2] = favourable.get(size2, 0) + count
+    den = math.lcm(*favourable)
+    num = happy * den + sum(c * (den // size2) for size2, c in favourable.items())
+    prob = Fraction(num, size1 * den)
+    cache[key] = prob
+    return prob
+
+
+TWO_ROUND_BALLS = [(name, g, k, None) for name, g, k in MEMO_INSTANCES] + [
+    # The 2-ball of leaf 1 is all 17 vertices, too many digits for one int64
+    # code of its relabeled colorings. Leaf 1 shares color 0 with the center.
+    ("star17_k17", star_graph(17), 17, [(0, 0, *range(1, 16)), (0, 0, 0, *range(1, 15))]),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("shortcut", [True, False])
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("name,g,k,colorings", TWO_ROUND_BALLS, ids=[m[0] for m in TWO_ROUND_BALLS])
+def test_two_round_matches_the_loop(monkeypatch, name, g, k, colorings, strategy, shortcut, chunk):
+    if chunk is not None:
+        # a group of outcomes spans several chunks
+        monkeypatch.setattr(oracle, "ROW_CHUNK", chunk)
+    want_cache, got_cache = {}, {}
+    cases = [
+        (ColoringState(colors, 1), v)
+        for colors in colorings or conflicted_colorings(g, k)
+        for v in oracle._unhappy_list(g, colors)
+    ]
+    for s, v in cases:
+        loop = functools.partial(two_round_by_loop, shortcut=shortcut, cache=want_cache)
+        law = functools.partial(two_round_happiness_prob, shortcut=shortcut, cache=got_cache)
+        want = size_law_or_refusal(loop, g, s, v, strategy, k)
+        got = size_law_or_refusal(law, g, s, v, strategy, k)
+        assert got == want, (s.colors, v)
+    assert any(key[0] == "round_two" for key in got_cache)
+    assert list(got_cache.items()) == list(want_cache.items())
+
+
+def test_relabel_rows_is_relabel_row_by_row():
+    rows = list(itertools.product(range(4), repeat=5))
+    got = oracle._relabel_rows(np.array(rows)).tolist()
+    assert got == [list(oracle._relabel(row)) for row in rows]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+def test_relabel_rows_gives_the_smallest_member_of_each_class(n, k, data):
+    row = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    fixed = tuple(sorted(data.draw(st.sets(st.integers(0, k - 1)))))
+    free = [c for c in range(k) if c not in fixed]
+    renamings = [
+        dict(zip(free, perm)) | {c: c for c in fixed} for perm in itertools.permutations(free)
+    ]
+    got = oracle._relabel_rows(np.array(rows), fixed).tolist()
+    for colors, smallest in zip(rows, got):
+        assert tuple(smallest) == min(tuple(p[c] for c in colors) for p in renamings)
+
+
+@pytest.mark.parametrize("base,width", [(3, 5), (17, 17), (2**40, 4)])
+def test_row_codes_are_equal_exactly_when_rows_are(base, width):
+    # 300 draws from 40 rows, so rows repeat; the last two bases renumber
+    rng = np.random.default_rng(width)
+    rows = rng.integers(0, 3, size=(40, width))[rng.integers(0, 40, size=300)]
+    pairs = set(zip(map(tuple, rows.tolist()), oracle._row_codes(rows, base).tolist()))
+    assert len(pairs) == len({row for row, _ in pairs}) == len({code for _, code in pairs})
+    assert len(pairs) < 300
 
 
 def brute_size_law(g, s, v, strategy, k):
@@ -669,6 +774,11 @@ CHAIN_STARTS = [
     # greedy K3 at k = 3: a proper start, and the trapped (0, 0, 1) orbit
     (TRIANGLE, 3, Strategy.GREEDY, (0, 1, 2)),
     (TRIANGLE, 3, Strategy.GREEDY, (0, 0, 1)),
+    # 3125 colorings in 52 classes
+    (complete_graph(5), 5, Strategy.FRUGAL, None),
+    # from the all-zero start only colors 1 and 2 are interchangeable
+    (path_graph(7), 3, Strategy.FRUGAL, (0,) * 7),
+    (cycle_graph(7), 3, Strategy.FRUGAL, (0,) * 7),
 ]
 
 
@@ -693,6 +803,36 @@ def test_expected_tau_matches_the_python_chain(g, k, strategy, initial):
         assert got.expected == math.inf
     else:
         assert abs(got.expected - want.expected) <= 1e-12
+
+
+def chain_comparison_fails(*start) -> bool:
+    try:
+        test_expected_tau_matches_the_python_chain(*start)
+    except (AssertionError, pytest.fail.Exception):
+        return True
+    return False
+
+
+def test_a_rule_fault_breaking_color_symmetry_fails_the_chain_comparison(monkeypatch):
+    # Both statements of the rules drop color 0 from every available set of
+    # two or more colors: no set empties, but renaming colors no longer
+    # commutes with the rules, so the chain does not lump onto classes. An
+    # unlumped chain agrees with the reference under this fault.
+    real_available, real_table = oracle._available, oracle._option_table
+
+    def available(*args):
+        avail = real_available(*args)
+        return avail[1:] if len(avail) >= 2 and avail[0] == 0 else avail
+
+    def option_table(*args):
+        ranked, sizes = real_table(*args)
+        drop = (ranked[:, :, 0] == 0) & (sizes >= 2)
+        return np.where(drop[:, :, None], np.roll(ranked, -1, axis=2), ranked), sizes - drop
+
+    monkeypatch.setattr(oracle, "_available", available)
+    monkeypatch.setattr(oracle, "_option_table", option_table)
+    assert oracle._available({0}, 0, Strategy.FRUGAL, 3) == (1, 2)
+    assert any(chain_comparison_fails(*start) for start in CHAIN_STARTS)
 
 
 def test_expected_tau_counts_only_reachable_states():
