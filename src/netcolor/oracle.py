@@ -9,9 +9,10 @@ lookup or enumeration, a palette or a coloring the game cannot have
 
 The laws and floor probabilities count outcomes as integers and turn
 each count into a probability once, as the exact Fraction(count, size)
-over the joint support. The one-round law and the two-round
-probability list every joint draw; the available-size law
-counts them with a dynamic program over the colors v's neighbors cover.
+over the joint support. The one-round law lists every joint draw; the
+available-size law counts them with a dynamic program over the colors
+v's neighbors cover, and the two-round probability lists its round-one
+draws and counts its round-two ones by products of set sizes.
 exact_expected_tau works in doubles: it builds the absorbing chain with
 numpy over base-k codes of the colorings, lumped onto classes of
 colorings, and solves it with one sparse solve.
@@ -21,12 +22,10 @@ renaming colors renames the available sets and leaves every draw
 uniform. Probabilities of happiness therefore depend on a coloring only
 up to renaming, and available_size_distribution and
 two_round_happiness_prob memoize on colorings relabeled by first
-appearance (:func:`_relabel`); two_round_happiness_prob also groups its
-round-one outcomes that way, with the numpy twin :func:`_relabel_rows`.
-For the same reason exact_expected_tau's chain lumps onto the classes of
-colorings under the permutations that fix its start. Its
-reachable_states and trapped_states are sums of class sizes, so they
-count colorings, and its caps count colorings too.
+appearance (:func:`_relabel`). For the same reason exact_expected_tau's
+chain lumps onto the classes of colorings under the permutations that
+fix its start. Its reachable_states and trapped_states are sums of class
+sizes, so they count colorings, and its caps count colorings too.
 """
 
 from __future__ import annotations
@@ -59,8 +58,9 @@ AVAILABLE_SIZE_FLOOR = Fraction(1, 16)
 TWO_ROUND_FLOOR_LO = Fraction("0.0001052804218607104233849382566116")
 TWO_ROUND_FLOOR_HI = Fraction("0.0001052804218607104233849382566117")
 
-# Round-one outcomes two_round_happiness_prob lists in one numpy array.
-ROW_CHUNK = 2**16
+# Table cells (round-one outcomes x 2-ball vertices x colors) that
+# two_round_happiness_prob builds in one piece, or one outcome's if more.
+ROW_CHUNK = 2**23
 
 
 @dataclass(frozen=True)
@@ -194,20 +194,6 @@ def _relabel_rows(rows, fixed=()) -> np.ndarray:
         cols[p] = np.where(new[p], names[named], flat[first[p] * m + at])
         named += new[p]
     return cols.T
-
-
-def _row_codes(rows, base: int) -> np.ndarray:
-    """One int64 per row, equal exactly when the rows are; entries lie in [0, base)."""
-    codes = np.zeros(len(rows), dtype=np.int64)
-    span = 1  # the codes so far lie in [0, span)
-    for column in rows.T:
-        if span > (2**63 - 1) // base:
-            # number the distinct codes so far 0, 1, ..., so the next digit fits
-            codes = np.unique(codes, return_inverse=True)[1]
-            span = len(rows)
-        codes = codes * base + column
-        span *= base
-    return codes
 
 
 def one_round_distribution(g: Graph, s: ColoringState, strategy: Strategy, k: int) -> Distribution:
@@ -359,36 +345,30 @@ def two_round_happiness_prob(
     strategy: Strategy,
     k: int,
     *,
-    shortcut: bool = True,
     cache: dict | None = None,
 ) -> Fraction:
     """Exact P(v is happy two rounds after state s).
 
-    shortcut=True credits outcomes where v is already happy after one
-    round with probability 1, which is what happiness monotonicity
-    guarantees; shortcut=False enumerates the second round regardless and
-    must give the identical value. Both rounds only involve draws inside
-    v's closed 2-neighborhood, so everything else marginalizes away.
+    Both rounds only involve draws inside v's closed 2-neighborhood. The
+    round-one outcomes are listed in numpy, in itertools.product order, at
+    most ROW_CHUNK table cells (outcomes x 2-ball vertices x width) at a
+    time; one that leaves v happy counts as happy, as happiness
+    monotonicity guarantees. Round two is counted, not listed: v ends it
+    happy exactly when no neighbor draws v's new color o, and the draws
+    are independent, so of the prod |A_u| joint draws over v's closed
+    neighborhood, sum over o in A_v of prod over neighbors u of
+    (|A_u| - [o in A_u]) leave v happy; a happy neighbor holds no color v
+    can draw. The sets come from _option_table over the 2-ball, relabeled
+    by first appearance (:func:`_relabel_rows`) when k exceeds it, so the
+    table is width = min(k, |2-ball|) colors wide. Each of the other
+    k - width colors is free to every mover and adds prod over neighbors
+    u of (|A_u| - [u moves]). The result is Fraction(count, size) over the
+    round-one support, count summing the round-two fractions. A round-two
+    support past ENUMERATION_CAP is refused as if it were listed.
 
-    The result is Fraction(count, size) over the round-one joint support
-    (count sums the favourable round-two fractions).
-
-    cache memoizes results for one graph; share one dict across calls on
-    the same graph to amortize corpus scans. Results are keyed
-    ("two_round", v, strategy, k, shortcut, relabeled coloring) and
-    round-two subproblems ("round_two", v, strategy, k, relabeled colors
-    of the 2-ball), where relabeled means renamed by first
-    appearance; both strategies are equivariant under renaming colors, so
-    colorings that differ only by color names share an entry.
-
-    The round-one outcomes are listed in numpy, in itertools.product
-    order, ROW_CHUNK at a time, and v's happiness is tested row by row.
-    The outcomes left (all of them when shortcut=False) are grouped by
-    their relabeled 2-ball coloring, in order of first appearance. Each
-    group's round-two counts come from the cache or, once, from its first
-    outcome, and count once per outcome of the group. So the value, the
-    cache entries and their insertion order are those of taking the
-    outcomes one at a time.
+    cache memoizes results for one graph, keyed ("two_round", v, strategy,
+    k, _relabel(colors)): both strategies are equivariant under renaming
+    colors, so colorings that differ only by color names share an entry.
     """
     colors = s.colors
     _check_vertex_state(g, colors, v, k)
@@ -396,7 +376,7 @@ def two_round_happiness_prob(
         return Fraction(1)
     if cache is None:
         cache = {}
-    key = ("two_round", v, strategy, k, shortcut, _relabel(colors))
+    key = ("two_round", v, strategy, k, _relabel(colors))
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -405,74 +385,62 @@ def two_round_happiness_prob(
     movers1 = [u for u in ball2 if _is_unhappy(g, colors, u)]
     avails1, size1 = _joint_draws(g, colors, movers1, strategy, k, "round-one joint support")
     col = {u: i for i, u in enumerate(ball2)}
-    at_v, beside_v = [col[v]], [col[u] for u in g.neighbors(v)]
+    at_v, beside_v = col[v], [col[u] for u in g.neighbors(v)]
+    near = [col[u] for u in ball1]
+    # the arcs out of v's closed neighborhood, in 2-ball columns: all that
+    # round two reads
+    arcs = np.array([(col[u], col[w]) for u in ball1 for w in g.neighbors(u)]).T
     base = np.array([colors[u] for u in ball2], dtype=np.int64)
     # the movers' columns and options, last mover first
     digits = [(col[u], np.array(a)) for u, a in zip(movers1[::-1], avails1[::-1])]
+    width = min(k, len(ball2))
     happy = 0
-    # relabeled 2-ball coloring -> [round-one outcomes, the first one's 2-ball
-    # colors], in order of first appearance
-    groups: dict[tuple, list] = {}
-    for lo in range(0, size1, ROW_CHUNK):
+    # round-two support size -> favourable round-two draws summed over outcomes
+    favourable: dict[int, int] = {}
+    step = max(1, ROW_CHUNK // (len(ball2) * width))
+    for lo in range(0, size1, step):
         # outcome j is j in the mixed radix of the movers' set sizes, the last
         # mover's digit varying fastest: itertools.product order
-        rest = np.arange(lo, min(lo + ROW_CHUNK, size1))
+        rest = np.arange(lo, min(lo + step, size1))
         rows = np.tile(base, (rest.size, 1))
         for c, options in digits:
             rest, digit = np.divmod(rest, options.size)
             rows[:, c] = options[digit]
-        if shortcut:
-            done = (rows[:, beside_v] != rows[:, at_v]).all(axis=1)
-            happy += int(np.count_nonzero(done))
-            rows = rows[~done]
-        relabeled = _relabel_rows(rows)
-        _, first, outcomes = np.unique(
-            _row_codes(relabeled, len(ball2)), return_index=True, return_counts=True
-        )
-        order = np.argsort(first)
-        first = first[order]
-        for ball, row, count in zip(
-            map(tuple, relabeled[first].tolist()), rows[first].tolist(), outcomes[order].tolist()
-        ):
-            group = groups.get(ball)
-            if group is None:
-                groups[ball] = [count, row]
-            else:
-                group[0] += count
-    # round-two support size -> favourable round-two draws summed over outcomes
-    favourable: dict[int, int] = {}
-    work = list(colors)
-    for ball, (outcomes, row) in groups.items():
-        sub = ("round_two", v, strategy, k, ball)
-        counts = cache.get(sub)
-        if counts is None:
-            for u, c in zip(ball2, row):
+        done = (rows[:, beside_v] != rows[:, [at_v]]).all(axis=1)
+        happy += int(np.count_nonzero(done))
+        rows = rows[~done]
+        named = _relabel_rows(rows) if k > width else rows
+        unhappy = _unhappy_mask(arcs, named)
+        allowed = _option_table(arcs, named, unhappy, strategy, width)
+        sizes = allowed.sum(axis=2) + (k - width) * unhappy
+        # the round-two support in doubles: exact up to 2^53, and past
+        # ENUMERATION_CAP exactly when the true product is
+        size2 = sizes[:, near].prod(axis=1, dtype=np.float64)
+        refused = np.flatnonzero((sizes[:, near] == 0).any(axis=1) | (size2 > ENUMERATION_CAP))
+        if refused.size:
+            row = refused[0]
+            work = list(colors)
+            for u, c in zip(ball2, rows[row].tolist()):
                 work[u] = c
-            counts = cache[sub] = _second_round_counts(g, work, v, ball1, strategy, k)
-        count, size2 = counts
-        favourable[size2] = favourable.get(size2, 0) + count * outcomes
+            movers = [u for u, c in zip(ball1, near) if unhappy[row, c]]
+            _support_size(
+                work, movers, [range(sizes[row, col[u]]) for u in movers], "round-two joint support"
+            )
+        # v's new colors, each times the neighbors' draws that avoid it: first
+        # the table's colors, then the k - width colors no one in the ball holds
+        clear = allowed[:, at_v].astype(np.int64)
+        wide = np.full(len(rows), k - width)
+        for c in beside_v:
+            clear *= sizes[:, c, None] - allowed[:, c]
+            wide *= sizes[:, c] - unhappy[:, c]
+        count = clear.sum(axis=1) + wide
+        for size in np.unique(size2).tolist():
+            favourable[int(size)] = favourable.get(int(size), 0) + int(count[size2 == size].sum())
     den = math.lcm(*favourable)
     num = happy * den + sum(c * (den // size2) for size2, c in favourable.items())
     prob = Fraction(num, size1 * den)
     cache[key] = prob
     return prob
-
-
-def _second_round_counts(g, colors1, v, ball1, strategy, k) -> tuple[int, int]:
-    """(draws leaving v happy, all draws) of one more round from colors1, within ball1."""
-    movers = [u for u in ball1 if _is_unhappy(g, colors1, u)]
-    avails, size = _joint_draws(g, colors1, movers, strategy, k, "round-two joint support")
-    pos = {u: i for i, u in enumerate(movers)}
-    own_at = pos.get(v)
-    # Neighbors that stay put are happy, so they hold no color v can hold
-    # after this round; only the moving neighbors can clash with v.
-    moving = [pos[u] for u in g.neighbors(v) if u in pos]
-    count = 0
-    for draws in itertools.product(*avails):
-        own = colors1[v] if own_at is None else draws[own_at]
-        if all(draws[i] != own for i in moving):
-            count += 1
-    return count, size
 
 
 @dataclass(frozen=True)
@@ -561,13 +529,14 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     frontier = init
     while frontier.size:
         colors = frontier[:, None] // place % k
-        unhappy = _unhappy_mask(g, colors)
+        unhappy = _unhappy_mask(g.arcs(), colors)
         happy[frontier] = n - unhappy.sum(axis=1)
         moving = unhappy.any(axis=1)
         frontier, colors, unhappy = frontier[moving], colors[moving], unhappy[moving]
         if not frontier.size:
             break
-        ranked, sizes = _option_table(g, colors, unhappy, cfg.strategy, k)
+        allowed = _option_table(g.arcs(), colors, unhappy, cfg.strategy, k)
+        sizes = allowed.sum(axis=2)
         empty = np.argwhere(sizes == 0)
         if empty.size:
             row, u = empty[0]
@@ -585,6 +554,7 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
                 f"BFS level of {level} transitions exceeds enumeration cap {ENUMERATION_CAP}"
             )
         fanout[frontier] = fan
+        ranked = np.argsort(~allowed, axis=2, kind="stable")
         succ = classes[_successor_codes(ranked, sizes, fan, place)]
         sources.append(np.repeat(frontier, fan))
         targets.append(succ)
@@ -652,30 +622,29 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     return ExpectedTau(expected, reachable, 0)
 
 
-def _unhappy_mask(g: Graph, colors: np.ndarray) -> np.ndarray:
-    """Which vertices share their color with a neighbor, one row per coloring."""
-    src, dst = g.arcs()
+def _unhappy_mask(arcs, colors: np.ndarray) -> np.ndarray:
+    """Which vertices share their color with a neighbor along arcs, one row per coloring."""
+    src, dst = arcs
     unhappy = np.zeros(colors.shape, dtype=bool)
     np.logical_or.at(unhappy, (slice(None), src), colors[:, src] == colors[:, dst])
     return unhappy
 
 
-def _option_table(g: Graph, colors, unhappy, strategy: Strategy, k: int):
+def _option_table(arcs, colors, unhappy, strategy: Strategy, k: int) -> np.ndarray:
     """Every vertex's options for one round, one row per coloring.
 
-    Returns (ranked, sizes): vertex v of row r has sizes[r, v] options,
-    the colors ranked[r, v, :sizes[r, v]] in ascending order. They are
-    its available set when it is unhappy and its own color when it is
-    happy. The numpy twin of _available, over whole blocks of colorings.
+    allowed[r, v, c] says whether vertex v of row r may hold color c after
+    the round, with its neighbors read along the (src, dst) arcs: its
+    available set when it is unhappy, its own color when it is happy. The
+    numpy twin of _available, over whole blocks of colorings.
     """
     _check_palette(k)
-    src, dst = g.arcs()
+    src, dst = arcs
     used = np.zeros((*colors.shape, k), dtype=bool)
     used[np.arange(len(colors))[:, None], src, colors[:, dst]] = True
     own = colors[:, :, None] == np.arange(k)
     free = ~used if strategy is Strategy.GREEDY else ~used | own
-    allowed = np.where(unhappy[:, :, None], free, own)
-    return np.argsort(~allowed, axis=2, kind="stable"), allowed.sum(axis=2)
+    return np.where(unhappy[:, :, None], free, own)
 
 
 def _successor_codes(ranked, sizes, fan, place) -> np.ndarray:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,18 @@ def test_size_law_threshold_subtracts_the_happy_neighbors_colors():
     }
 
 
+def test_size_floor_holds_at_equality(monkeypatch):
+    # the star6 center's tail is 319/324: a floor equal to it is met, one
+    # just above it is not
+    s = ColoringState((0,) * 6, 1)
+    tail = Fraction(319, 324)
+    monkeypatch.setattr(oracle, "AVAILABLE_SIZE_FLOOR", tail)
+    res = available_size_distribution(star_graph(6), s, 0, Strategy.FRUGAL, 6)
+    assert res.prob_at_least == res.floor == tail and res.holds
+    monkeypatch.setattr(oracle, "AVAILABLE_SIZE_FLOOR", tail + Fraction(1, 10**12))
+    assert not available_size_distribution(star_graph(6), s, 0, Strategy.FRUGAL, 6).holds
+
+
 def test_available_size_rejects_happy_vertex():
     with pytest.raises(ContractViolation, match="happy"):
         available_size_distribution(TRIANGLE, S001, 2, Strategy.FRUGAL, 3)
@@ -157,21 +170,38 @@ def test_two_round_happy_vertex_is_certain():
     ],
 )
 def test_two_round_shortcut_consistency(g, k, colors):
+    # the law counts an outcome that leaves v happy as happy; playing round
+    # two from it too must give the same value
     s = ColoringState(colors, 1)
     for v in range(g.n):
         if not any(colors[u] == colors[v] for u in g.neighbors(v)):
             continue
-        fast = two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k, shortcut=True)
-        slow = two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k, shortcut=False)
-        assert fast == slow
+        law = two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k)
+        assert law == two_round_by_loop(g, s, v, Strategy.FRUGAL, k, shortcut=False)
 
 
-@pytest.mark.parametrize("shortcut", [True, False])
-def test_two_round_is_exact_past_ten_thousand_draws(shortcut):
-    # 7^5 = 16807 round-one joint draws
+@pytest.mark.parametrize("cached", [True, False])
+def test_two_round_is_exact_past_ten_thousand_draws(cached):
+    # 7^5 = 16807 round-one joint draws, and k = 7 exceeds the 2-ball
     s = ColoringState((0,) * 5, 1)
-    p = two_round_happiness_prob(star_graph(5), s, 0, Strategy.FRUGAL, 7, shortcut=shortcut)
+    cache = {} if cached else None
+    p = two_round_happiness_prob(star_graph(5), s, 0, Strategy.FRUGAL, 7, cache=cache)
     assert p == Fraction(5308416, 5764801)
+
+
+def test_two_round_law_stays_within_its_table_budget():
+    # 4 * 51^3 = 530,604 round-one outcomes, each a table row of 52 vertices
+    # by 51 colors: about 1.4e9 cells in one piece
+    s = ColoringState((0, 0, 0, 0, *range(1, 48)), 1)
+    tracemalloc.start()
+    try:
+        p = two_round_happiness_prob(star_graph(51), s, 0, Strategy.FRUGAL, 51)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the value the round-two listing gave
+    assert p == Fraction(17576000000, 17596287801)
+    assert peak <= 64 * 2**20
 
 
 def test_two_round_cache_is_shareable():
@@ -246,38 +276,42 @@ MEMO_INSTANCES = [(inst.name, inst.graph, inst.k) for inst in CORPUS] + [
 ]
 
 
-@pytest.mark.parametrize("shortcut", [True, False])
+@pytest.mark.parametrize("reverse", [True, False])
 @pytest.mark.parametrize("name,g,k", MEMO_INSTANCES, ids=[m[0] for m in MEMO_INSTANCES])
-def test_two_round_memo_matches_uncached(name, g, k, shortcut):
+def test_two_round_memo_matches_uncached(name, g, k, reverse):
+    # in reverse order another member of each class fills its entry
     cache = {}
     cases = 0
-    for colors in conflicted_colorings(g, k):
+    colorings = list(conflicted_colorings(g, k))
+    for colors in reversed(colorings) if reverse else colorings:
         s = ColoringState(colors, 1)
         for v in range(g.n):
             if not any(colors[u] == colors[v] for u in g.neighbors(v)):
                 continue
-            shared = two_round_happiness_prob(
-                g, s, v, Strategy.FRUGAL, k, shortcut=shortcut, cache=cache
-            )
-            alone = two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k, shortcut=shortcut)
+            shared = two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k, cache=cache)
+            alone = two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k)
             assert isinstance(shared, Fraction) and shared == alone, (colors, v)
             cases += 1
     assert sum(1 for key in cache if key[0] == "two_round") < cases
 
 
 def two_round_by_loop(g, s, v, strategy, k, *, shortcut=True, cache=None):
-    """two_round_happiness_prob by a Python loop over the round-one outcomes.
+    """two_round_happiness_prob by Python loops over both rounds' joint draws.
 
     The enumeration two_round_happiness_prob used before it listed the
-    outcomes in numpy and grouped them; kept as the reference whose
-    values and cache entries, in order, it must reproduce.
+    round-one outcomes in numpy and counted round two; kept as the
+    reference whose values, refusals and "two_round" cache entries, in
+    order, it must reproduce. shortcut=False plays round two also from
+    the outcomes that leave v happy, where monotonicity says it must stay
+    happy. Each round-two count is memoized under ("round_two", v,
+    strategy, k, relabeled 2-ball coloring).
     """
     colors = s.colors
     if not oracle._is_unhappy(g, colors, v):
         return Fraction(1)
     if cache is None:
         cache = {}
-    key = ("two_round", v, strategy, k, shortcut, oracle._relabel(colors))
+    key = ("two_round", v, strategy, k, oracle._relabel(colors))
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -297,7 +331,7 @@ def two_round_by_loop(g, s, v, strategy, k, *, shortcut=True, cache=None):
         sub = ("round_two", v, strategy, k, oracle._relabel([work[u] for u in ball2]))
         counts = cache.get(sub)
         if counts is None:
-            counts = cache[sub] = oracle._second_round_counts(g, work, v, ball1, strategy, k)
+            counts = cache[sub] = second_round_by_listing(g, work, v, ball1, strategy, k)
         count, size2 = counts
         favourable[size2] = favourable.get(size2, 0) + count
     den = math.lcm(*favourable)
@@ -307,10 +341,30 @@ def two_round_by_loop(g, s, v, strategy, k, *, shortcut=True, cache=None):
     return prob
 
 
+def second_round_by_listing(g, colors1, v, ball1, strategy, k) -> tuple[int, int]:
+    """(draws leaving v happy, all draws) of one more round from colors1, within ball1."""
+    movers = [u for u in ball1 if oracle._is_unhappy(g, colors1, u)]
+    avails, size = oracle._joint_draws(g, colors1, movers, strategy, k, "round-two joint support")
+    pos = {u: i for i, u in enumerate(movers)}
+    own_at = pos.get(v)
+    moving = [pos[u] for u in g.neighbors(v) if u in pos]
+    count = 0
+    for draws in itertools.product(*avails):
+        own = colors1[v] if own_at is None else draws[own_at]
+        if all(draws[i] != own for i in moving):
+            count += 1
+    return count, size
+
+
 TWO_ROUND_BALLS = [(name, g, k, None) for name, g, k in MEMO_INSTANCES] + [
-    # The 2-ball of leaf 1 is all 17 vertices, too many digits for one int64
-    # code of its relabeled colorings. Leaf 1 shares color 0 with the center.
+    # The 2-ball of leaf 1 is all 17 vertices, as many as the colors. Leaf 1
+    # shares color 0 with the center.
     ("star17_k17", star_graph(17), 17, [(0, 0, *range(1, 16)), (0, 0, 0, *range(1, 15))]),
+    # palettes wider than every 2-ball: the colors no one in the ball holds
+    ("path3_k6", path_graph(3), 6, None),
+    ("cycle4_k7", cycle_graph(4), 7, None),
+    ("complete4_k9", complete_graph(4), 9, None),
+    ("star5_k8", star_graph(5), 8, None),
 ]
 
 
@@ -319,9 +373,7 @@ TWO_ROUND_BALLS = [(name, g, k, None) for name, g, k in MEMO_INSTANCES] + [
 @pytest.mark.parametrize("strategy", list(Strategy))
 @pytest.mark.parametrize("name,g,k,colorings", TWO_ROUND_BALLS, ids=[m[0] for m in TWO_ROUND_BALLS])
 def test_two_round_matches_the_loop(monkeypatch, name, g, k, colorings, strategy, shortcut, chunk):
-    if chunk is not None:
-        # a group of outcomes spans several chunks
-        monkeypatch.setattr(oracle, "ROW_CHUNK", chunk)
+    # shortcut is the reference loop's; the law has none
     want_cache, got_cache = {}, {}
     cases = [
         (ColoringState(colors, 1), v)
@@ -329,13 +381,18 @@ def test_two_round_matches_the_loop(monkeypatch, name, g, k, colorings, strategy
         for v in oracle._unhappy_list(g, colors)
     ]
     for s, v in cases:
+        if chunk is not None:
+            # round one spans several chunks of `chunk` outcomes, each outcome
+            # a table row of |2-ball| * min(k, |2-ball|) cells
+            ball = {w for u in (v, *g.neighbors(v)) for w in (u, *g.neighbors(u))}
+            monkeypatch.setattr(oracle, "ROW_CHUNK", chunk * len(ball) * min(k, len(ball)))
         loop = functools.partial(two_round_by_loop, shortcut=shortcut, cache=want_cache)
-        law = functools.partial(two_round_happiness_prob, shortcut=shortcut, cache=got_cache)
+        law = functools.partial(two_round_happiness_prob, cache=got_cache)
         want = size_law_or_refusal(loop, g, s, v, strategy, k)
         got = size_law_or_refusal(law, g, s, v, strategy, k)
         assert got == want, (s.colors, v)
-    assert any(key[0] == "round_two" for key in got_cache)
-    assert list(got_cache.items()) == list(want_cache.items())
+    assert got_cache
+    assert list(got_cache.items()) == [kv for kv in want_cache.items() if kv[0][0] == "two_round"]
 
 
 def test_relabel_rows_is_relabel_row_by_row():
@@ -357,16 +414,6 @@ def test_relabel_rows_gives_the_smallest_member_of_each_class(n, k, data):
     got = oracle._relabel_rows(np.array(rows), fixed).tolist()
     for colors, smallest in zip(rows, got):
         assert tuple(smallest) == min(tuple(p[c] for c in colors) for p in renamings)
-
-
-@pytest.mark.parametrize("base,width", [(3, 5), (17, 17), (2**40, 4)])
-def test_row_codes_are_equal_exactly_when_rows_are(base, width):
-    # 300 draws from 40 rows, so rows repeat; the last two bases renumber
-    rng = np.random.default_rng(width)
-    rows = rng.integers(0, 3, size=(40, width))[rng.integers(0, 40, size=300)]
-    pairs = set(zip(map(tuple, rows.tolist()), oracle._row_codes(rows, base).tolist()))
-    assert len(pairs) == len({row for row, _ in pairs}) == len({code for _, code in pairs})
-    assert len(pairs) < 300
 
 
 def brute_size_law(g, s, v, strategy, k):
@@ -521,7 +568,7 @@ def test_two_round_memo_respects_a_smaller_cap(monkeypatch):
     g, s = cycle_graph(4), ColoringState((0, 0, 1, 1), 1)
     monkeypatch.setattr(oracle, "ENUMERATION_CAP", 16)
     cache = {}
-    # an empty cache, then the same one holding what the refused call memoized
+    # a refused call memoizes nothing, so the same cache refuses again
     for _ in range(2):
         with pytest.raises(EnumerationLimitError, match="round-two joint support 27"):
             two_round_happiness_prob(g, s, 0, Strategy.FRUGAL, 3, cache=cache)
@@ -825,9 +872,9 @@ def test_a_rule_fault_breaking_color_symmetry_fails_the_chain_comparison(monkeyp
         return avail[1:] if len(avail) >= 2 and avail[0] == 0 else avail
 
     def option_table(*args):
-        ranked, sizes = real_table(*args)
-        drop = (ranked[:, :, 0] == 0) & (sizes >= 2)
-        return np.where(drop[:, :, None], np.roll(ranked, -1, axis=2), ranked), sizes - drop
+        allowed = real_table(*args).copy()
+        allowed[:, :, 0] &= allowed.sum(axis=2) < 2
+        return allowed
 
     monkeypatch.setattr(oracle, "_available", available)
     monkeypatch.setattr(oracle, "_option_table", option_table)

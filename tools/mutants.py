@@ -1,0 +1,124 @@
+"""Mutation gate: every catalogued fault must fail the tests named to catch it.
+
+    python tools/mutants.py            # every mutant
+    python tools/mutants.py NAME ...   # the named ones
+
+Each mutant replaces one piece of text, which must occur exactly once in
+its file, in a temporary copy of src/ and tests/, and runs pytest with -x
+on the test files that must kill it. The run fails if a mutant survives
+its tests, or if its old text no longer occurs exactly once: then the
+catalogue has drifted from the code and the entry must be updated.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ORACLE = "src/netcolor/oracle.py"
+
+# name: (file, old text, new text, test files that must kill it)
+MUTANTS = {
+    # no tested law had a tail of exactly the floor until the equality test
+    "size floor holds only above the floor": (
+        ORACLE,
+        "holds=good * AVAILABLE_SIZE_FLOOR.denominator >= AVAILABLE_SIZE_FLOOR.numerator * size,",
+        "holds=good * AVAILABLE_SIZE_FLOOR.denominator > AVAILABLE_SIZE_FLOOR.numerator * size,",
+        ["tests/test_oracle.py"],
+    ),
+    "two-round law drops the colors no one in the 2-ball holds": (
+        ORACLE,
+        "count = clear.sum(axis=1) + wide",
+        "count = clear.sum(axis=1)",
+        ["tests/test_oracle.py"],
+    ),
+    "two-round law lets a neighbor clash with v's color without drawing it": (
+        ORACLE,
+        "clear *= sizes[:, c, None] - allowed[:, c]",
+        "clear *= sizes[:, c, None]",
+        ["tests/test_oracle.py"],
+    ),
+    "two-round law skips the round-two cap": (
+        ORACLE,
+        "(sizes[:, near] == 0).any(axis=1) | (size2 > ENUMERATION_CAP)",
+        "(sizes[:, near] == 0).any(axis=1)",
+        ["tests/test_oracle.py"],
+    ),
+    "frugal option table drops the player's own color": (
+        ORACLE,
+        "free = ~used if strategy is Strategy.GREEDY else ~used | own",
+        "free = ~used",
+        ["tests/test_oracle.py"],
+    ),
+    "two-round law never relabels its outcomes": (
+        ORACLE,
+        "named = _relabel_rows(rows) if k > width else rows",
+        "named = rows",
+        ["tests/test_oracle.py"],
+    ),
+}
+
+
+def apply(tree: Path, name: str) -> str | None:
+    """Write the mutant into tree; the drift message when its old text does not fit."""
+    file, old, new, _ = MUTANTS[name]
+    path = tree / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        return f"old text occurs {text.count(old)} times in {file}, not once"
+    path.write_text(text.replace(old, new))
+    return None
+
+
+def survives(tree: Path, name: str) -> bool:
+    """Whether the mutant's tests pass in tree, with its own src/ on the path."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    where = subprocess.run(
+        [sys.executable, "-c", "import netcolor; print(netcolor.__file__)"],
+        cwd=tree, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(where).is_relative_to(tree):
+        raise RuntimeError(f"netcolor imported from {where}, not from the mutated copy")
+    tests = MUTANTS[name][3]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    return run.returncode == 0
+
+
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {unknown}; known: {list(MUTANTS)}")
+        return 2
+    failed = 0
+    for name in names or MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp)
+            ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+            for part in ("src", "tests"):
+                shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+            shutil.copy(ROOT / "pyproject.toml", tree)
+            start = time.perf_counter()
+            drift = apply(tree, name)
+            if drift is not None:
+                verdict = f"DRIFTED ({drift})"
+            elif survives(tree, name):
+                verdict = "SURVIVED"
+            else:
+                verdict = "killed"
+        failed += verdict != "killed"
+        print(f"{verdict:8s} {time.perf_counter() - start:6.1f} s  {name}", flush=True)
+    print(f"{failed} of {len(names or MUTANTS)} mutants not killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
