@@ -13,9 +13,9 @@ over the joint support. The one-round law lists every joint draw; the
 available-size law counts them with a dynamic program over the colors
 v's neighbors cover, and the two-round probability lists its round-one
 draws and counts its round-two ones by products of set sizes.
-exact_expected_tau works in doubles: it builds the absorbing chain with
-numpy over base-k codes of the colorings, lumped onto classes of
-colorings, and solves it with one sparse solve.
+exact_expected_tau works in doubles: it builds the lumped absorbing
+chain in numpy as one sparse transition matrix over classes of
+colorings, and reads its traps and I - Q off that matrix.
 
 Both strategies are equivariant under any permutation of the palette:
 renaming colors renames the available sets and leaves every draw
@@ -39,7 +39,7 @@ import numpy as np
 
 from .engine import ColoringState, GameConfig, Strategy, check_coloring
 from .errors import INTEGERS, ConfigError, ContractViolation, EnumerationLimitError
-from .graph import Graph
+from .graph import Graph, sorted_distinct
 
 # Largest enumeration built in one piece: a joint support, a transition
 # fan-out, a breadth-first level of transitions, or a palette listed
@@ -58,7 +58,7 @@ AVAILABLE_SIZE_FLOOR = Fraction(1, 16)
 TWO_ROUND_FLOOR_LO = Fraction("0.0001052804218607104233849382566116")
 TWO_ROUND_FLOOR_HI = Fraction("0.0001052804218607104233849382566117")
 
-# Table cells (round-one outcomes x 2-ball vertices x colors) that
+# Table cells (round-one outcomes x vertices of N[v] x colors) that
 # two_round_happiness_prob builds in one piece, or one outcome's if more.
 ROW_CHUNK = 2**23
 
@@ -349,18 +349,19 @@ def two_round_happiness_prob(
 ) -> Fraction:
     """Exact P(v is happy two rounds after state s).
 
-    Both rounds only involve draws inside v's closed 2-neighborhood. The
-    round-one outcomes are listed in numpy, in itertools.product order, at
-    most ROW_CHUNK table cells (outcomes x 2-ball vertices x width) at a
-    time; one that leaves v happy counts as happy, as happiness
-    monotonicity guarantees. Round two is counted, not listed: v ends it
-    happy exactly when no neighbor draws v's new color o, and the draws
-    are independent, so of the prod |A_u| joint draws over v's closed
-    neighborhood, sum over o in A_v of prod over neighbors u of
-    (|A_u| - [o in A_u]) leave v happy; a happy neighbor holds no color v
-    can draw. The sets come from _option_table over the 2-ball, relabeled
-    by first appearance (:func:`_relabel_rows`) when k exceeds it, so the
-    table is width = min(k, |2-ball|) colors wide. Each of the other
+    Both rounds only involve draws inside v's closed 2-neighborhood, and
+    round two only those of N[v], v and its neighbors. The round-one
+    outcomes are listed in numpy, in itertools.product order, at most
+    ROW_CHUNK table cells (outcomes x |N[v]| x width) at a time; one that
+    leaves v happy counts as happy, as happiness monotonicity guarantees.
+    Round two is counted, not listed: v ends it happy exactly when no
+    neighbor draws v's new color o, and the draws are independent, so of
+    the prod |A_u| joint draws over N[v], sum over o in A_v of prod over
+    neighbors u of (|A_u| - [o in A_u]) leave v happy; a happy neighbor
+    holds no color v can draw. The sets come from _option_table over
+    N[v], the 2-ball's first columns, relabeled by first appearance
+    (:func:`_relabel_rows`) when k exceeds the 2-ball, so the table is
+    width = min(k, |2-ball|) colors wide. Each of the other
     k - width colors is free to every mover and adds prod over neighbors
     u of (|A_u| - [u moves]). The result is Fraction(count, size) over the
     round-one support, count summing the round-two fractions. A round-two
@@ -380,24 +381,23 @@ def two_round_happiness_prob(
     hit = cache.get(key)
     if hit is not None:
         return hit
+    # the 2-ball's columns: N[v] first, v in column 0
     ball1 = [v, *g.neighbors(v)]
-    ball2 = sorted({w for u in ball1 for w in (u, *g.neighbors(u))})
-    movers1 = [u for u in ball2 if _is_unhappy(g, colors, u)]
+    m = len(ball1)
+    ball = ball1 + sorted({w for u in ball1 for w in g.neighbors(u)} - set(ball1))
+    movers1 = [u for u in sorted(ball) if _is_unhappy(g, colors, u)]
     avails1, size1 = _joint_draws(g, colors, movers1, strategy, k, "round-one joint support")
-    col = {u: i for i, u in enumerate(ball2)}
-    at_v, beside_v = col[v], [col[u] for u in g.neighbors(v)]
-    near = [col[u] for u in ball1]
-    # the arcs out of v's closed neighborhood, in 2-ball columns: all that
-    # round two reads
-    arcs = np.array([(col[u], col[w]) for u in ball1 for w in g.neighbors(u)]).T
-    base = np.array([colors[u] for u in ball2], dtype=np.int64)
+    col = {u: i for i, u in enumerate(ball)}
+    # the arcs out of N[v]: all that round two reads
+    arcs = np.array([(i, col[w]) for i, u in enumerate(ball1) for w in g.neighbors(u)]).T
+    base = np.array([colors[u] for u in ball], dtype=np.int64)
     # the movers' columns and options, last mover first
     digits = [(col[u], np.array(a)) for u, a in zip(movers1[::-1], avails1[::-1])]
-    width = min(k, len(ball2))
+    width = min(k, len(ball))
     happy = 0
     # round-two support size -> favourable round-two draws summed over outcomes
     favourable: dict[int, int] = {}
-    step = max(1, ROW_CHUNK // (len(ball2) * width))
+    step = max(1, ROW_CHUNK // (m * width))
     for lo in range(0, size1, step):
         # outcome j is j in the mixed radix of the movers' set sizes, the last
         # mover's digit varying fastest: itertools.product order
@@ -406,31 +406,31 @@ def two_round_happiness_prob(
         for c, options in digits:
             rest, digit = np.divmod(rest, options.size)
             rows[:, c] = options[digit]
-        done = (rows[:, beside_v] != rows[:, [at_v]]).all(axis=1)
+        done = (rows[:, 1:m] != rows[:, :1]).all(axis=1)
         happy += int(np.count_nonzero(done))
         rows = rows[~done]
         named = _relabel_rows(rows) if k > width else rows
-        unhappy = _unhappy_mask(arcs, named)
+        unhappy = _unhappy_mask(arcs, named)[:, :m]
         allowed = _option_table(arcs, named, unhappy, strategy, width)
         sizes = allowed.sum(axis=2) + (k - width) * unhappy
         # the round-two support in doubles: exact up to 2^53, and past
         # ENUMERATION_CAP exactly when the true product is
-        size2 = sizes[:, near].prod(axis=1, dtype=np.float64)
-        refused = np.flatnonzero((sizes[:, near] == 0).any(axis=1) | (size2 > ENUMERATION_CAP))
+        size2 = sizes.prod(axis=1, dtype=np.float64)
+        refused = np.flatnonzero((sizes == 0).any(axis=1) | (size2 > ENUMERATION_CAP))
         if refused.size:
             row = refused[0]
             work = list(colors)
-            for u, c in zip(ball2, rows[row].tolist()):
+            for u, c in zip(ball, rows[row].tolist()):
                 work[u] = c
-            movers = [u for u, c in zip(ball1, near) if unhappy[row, c]]
+            movers = [u for i, u in enumerate(ball1) if unhappy[row, i]]
             _support_size(
                 work, movers, [range(sizes[row, col[u]]) for u in movers], "round-two joint support"
             )
         # v's new colors, each times the neighbors' draws that avoid it: first
         # the table's colors, then the k - width colors no one in the ball holds
-        clear = allowed[:, at_v].astype(np.int64)
+        clear = allowed[:, 0].astype(np.int64)
         wide = np.full(len(rows), k - width)
-        for c in beside_v:
+        for c in range(1, m):
             clear *= sizes[:, c, None] - allowed[:, c]
             wide *= sizes[:, c] - unhappy[:, c]
         count = clear.sum(axis=1) + wide
@@ -473,10 +473,8 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     arcs, and each transient representative gets its option lists (the
     sorted available set of a mover, the own color of a happy vertex) and
     its successors in itertools.product order, each with probability
-    1 / fan-out. The class table maps the successors to their classes,
-    and the transitions from one class into another are summed when the
-    matrix is built. The
-    caps count colorings, as if every member of a class were expanded: a
+    1 / fan-out. The class table maps the successors to their classes.
+    The caps count colorings, as if every member of a class were expanded: a
     state space k^n above STATE_CAP is refused before anything is
     explored, and a level holding a transition fan-out above
     ENUMERATION_CAP, more than ENUMERATION_CAP transitions summed over
@@ -485,17 +483,20 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
 
     Each explored class's happy count is recorded. Happiness is monotone,
     so a transition that lowers it raises ContractViolation; this checks
-    the oracle's own rules, not the engine's. Classes that cannot reach a
-    proper coloring, found by scipy.sparse.csgraph.breadth_first_order
-    over the reversed transitions, make the expectation infinite.
+    the oracle's own rules, not the engine's. The rest is read off one
+    CSR matrix, chain, of class-to-class probabilities (the transitions
+    between two classes summed). The reachable classes that no proper
+    class reaches over chain.T, in one multi-source
+    scipy.sparse.csgraph.dijkstra search (all of them when none is
+    proper), are trapped and make the expectation infinite.
     reachable_states and trapped_states count colorings: they are sums of
-    class sizes. Otherwise I - Q over the transient classes, most happy
-    first and in code order within a happy count, is one block lower
-    triangular scipy.sparse CSR matrix. (I - Q) x = 1 is solved with
-    spsolve in that natural order (the residual must be <= 1e-10), and
-    the result is 1 plus, over the start's classes in code order, each
-    class's share of the initial mass (|C| / k^n from the uniform start)
-    times its x, added one term at a time.
+    class sizes. Otherwise I - Q is the identity minus chain over the
+    transient classes, most happy first and in code order within a happy
+    count: block lower triangular. (I - Q) x = 1 is solved with spsolve
+    in that natural order (the residual must be <= 1e-10), and the result
+    is 1 plus, over the start's classes in code order, each class's share
+    of the initial mass (|C| / k^n from the uniform start) times its x (0
+    when proper), added one term at a time.
     """
     cfg.validate(g)
     n, k = g.n, cfg.k
@@ -517,7 +518,7 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     # the start's classes
     classes = _relabel_rows(np.arange(states)[:, None] // place % k, fixed) @ place
     members = np.bincount(classes, minlength=states)
-    init = np.unique(classes[start])
+    init = sorted_distinct(classes[start])
 
     seen = np.zeros(states, dtype=bool)
     seen[init] = True
@@ -558,17 +559,16 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
         succ = classes[_successor_codes(ranked, sizes, fan, place)]
         sources.append(np.repeat(frontier, fan))
         targets.append(succ)
-        frontier = np.unique(succ[~seen[succ]])
+        frontier = sorted_distinct(succ[~seen[succ]])
         seen[frontier] = True
 
     reachable = int(members[seen].sum())
     transient = np.flatnonzero(fanout)
-    m = transient.size
-    if m == 0:
+    if transient.size == 0:
         return ExpectedTau(1.0, reachable, 0)
     # Imported here: scipy.sparse costs every other command about 0.4 s.
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import breadth_first_order
+    from scipy.sparse import csr_array, identity
+    from scipy.sparse.csgraph import dijkstra
     from scipy.sparse.linalg import spsolve
 
     src, dst = np.concatenate(sources), np.concatenate(targets)
@@ -579,45 +579,36 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
             f"transition {tuple((s // place % k).tolist())} -> {tuple((t // place % k).tolist())} "
             f"lowers the happy count from {happy[s]} to {happy[t]}"
         )
-    # reversed transitions, plus a root (node `states`) pointing at every
-    # reachable proper class: what the root reaches can be absorbed
+    # class-to-class transition probabilities; the transitions between the
+    # same two classes are summed
+    chain = csr_array((1.0 / fanout[src], (src, dst)), shape=(states, states))
+    stuck = seen.copy()
     proper = np.flatnonzero(seen & (fanout == 0))
-    heads = np.append(dst, np.full(proper.size, states))
-    tails = np.append(src, proper)
-    back = csr_array((np.ones(heads.size), (heads, tails)), shape=(states + 1, states + 1))
-    absorbed = np.zeros(states + 1, dtype=bool)
-    absorbed[breadth_first_order(back, states, return_predecessors=False)] = True
-    trapped = int(members[seen & ~absorbed[:states]].sum())
+    if proper.size:
+        stuck &= np.isinf(dijkstra(chain.T, indices=proper, min_only=True, unweighted=True))
+    trapped = int(members[stuck].sum())
     if trapped:
         return ExpectedTau(math.inf, reachable, trapped)
 
     # most-happy first, code order within a level: no transition lowers the
-    # happy count, so I - Q is block lower triangular in this order; the
-    # transitions from one class into another are summed into one entry
-    index = np.full(states, -1, dtype=np.int64)
-    index[transient[np.argsort(-happy[transient], kind="stable")]] = np.arange(m)
-    stay = fanout[dst] > 0
-    diag = np.arange(m)
-    a = csr_array(
-        (
-            np.append(np.ones(m), -1.0 / fanout[src[stay]]),
-            (np.append(diag, index[src[stay]]), np.append(diag, index[dst[stay]])),
-        ),
-        shape=(m, m),
-    )
-    b = np.ones(m)
+    # happy count, so I - Q is block lower triangular in this order
+    order = transient[np.argsort(-happy[transient], kind="stable")]
+    a = csr_array(identity(order.size)) - chain[order][:, order]
+    b = np.ones(order.size)
     x = spsolve(a, b, permc_spec="NATURAL")
     residual = float(np.max(np.abs(a @ x - b)))
     # a NaN residual (singular solve) fails this test as well
     if not residual <= 1e-10:
         raise ContractViolation(f"absorption solve residual {residual} above 1e-10")
 
-    live = index[init] >= 0
-    # each start class's share of the initial mass times x, one term at a
-    # time in code order
+    # E(tau) - 1 from each transient class; 0 from a proper one
+    steps = np.zeros(states)
+    steps[order] = x
+    # each start class's share of the initial mass times its steps, one
+    # term at a time in code order
     share = members[init] / members[init].sum()
     expected = 1.0
-    for term in (share[live] * x[index[init[live]]]).tolist():
+    for term in (share * steps[init]).tolist():
         expected += term
     return ExpectedTau(expected, reachable, 0)
 
@@ -631,18 +622,20 @@ def _unhappy_mask(arcs, colors: np.ndarray) -> np.ndarray:
 
 
 def _option_table(arcs, colors, unhappy, strategy: Strategy, k: int) -> np.ndarray:
-    """Every vertex's options for one round, one row per coloring.
+    """Options for one round of the first m vertices, one row per coloring.
 
-    allowed[r, v, c] says whether vertex v of row r may hold color c after
-    the round, with its neighbors read along the (src, dst) arcs: its
-    available set when it is unhappy, its own color when it is happy. The
-    numpy twin of _available, over whole blocks of colorings.
+    allowed[r, v, c] says whether vertex v < m of row r may hold color c
+    after the round, its neighbors read along the (src, dst) arcs, which
+    leave only those m: its available set when unhappy[r, v], its own
+    color otherwise; m is unhappy's column count. The numpy twin of
+    _available, over whole blocks of colorings.
     """
     _check_palette(k)
     src, dst = arcs
-    used = np.zeros((*colors.shape, k), dtype=bool)
-    used[np.arange(len(colors))[:, None], src, colors[:, dst]] = True
-    own = colors[:, :, None] == np.arange(k)
+    rows, m = unhappy.shape
+    used = np.zeros((rows, m, k), dtype=bool)
+    used[np.arange(rows)[:, None], src, colors[:, dst]] = True
+    own = colors[:, :m, None] == np.arange(k)
     free = ~used if strategy is Strategy.GREEDY else ~used | own
     return np.where(unhappy[:, :, None], free, own)
 

@@ -1,0 +1,34 @@
+"""The mutation catalogue of tools/mutants.py still fits the code.
+
+The tool itself runs every mutant's tests and takes minutes; this checks
+only that each catalogued old text occurs exactly once in its file and
+that the tests named to kill it exist, so a rewrite that drifts from the
+catalogue fails here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_catalogue() -> dict:
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MUTANTS
+
+
+MUTANTS = load_catalogue()
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_catalogued_old_text_occurs_once(name):
+    file, old, new, tests = MUTANTS[name]
+    assert old != new
+    assert (ROOT / file).read_text().count(old) == 1
+    assert tests
+    for test in tests:
+        assert (ROOT / test.split("::")[0]).is_file(), test

@@ -383,9 +383,9 @@ def test_two_round_matches_the_loop(monkeypatch, name, g, k, colorings, strategy
     for s, v in cases:
         if chunk is not None:
             # round one spans several chunks of `chunk` outcomes, each outcome
-            # a table row of |2-ball| * min(k, |2-ball|) cells
+            # a table of |N[v]| * min(k, |2-ball|) cells
             ball = {w for u in (v, *g.neighbors(v)) for w in (u, *g.neighbors(u))}
-            monkeypatch.setattr(oracle, "ROW_CHUNK", chunk * len(ball) * min(k, len(ball)))
+            monkeypatch.setattr(oracle, "ROW_CHUNK", chunk * (1 + g.degree(v)) * min(k, len(ball)))
         loop = functools.partial(two_round_by_loop, shortcut=shortcut, cache=want_cache)
         law = functools.partial(two_round_happiness_prob, cache=got_cache)
         want = size_law_or_refusal(loop, g, s, v, strategy, k)
@@ -399,6 +399,25 @@ def test_relabel_rows_is_relabel_row_by_row():
     rows = list(itertools.product(range(4), repeat=5))
     got = oracle._relabel_rows(np.array(rows)).tolist()
     assert got == [list(oracle._relabel(row)) for row in rows]
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_option_table_covers_only_the_columns_of_its_mask(strategy):
+    # read along the arcs out of the first m vertices, a mask of those m
+    # columns gives the full table's first m rows, as the two-round law
+    # uses it on v's closed neighborhood; k runs below and above m
+    rng = np.random.default_rng(27)
+    for g in (path_graph(5), cycle_graph(6), star_graph(5), complete_graph(4)):
+        src, dst = g.arcs()
+        for k in (2, 3, g.n + 2):
+            colors = rng.integers(0, k, size=(8, g.n))
+            unhappy = oracle._unhappy_mask((src, dst), colors)
+            full = oracle._option_table((src, dst), colors, unhappy, strategy, k)
+            for m in range(1, g.n + 1):
+                out = src < m
+                part = oracle._option_table((src[out], dst[out]), colors, unhappy[:, :m], strategy, k)
+                assert part.shape == (len(colors), m, k)
+                assert np.array_equal(part, full[:, :m]), (g, k, m)
 
 
 @settings(deadline=None, max_examples=100)
@@ -826,6 +845,10 @@ CHAIN_STARTS = [
     # from the all-zero start only colors 1 and 2 are interchangeable
     (path_graph(7), 3, Strategy.FRUGAL, (0,) * 7),
     (cycle_graph(7), 3, Strategy.FRUGAL, (0,) * 7),
+    # greedy path4 at k = 3 reaches 4 and 9 proper classes and 6 trapped
+    # colorings: the trap search starts from several sources
+    (path_graph(4), 3, Strategy.GREEDY, None),
+    (path_graph(4), 3, Strategy.GREEDY, (0,) * 4),
 ]
 
 

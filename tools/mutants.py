@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ENGINE = "src/netcolor/engine.py"
 ORACLE = "src/netcolor/oracle.py"
 
 # name: (file, old text, new text, test files that must kill it)
@@ -46,8 +47,8 @@ MUTANTS = {
     ),
     "two-round law skips the round-two cap": (
         ORACLE,
-        "(sizes[:, near] == 0).any(axis=1) | (size2 > ENUMERATION_CAP)",
-        "(sizes[:, near] == 0).any(axis=1)",
+        "(sizes == 0).any(axis=1) | (size2 > ENUMERATION_CAP)",
+        "(sizes == 0).any(axis=1)",
         ["tests/test_oracle.py"],
     ),
     "frugal option table drops the player's own color": (
@@ -61,6 +62,54 @@ MUTANTS = {
         "named = _relabel_rows(rows) if k > width else rows",
         "named = rows",
         ["tests/test_oracle.py"],
+    ),
+    # Not catalogued: the two-round law's unhappy mask left uncut, over the
+    # whole 2-ball. It is equivalent: no arc leaves a column past N[v], so
+    # the extra columns are happy and hold only their own color; their
+    # size 1 multiplies every product by 1 and they add 0 to the k - width
+    # term.
+    "trap search follows transitions forward": (
+        ORACLE,
+        "dijkstra(chain.T, indices=proper, min_only=True, unweighted=True)",
+        "dijkstra(chain, indices=proper, min_only=True, unweighted=True)",
+        ["tests/test_oracle.py"],
+    ),
+    # every class that misses the first proper class then counts as trapped
+    "trap search starts from the first proper class only": (
+        ORACLE,
+        "dijkstra(chain.T, indices=proper, min_only=True, unweighted=True)",
+        "dijkstra(chain.T, indices=proper[:1], min_only=True, unweighted=True)",
+        ["tests/test_oracle.py"],
+    ),
+    "chain probabilities read at the target's fan-out": (
+        ORACLE,
+        "chain = csr_array((1.0 / fanout[src], (src, dst)), shape=(states, states))",
+        "chain = csr_array((1.0 / fanout[dst], (src, dst)), shape=(states, states))",
+        ["tests/test_oracle.py"],
+    ),
+    "a scalar-round mover never draws its largest available color": (
+        ENGINE,
+        "return [rng.randrange(s) if s > 1 else 0 for s in sizes]",
+        "return [min(rng.randrange(s), s - 2) if s > 1 else 0 for s in sizes]",
+        ["tests/test_verification.py"],
+    ),
+    "a vector-round mover never draws its largest available color": (
+        ENGINE,
+        "ranks[drawn] = _randrange_each(rng, sizes[drawn])",
+        "ranks[drawn] = np.minimum(_randrange_each(rng, sizes[drawn]), sizes[drawn] - 2)",
+        ["tests/test_engine.py"],
+    ),
+    "frugal drops its own color": (
+        ENGINE,
+        'return strategy._value_ == "frugal"',
+        "return False",
+        ["tests/test_verification.py"],
+    ),
+    "greedy keeps its own color": (
+        ENGINE,
+        'return strategy._value_ == "frugal"',
+        "return True",
+        ["tests/test_verification.py"],
     ),
 }
 
