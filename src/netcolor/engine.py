@@ -14,19 +14,17 @@ rounds read those MT19937 words in bulk and leave the stream exactly
 where the per-call loops would, which holds for k < 2**32, the largest
 palette GameConfig accepts.
 
-A round has two implementations, picked by its number of unhappy
-vertices: in Python below VECTOR_ROUND_MIN of them, in numpy over CSR
-rows from there on. Both take for each redraw the r-th color outside its
-excluded set (the neighbors' colors, less the player's own under
-Frugal), found by rank in O(degree) whatever k is, and both draw the
-same colors from the same stream. The Python round stays because numpy's
-per-call cost dominates small rounds: with numpy-only rounds, 2000 K3
-trials took 3.3x as long (91 to 305 ms), 40 cycle(100) trials 64% longer
-and 40 ER(1000) trials 3% longer (median of 7 interleaved passes on a
-2-CPU host, Python 3.11, numpy 2.4). run() and step() play them, the
-verification suite samples the numpy round over stacked copies of a
-graph, and the tests pin both draw for draw to the oracle's independent
-twin of the rules, which alone lists available sets over range(k).
+The unhappy scan and the round each have two implementations, in Python
+below VECTOR_MIN vertices (the graph's for a scan, the unhappy ones for
+a round) and in numpy over CSR rows from there on, so a graph below
+VECTOR_MIN is played in Python throughout. Both rounds take for each
+redraw the r-th color outside its excluded set (the neighbors' colors,
+less the player's own under Frugal), found by rank in O(degree) whatever
+k is, and both draw the same colors from the same stream. run() and
+step() play them, the verification suite samples the numpy round over
+stacked copies of a graph, and the tests pin both draw for draw to the
+oracle's independent twin of the rules, which alone lists available sets
+over range(k).
 
 Happiness is monotone: a happy player keeps its color, and a redraw
 takes a color no neighbor holds or, under Frugal, the player's own,
@@ -304,10 +302,13 @@ class TrialResult:
 RETENTIONS = ("full", "counts")
 
 
-# Below this many vertices a Python scan beats numpy's per-call overhead:
-# with numpy scans only, 2000 K3 trials took 8% longer (112 to 121 ms,
-# same host and method as the round timings in the module docstring).
-VECTOR_SCAN_MIN = 32
+# Below this many vertices numpy's per-call cost exceeds the Python loop's,
+# so a scan over a smaller graph and a round over fewer unhappy vertices run
+# in Python. With numpy scans only, 2000 K3 trials took 8% longer (112 to
+# 121 ms); with numpy rounds only, 3.3x as long (91 to 305 ms), 40 cycle(100)
+# trials 64% longer and 40 ER(1000) trials 3% longer (median of 7
+# interleaved passes on a 2-CPU host, Python 3.11, numpy 2.4).
+VECTOR_MIN = 32
 
 
 def unhappy_vertices(g: Graph, s: ColoringState) -> list[int]:
@@ -317,7 +318,7 @@ def unhappy_vertices(g: Graph, s: ColoringState) -> list[int]:
 
 def _scan(g: Graph, colors) -> list[int]:
     """unhappy_vertices of a coloring held as a sequence or an int64 array."""
-    if g.n < VECTOR_SCAN_MIN:
+    if g.n < VECTOR_MIN:
         out = []
         for v in range(g.n):
             c = colors[v]
@@ -419,7 +420,7 @@ def run(
     redrew, which is exact because colors change nowhere else and a
     happy vertex stays happy; every round checks the latter and raises
     ContractViolation if a happy vertex turns unhappy. Rounds with at
-    least VECTOR_ROUND_MIN unhappy vertices run in numpy
+    least VECTOR_MIN unhappy vertices run in numpy
     (:func:`_vector_round`), smaller ones in Python (:func:`_scalar_round`);
     both draw the same colors from the same stream.
 
@@ -441,7 +442,7 @@ def run(
     n = g.n
     # colors is a list in scalar rounds and an array in vector rounds
     colors: list[int] | np.ndarray = _initial_colors(g, cfg, rng)
-    if n < VECTOR_SCAN_MIN:
+    if n < VECTOR_MIN:
         colors = colors.tolist()
     unhappy = _scan(g, colors)
     # one entry per round: its unhappy count, or under full retention the
@@ -487,11 +488,6 @@ def run(
     )
 
 
-# Rounds with at least this many unhappy vertices redraw in numpy; below
-# it the per-call cost of numpy exceeds the Python loop's.
-VECTOR_ROUND_MIN = 32
-
-
 def _play_round(g: Graph, colors, unhappy: list[int], cfg: GameConfig, rng: random.Random,
                 rnd: int):
     """One round by :func:`_vector_round` or :func:`_scalar_round`, whichever fits.
@@ -500,7 +496,7 @@ def _play_round(g: Graph, colors, unhappy: list[int], cfg: GameConfig, rng: rand
     round works on, updated in place and returned first, followed by the
     round's (next unhappy list, smallest set size, drew).
     """
-    if len(unhappy) >= VECTOR_ROUND_MIN:
+    if len(unhappy) >= VECTOR_MIN:
         if isinstance(colors, list):
             colors = np.array(colors, dtype=np.int64)
         return colors, *_vector_round(g.offsets(), g.arcs()[1], colors, unhappy, cfg, rng, rnd)

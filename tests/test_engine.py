@@ -235,11 +235,11 @@ def test_run_timeout_is_a_value():
     assert len(r.history) == 50
 
 
-@pytest.mark.parametrize("vector_min", [engine.VECTOR_ROUND_MIN, 1])
+@pytest.mark.parametrize("vector_min", [engine.VECTOR_MIN, 1])
 def test_happy_vertex_turning_unhappy_raises(vector_min, monkeypatch):
     # vertex 1 clashes with vertex 0 but is handed over as happy; under
     # Frugal at k = 2 vertex 0's only color is its own, a forced move
-    monkeypatch.setattr(engine, "VECTOR_ROUND_MIN", vector_min)
+    monkeypatch.setattr(engine, "VECTOR_MIN", vector_min)
     rng = random.Random(0)
     before = rng.getstate()
     with pytest.raises(ContractViolation, match="^happy vertex 1 lost happiness in round 2$"):
@@ -340,8 +340,8 @@ def assert_run_matches_steps(g, c, retention="full"):
 @given(graph_and_config())
 def test_run_matches_stepwise_reference(gc):
     assert_run_matches_steps(*gc)
-    # every round of these small graphs through the numpy round as well
-    with mock.patch.object(engine, "VECTOR_ROUND_MIN", 1):
+    # every scan and round of these small graphs through numpy as well
+    with mock.patch.object(engine, "VECTOR_MIN", 1):
         assert_run_matches_steps(*gc)
 
 
@@ -350,9 +350,9 @@ def test_run_matches_stepwise_reference(gc):
 def test_step_matches_reference_round(gc):
     g, c = gc
     colors = tuple(random.Random(c.seed).randrange(c.k) for _ in range(g.n))
-    for vector_min in (engine.VECTOR_ROUND_MIN, 1):
+    for vector_min in (engine.VECTOR_MIN, 1):
         rng, ref = random.Random(c.seed), random.Random(c.seed)
-        with mock.patch.object(engine, "VECTOR_ROUND_MIN", vector_min):
+        with mock.patch.object(engine, "VECTOR_MIN", vector_min):
             nxt, rec = step(g, ColoringState(colors, 3), c, rng)
         expected, _ = reference_round(g, colors, c, ref, 3)
         assert nxt == ColoringState(expected, 4) and rng.getstate() == ref.getstate()
@@ -412,8 +412,8 @@ def test_stacked_outcome_codes_reach_int64_and_are_refused_past_it():
 @pytest.mark.parametrize("strategy", list(Strategy))
 @pytest.mark.parametrize("n, p", [(40, 0.15), (120, 0.05)])
 def test_run_matches_stepwise_reference_on_vectorized_scans(n, p, strategy):
-    # n >= VECTOR_SCAN_MIN, so the scans take the numpy path; at n = 120 the
-    # rounds start above VECTOR_ROUND_MIN unhappy vertices and fall below it.
+    # n >= VECTOR_MIN, so the scans take the numpy path; at n = 120 the
+    # rounds start above VECTOR_MIN unhappy vertices and fall below it.
     g = erdos_renyi(n, p, seed=n)
     for k in (strategy.min_colors(g.max_degree()), 1000, 2**32 - 1):
         for seed in range(5):
@@ -456,9 +456,9 @@ STAR4 = ((0, 1), (0, 2), (0, 3))
 @pytest.mark.parametrize("vector_rounds", [False, True])
 def test_run_matches_stepwise_reference_on_crafted_starts(g, strategy, k, initial, max_rounds,
                                                          vector_rounds, monkeypatch):
-    # vector_rounds plays every round, however few redraw, through the numpy round
+    # vector_rounds plays every scan and round, however few redraw, in numpy
     if vector_rounds:
-        monkeypatch.setattr(engine, "VECTOR_ROUND_MIN", 1)
+        monkeypatch.setattr(engine, "VECTOR_MIN", 1)
     c = GameConfig(k=k, strategy=strategy, seed=4, max_rounds=max_rounds,
                    enforce_k_bound=False, initial=initial)
     assert_run_matches_steps(g, c)
@@ -580,7 +580,7 @@ FORCED_STARTS = [
 def test_fast_forward_matches_stepwise_reference(g, strategy, k, initial, seed, entry, period,
                                                  retention, vector_rounds, monkeypatch):
     if vector_rounds:
-        monkeypatch.setattr(engine, "VECTOR_ROUND_MIN", 1)
+        monkeypatch.setattr(engine, "VECTOR_MIN", 1)
     for max_rounds in range(1, entry + 3 * period + 2):
         c = GameConfig(k=k, strategy=strategy, seed=seed, max_rounds=max_rounds,
                        enforce_k_bound=False, initial=initial)

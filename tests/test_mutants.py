@@ -1,9 +1,9 @@
 """The mutation catalogue of tools/mutants.py still fits the code.
 
 The tool itself runs every mutant's tests and takes minutes; this checks
-only that each catalogued old text occurs exactly once in its file and
-that the tests named to kill it exist, so a rewrite that drifts from the
-catalogue fails here.
+only that each catalogued old text occurs exactly once in its file, that
+the test files named to kill it exist, and which pytest exit codes count
+as a kill, so a rewrite that drifts from the catalogue fails here.
 """
 
 import importlib.util
@@ -14,14 +14,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_catalogue() -> dict:
+def load_tool():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
 
 
-MUTANTS = load_catalogue()
+TOOL = load_tool()
+MUTANTS = TOOL.MUTANTS
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
@@ -32,3 +33,11 @@ def test_catalogued_old_text_occurs_once(name):
     assert tests
     for test in tests:
         assert (ROOT / test.split("::")[0]).is_file(), test
+
+
+def test_only_a_failed_test_or_collection_kills():
+    # a missing test file (4) or an empty selection (5) fails the run
+    assert TOOL.verdict(0) == "SURVIVED"
+    assert TOOL.verdict(1) == TOOL.verdict(2) == "killed"
+    for code in (3, 4, 5):
+        assert TOOL.verdict(code) == f"BROKEN (pytest exit {code})"
