@@ -276,24 +276,33 @@ MEMO_INSTANCES = [(inst.name, inst.graph, inst.k) for inst in CORPUS] + [
 ]
 
 
-@pytest.mark.parametrize("name,g,k", MEMO_INSTANCES, ids=[m[0] for m in MEMO_INSTANCES])
-def test_two_round_memo_matches_uncached(name, g, k):
-    # each coloring's unhappy vertices and their uncached values, computed once
+@functools.cache
+def uncached_two_round(name):
+    """Each conflicted coloring of instance `name`, its unhappy vertices and
+    their uncached two-round values, computed once for both orders."""
+    g, k = next((g, k) for n, g, k in MEMO_INSTANCES if n == name)
     rows = []
     for colors in conflicted_colorings(g, k):
         s = ColoringState(colors, 1)
         movers = oracle._unhappy_list(g, colors)
         rows.append((s, movers, [two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k)
                                  for v in movers]))
-    cases = sum(len(movers) for _, movers, _ in rows)
+    return rows
+
+
+@pytest.mark.parametrize("reverse", [True, False])
+@pytest.mark.parametrize("name,g,k", MEMO_INSTANCES, ids=[m[0] for m in MEMO_INSTANCES])
+def test_two_round_memo_matches_uncached(name, g, k, reverse):
     # in reverse order another member of each class fills its entry
-    for ordered in (rows, rows[::-1]):
-        cache = {}
-        for s, movers, alone in ordered:
-            for v, want in zip(movers, alone):
-                shared = two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k, cache=cache)
-                assert isinstance(shared, Fraction) and shared == want, (s.colors, v)
-        assert sum(1 for key in cache if key[0] == "two_round") < cases
+    rows = uncached_two_round(name)
+    cache = {}
+    cases = 0
+    for s, movers, alone in reversed(rows) if reverse else rows:
+        for v, want in zip(movers, alone):
+            shared = two_round_happiness_prob(g, s, v, Strategy.FRUGAL, k, cache=cache)
+            assert isinstance(shared, Fraction) and shared == want, (s.colors, v)
+            cases += 1
+    assert sum(1 for key in cache if key[0] == "two_round") < cases
 
 
 def two_round_by_loop(g, s, v, strategy, k, *, shortcut=True, cache=None):
@@ -369,38 +378,59 @@ TWO_ROUND_BALLS = [(name, g, k, None) for name, g, k in MEMO_INSTANCES] + [
 ]
 
 
-@pytest.mark.parametrize("strategy", list(Strategy))
-@pytest.mark.parametrize("name,g,k,colorings", TWO_ROUND_BALLS, ids=[m[0] for m in TWO_ROUND_BALLS])
-def test_two_round_matches_the_loop(monkeypatch, name, g, k, colorings, strategy):
-    # the reference loop with and without its shortcut, which the law has
-    # not, and the law at ROW_CHUNK and at 7-outcome chunks; each of the
-    # four keeps its own cache across the cases
-    loop_caches = {True: {}, False: {}}
-    law_caches = {None: {}, 7: {}}
+@functools.cache
+def two_round_cases(name):
+    g, k, colorings = next((g, k, c) for n, g, k, c in TWO_ROUND_BALLS if n == name)
     cases = [
         (ColoringState(colors, 1), v)
         for colors in colorings or conflicted_colorings(g, k)
         for v in oracle._unhappy_list(g, colors)
     ]
-    row_chunk = oracle.ROW_CHUNK
-    for s, v in cases:
-        got = [size_law_or_refusal(functools.partial(two_round_by_loop, shortcut=shortcut,
-                                                     cache=cache), g, s, v, strategy, k)
-               for shortcut, cache in loop_caches.items()]
-        # at chunk 7 round one spans several chunks of 7 outcomes, each
-        # outcome a table of |N[v]| * min(k, |2-ball|) cells
-        ball = {w for u in (v, *g.neighbors(v)) for w in (u, *g.neighbors(u))}
-        for chunk, cache in law_caches.items():
-            monkeypatch.setattr(oracle, "ROW_CHUNK", row_chunk if chunk is None
-                                else chunk * (1 + g.degree(v)) * min(k, len(ball)))
-            law = functools.partial(two_round_happiness_prob, cache=cache)
+    return g, k, cases
+
+
+# Each side runs every case once per setting; the items of
+# test_two_round_matches_the_loop pair the settings up. The law has no
+# shortcut and the loop no chunk.
+@functools.cache
+def loop_over_cases(name, strategy, shortcut):
+    """The reference loop's result on each case of ball `name`, and its cache."""
+    g, k, cases = two_round_cases(name)
+    cache = {}
+    loop = functools.partial(two_round_by_loop, shortcut=shortcut, cache=cache)
+    return [size_law_or_refusal(loop, g, s, v, strategy, k) for s, v in cases], cache
+
+
+@functools.cache
+def law_over_cases(name, strategy, chunk):
+    """The law's result on each case of ball `name`, and its cache."""
+    g, k, cases = two_round_cases(name)
+    cache = {}
+    law = functools.partial(two_round_happiness_prob, cache=cache)
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        for s, v in cases:
+            if chunk is not None:
+                # round one spans several chunks of `chunk` outcomes, each
+                # outcome a table of |N[v]| * min(k, |2-ball|) cells
+                ball = {w for u in (v, *g.neighbors(v)) for w in (u, *g.neighbors(u))}
+                mp.setattr(oracle, "ROW_CHUNK", chunk * (1 + g.degree(v)) * min(k, len(ball)))
             got.append(size_law_or_refusal(law, g, s, v, strategy, k))
-        assert got == [got[0]] * 4, (s.colors, v)
-    for got_cache in law_caches.values():
-        assert got_cache
-        for want_cache in loop_caches.values():
-            want = [kv for kv in want_cache.items() if kv[0][0] == "two_round"]
-            assert list(got_cache.items()) == want
+    return got, cache
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("shortcut", [True, False])
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("name,g,k,colorings", TWO_ROUND_BALLS, ids=[m[0] for m in TWO_ROUND_BALLS])
+def test_two_round_matches_the_loop(name, g, k, colorings, strategy, shortcut, chunk):
+    want, want_cache = loop_over_cases(name, strategy, shortcut)
+    got, got_cache = law_over_cases(name, strategy, chunk)
+    _, _, cases = two_round_cases(name)
+    for (s, v), a, b in zip(cases, got, want, strict=True):
+        assert a == b, (s.colors, v)
+    assert got_cache
+    assert list(got_cache.items()) == [kv for kv in want_cache.items() if kv[0][0] == "two_round"]
 
 
 def test_relabel_rows_is_relabel_row_by_row():
