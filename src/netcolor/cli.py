@@ -28,7 +28,7 @@ from .campaign import (
     run_campaign,
     sweep,
 )
-from .engine import DEFAULT_MAX_ROUNDS, RETENTIONS, Strategy
+from .engine import DEFAULT_MAX_ROUNDS, Strategy
 from .errors import ContractViolation, EnumerationLimitError, NetcolorError
 from .graph import FAMILIES, format_edge_list, generate, read_edge_list
 from .verification import DEFAULT_SEED, LEVELS, run_all
@@ -55,6 +55,8 @@ def load_config(path: str, options: dict) -> list[str]:
             lines = fh.readlines()
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise UsageError(f"config file {path} is a directory") from None
     tokens: list[str] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -106,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--family", choices=FAMILIES, help="generator family")
     run_p.add_argument("--n", help="vertex count for generated graphs")
     run_p.add_argument("--allow-illegal-k", action="store_true")
-    run_p.add_argument("--retention", choices=RETENTIONS, default="counts")
     run_p.add_argument("--out", help="per-trial CSV path")
     run_p.add_argument("--rounds-out", help="per-round unhappy-count CSV path")
 
@@ -142,10 +143,7 @@ def _load_graph(args: argparse.Namespace):
     if args.graph and args.family:
         raise UsageError("give either --graph or --family, not both")
     if args.graph:
-        try:
-            return read_edge_list(args.graph)
-        except FileNotFoundError:
-            raise UsageError(f"graph file not found: {args.graph}") from None
+        return read_edge_list(args.graph)
     if args.family:
         if args.n is None:
             raise UsageError("--family needs --n")
@@ -158,22 +156,36 @@ def _load_graph(args: argparse.Namespace):
     raise UsageError("a graph is required: --graph FILE or --family NAME --n N")
 
 
-def _check_output_paths(args: argparse.Namespace) -> None:
-    """Refuse an --out or --rounds-out path that is empty, a directory or in no directory.
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse the path flags that no file could be read from or written to.
 
-    An empty path is not read as stdout: run's stdout carries its summary.
+    --graph, --out and --rounds-out may not be empty or a directory;
+    --graph must exist, and an output's directory must. An empty path is
+    not read as stdout: run's stdout carries its summary. No two of
+    --graph, --config, --out and --rounds-out may name one file, as a
+    write would clobber an input or the other output. load_config has
+    refused a --config it could not read.
     """
-    for flag in ("out", "rounds_out"):
+    named: dict[str, str] = {}  # each real path seen, and the flag that gave it
+    for flag in ("graph", "config", "out", "rounds_out"):
         path = getattr(args, flag, None)
         if path is None:
             continue
         name = "--" + flag.replace("_", "-")
-        if not path:
-            raise UsageError(f"{name} is empty")
-        if os.path.isdir(path):
-            raise UsageError(f"{name} {path} is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise UsageError(f"{name} {path}: no such directory")
+        if flag != "config":
+            if not path:
+                raise UsageError(f"{name} is empty")
+            if os.path.isdir(path):
+                raise UsageError(f"{name} {path} is a directory")
+            if flag == "graph":
+                if not os.path.exists(path):
+                    raise UsageError(f"{name} {path}: no such file")
+            elif not os.path.isdir(os.path.dirname(path) or "."):
+                raise UsageError(f"{name} {path}: no such directory")
+        real = os.path.realpath(path)
+        if real in named:
+            raise UsageError(f"{named[real]} and {name} name one file: {path}")
+        named[real] = name
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -201,7 +213,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         trials=args.trials,
         base_seed=args.seed,
         max_rounds=args.max_rounds,
-        retention=args.retention,
         allow_illegal_k=args.allow_illegal_k,
     )
     result = run_campaign(spec, jobs=args.jobs, out=args.out, rounds_out=args.rounds_out)
@@ -284,7 +295,7 @@ def main(argv=None) -> int:
             # the file's options go first, so the command line's flags win
             tokens = load_config(args.config, vars(args))
             args = parser.parse_args([args.command, *tokens, *argv[1:]])
-        _check_output_paths(args)  # before any work, not after it
+        _check_paths(args)  # before any work, not after it
         status = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout must fail here, not at exit
         return status

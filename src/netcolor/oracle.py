@@ -108,7 +108,6 @@ def _check_palette(k: int) -> None:
 def _available(used, own: int, strategy: Strategy, k: int) -> tuple[int, ...]:
     """Sorted available colors of a player of color own whose neighbors hold the colors in used."""
     # Independent twin of the engine's candidate computation; keep it that way.
-    _check_palette(k)
     free = [c for c in range(k) if c not in used]
     # not Strategy.GREEDY: an Enum class attribute takes 0.1 µs on Python 3.11
     if strategy._value_ == "greedy" or own not in used:
@@ -117,26 +116,39 @@ def _available(used, own: int, strategy: Strategy, k: int) -> tuple[int, ...]:
 
 
 def _joint_draws(g: Graph, colors, movers, strategy: Strategy, k: int, what: str):
-    """Available sets of the movers and the size of their joint support.
+    """Available sets of the movers and the size of their joint support."""
+    used_of = {u: {colors[w] for w in g.neighbors(u)} for u in movers}
+    return _draws(colors, used_of, strategy, k, what)
 
-    Raises as _support_size does, before anything is enumerated.
+
+def _draws(colors, used_of: dict, strategy: Strategy, k: int, what: str):
+    """Available sets of the movers u whose neighbors hold the colors
+    used_of[u], in that order, and the size of their joint support.
+
+    Each set is sized first, as _available would list it, and the
+    palette and support refused as _check_palette and _support_size do,
+    before any set is listed. The size returned is the product of the
+    listed sets' lengths, so a law's weights always fit what it lists.
     """
-    avails = [
-        _available({colors[w] for w in g.neighbors(u)}, colors[u], strategy, k) for u in movers
-    ]
-    return avails, _support_size(colors, movers, avails, what)
+    if used_of:
+        _check_palette(k)
+    keeps_own = strategy._value_ == "frugal"  # frugal's own color stays available
+    sizes = [k - len(used) + (keeps_own and colors[u] in used) for u, used in used_of.items()]
+    _support_size(colors, used_of, sizes, what)
+    avails = [_available(used, colors[u], strategy, k) for u, used in used_of.items()]
+    return avails, math.prod(len(a) for a in avails)
 
 
-def _support_size(colors, movers, avails, what: str) -> int:
-    """The size of the movers' joint support.
+def _support_size(colors, movers, sizes, what: str) -> int:
+    """The size of the movers' joint support, from the sizes of their available sets.
 
     Raises on an empty available set and when the joint support exceeds
     ENUMERATION_CAP; what names the support in the message.
     """
-    for u, a in zip(movers, avails):
-        if not a:
+    for u, size in zip(movers, sizes):
+        if not size:
             raise ContractViolation(f"empty available set at vertex {u} in coloring {tuple(colors)}")
-    size = math.prod(len(a) for a in avails)
+    size = math.prod(sizes)
     if size > ENUMERATION_CAP:
         # str() refuses integers of more than 4300 digits, and a refused
         # support can be far longer: past 10^18 say only its magnitude
@@ -257,7 +269,7 @@ def available_size_distribution(
     _check_vertex_state(g, colors, v, k)
     nbrs = g.neighbors(v)
     # Each vertex of v's closed neighborhood gets its neighbors' colors once:
-    # that set decides whether it moves, and builds its available set.
+    # that set decides whether it moves, and sizes and lists its available set.
     used_v = {colors[u] for u in nbrs}
     if colors[v] not in used_v:
         raise ContractViolation(f"vertex {v} is happy; the size law is defined for unhappy vertices")
@@ -267,13 +279,14 @@ def available_size_distribution(
         hit = cache.get(key)
         if hit is not None:
             return hit
-    # the available set of each vertex of the closed neighborhood that moves
-    avail_of: dict[int, tuple[int, ...]] = {}
+    # the neighbors' colors of each vertex of the closed neighborhood that moves
+    used_of = {}
     for u in sorted((v, *nbrs)):
         used = used_v if u == v else {colors[w] for w in g.neighbors(u)}
         if colors[u] in used:
-            avail_of[u] = _available(used, colors[u], strategy, k)
-    size = _support_size(colors, list(avail_of), list(avail_of.values()), "joint support")
+            used_of[u] = used
+    avails, size = _draws(colors, used_of, strategy, k, "joint support")
+    avail_of = dict(zip(used_of, avails))
     # one bit per color a neighbor can hold after the round, handed out as
     # the colors appear, so masks stay as short as the neighborhood's
     # colors whatever k is
@@ -424,7 +437,7 @@ def two_round_happiness_prob(
                 work[u] = c
             movers = [u for i, u in enumerate(ball1) if unhappy[row, i]]
             _support_size(
-                work, movers, [range(sizes[row, col[u]]) for u in movers], "round-two joint support"
+                work, movers, [int(sizes[row, col[u]]) for u in movers], "round-two joint support"
             )
         # v's new colors, each times the neighbors' draws that avoid it: first
         # the table's colors, then the k - width colors no one in the ball holds

@@ -179,7 +179,7 @@ def test_config_rejects_unknown_and_malformed(tmp_path, capsys):
     assert f"{bad_key}:1" in capsys.readouterr().err
     # values are checked by argparse, exactly like flags, before any graph is built
     bad_val = tmp_path / "c.cfg"
-    for line in ("trials = many", "retention = bogus"):
+    for line in ("trials = many", "k_rule = bogus"):
         bad_val.write_text(f"family = complete\nn = 3\nstrategy = frugal\n{line}\n")
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--config", str(bad_val))
@@ -426,6 +426,88 @@ def test_bad_output_paths_are_refused_before_any_work(tmp_path, monkeypatch, cap
     assert captured.err.startswith(f"error: {flag} {path}")
     assert reason in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def snapshot(directory):
+    """Each file under directory, with its bytes and modification time."""
+    return {path: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in directory.rglob("*") if path.is_file()}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for name in ("run_campaign", "sweep", "read_edge_list", "generate"):
+        monkeypatch.setattr(netcolor.cli, name, ran)
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--config"])
+def test_an_input_path_that_is_a_directory_is_refused_before_any_work(
+    tmp_path, capsys, no_work, flag
+):
+    (tmp_path / "inputs").mkdir()
+    before = snapshot(tmp_path)
+    argv = ["run", "--strategy", "frugal", flag, str(tmp_path / "inputs"),
+            "--out", str(tmp_path / "trials.csv")]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "is a directory" in captured.err
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "first, second, command",
+    [
+        ("--out", "--rounds-out", "run"),
+        ("--graph", "--out", "run"),
+        ("--graph", "--rounds-out", "run"),
+        ("--config", "--out", "run"),
+        ("--config", "--out", "sweep"),
+    ],
+)
+def test_two_paths_naming_one_file_are_refused_before_any_work(
+    tmp_path, monkeypatch, capsys, no_work, first, second, command
+):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--strategy", "frugal", "--n", "3"]
+    path = "trials.csv" if first == "--out" else "input"
+    if first == "--graph":
+        write_edge_list(complete_graph(3), path)
+    else:
+        argv += ["--family", "complete"]
+    if first == "--config":
+        Path(path).write_text("trials = 3\n")
+    before = snapshot(tmp_path)
+    # the same file under two spellings
+    assert run_cli(*argv, first, path, second, os.path.join(".", path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {first} and {second} name one file")
+    assert snapshot(tmp_path) == before
+
+
+def test_a_graph_file_and_a_family_are_refused(tmp_path, capsys):
+    path = tmp_path / "triangle.edges"
+    write_edge_list(complete_graph(3), str(path))
+    assert run_cli("run", "--graph", str(path), "--family", "complete", "--n", "3",
+                   "--strategy", "frugal") == 2
+    assert capsys.readouterr().err == "error: give either --graph or --family, not both\n"
+
+
+def test_retention_is_not_an_option(tmp_path, capsys):
+    # every output of run reads only per-round counts, so the switch changed no output
+    argv = ["run", "--family", "complete", "--n", "3", "--strategy", "frugal"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--retention", "full")
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --retention full" in capsys.readouterr().err
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("retention = full\n")
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown option 'retention'\n"
 
 
 def test_config_error_is_a_value_error():

@@ -23,6 +23,7 @@ from netcolor import (
     initial_state,
     run_campaign,
 )
+from netcolor.cli import main
 from netcolor.graph import format_edge_list
 from netcolor.verification import (
     AGREEMENT_INSTANCES,
@@ -152,6 +153,32 @@ def test_campaign_csv_digests(spec, trials_digest, rounds_digest, tmp_path):
     run_campaign(spec, out=str(trials), rounds_out=str(rounds))
     assert sha256(trials.read_bytes()) == trials_digest
     assert sha256(rounds.read_bytes()) == rounds_digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--family", "erdos_renyi", "--n", "1000", "--p", "0.008", "--graph-seed", "42",
+             "--strategy", "frugal", "--k", "19", "--trials", "50"],
+            "12665685a8e8477a7a04cf380487bfa1476ffc6f21b51535ae3da0dea6dba7f5",
+        ),
+        (
+            ["--family", "complete", "--n", "3", "--strategy", "greedy", "--k", "3",
+             "--allow-illegal-k", "--trials", "10", "--max-rounds", "1000"],
+            "e6aeaa1679d3f3a40550f345c8c5dbc783a4cdac75f1effed57fff876d7202a4",
+        ),
+    ],
+    ids=["er1000_k19_frugal", "k3_k3_greedy_illegal"],
+)
+def test_run_summary_digest(argv, digest, capsys):
+    # the campaigns of test_campaign_csv_digests through `netcolor run`: the
+    # summary JSON, spec_hash included, less its wall_time line
+    assert main(["run", *argv, "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith('  "wall_time": '))
+    assert len(kept) < len("".join(lines))
+    assert sha256(kept.encode()) == digest
 
 
 @pytest.mark.parametrize(

@@ -646,6 +646,23 @@ def test_oracle_refuses_palettes_above_the_enumeration_cap(monkeypatch):
         one_round_distribution(TRIANGLE, ColoringState((0, 0, 0), 1), Strategy.FRUGAL, k)
 
 
+def test_a_support_past_the_cap_is_refused_before_any_set_is_listed(monkeypatch):
+    # frugal at k = 10^7 from (0, 0, 1): vertices 0 and 1 each keep 10^7 - 1
+    # colors, a joint support of 99,999,980,000,001 that listing both sets
+    # over range(k) took seconds to find
+    def listed(*args):
+        raise AssertionError("an available set was listed")
+
+    monkeypatch.setattr(oracle, "_available", listed)
+    k, past = 10**7, "99999980000001 exceeds enumeration cap 10000000"
+    with pytest.raises(EnumerationLimitError, match=f"^joint support {past}$"):
+        one_round_distribution(TRIANGLE, S001, Strategy.FRUGAL, k)
+    with pytest.raises(EnumerationLimitError, match=f"^round-one joint support {past}$"):
+        two_round_happiness_prob(TRIANGLE, S001, 0, Strategy.FRUGAL, k)
+    with pytest.raises(EnumerationLimitError, match=f"^joint support {past}$"):
+        available_size_distribution(TRIANGLE, S001, 0, Strategy.FRUGAL, k)
+
+
 def test_two_round_floor_comparison():
     assert two_round_floor_holds(Fraction(1, 16))
     assert not two_round_floor_holds(Fraction(1, 10**5))

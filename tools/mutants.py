@@ -25,6 +25,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CAMPAIGN = "src/netcolor/campaign.py"
+CLI = "src/netcolor/cli.py"
 ENGINE = "src/netcolor/engine.py"
 ORACLE = "src/netcolor/oracle.py"
 
@@ -59,6 +61,13 @@ MUTANTS = {
         ORACLE,
         "free = ~used if strategy is Strategy.GREEDY else ~used | own",
         "free = ~used",
+        ["tests/test_oracle.py"],
+    ),
+    # only the refusal reads the sizes, so the refused support's number changes
+    "the size of a frugal available set drops the player's own color": (
+        ORACLE,
+        "sizes = [k - len(used) + (keeps_own and colors[u] in used) for u, used in used_of.items()]",
+        "sizes = [k - len(used) for u, used in used_of.items()]",
         ["tests/test_oracle.py"],
     ),
     "two-round law never relabels its outcomes": (
@@ -137,6 +146,24 @@ MUTANTS = {
         'return strategy._value_ == "frugal"',
         "return True",
         ["tests/test_verification.py"],
+    ),
+    "the path check lets two flags name one file": (
+        CLI,
+        'raise UsageError(f"{named[real]} and {name} name one file: {path}")',
+        "pass",
+        ["tests/test_cli.py"],
+    ),
+    "a copied span's number is written one byte late": (
+        CAMPAIGN,
+        "for pos, digit in enumerate(number, at):",
+        "for pos, digit in enumerate(number, at + 1):",
+        ["tests/test_rounds_csv.py"],
+    ),
+    "a formatted span takes its round digits from the next row": (
+        CAMPAIGN,
+        "table[:, pos] = _OFFSET_DIGITS[first_offset : first_offset + m, col]",
+        "table[:, pos] = _OFFSET_DIGITS[first_offset + 1 : first_offset + 1 + m, col]",
+        ["tests/test_rounds_csv.py"],
     ),
 }
 
