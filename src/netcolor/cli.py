@@ -159,12 +159,12 @@ def _load_graph(args: argparse.Namespace):
 def _check_paths(args: argparse.Namespace) -> None:
     """Refuse the path flags that no file could be read from or written to.
 
-    --graph, --out and --rounds-out may not be empty or a directory;
-    --graph must exist, and an output's directory must. An empty path is
-    not read as stdout: run's stdout carries its summary. No two of
-    --graph, --config, --out and --rounds-out may name one file, as a
-    write would clobber an input or the other output. load_config has
-    refused a --config it could not read.
+    No path may be empty, and --graph, --out and --rounds-out may not be
+    a directory; --graph must exist, and an output's directory must. An
+    empty path is not read as stdout: run's stdout carries its summary.
+    No two of --graph, --config, --out and --rounds-out may name one
+    file, as a write would clobber an input or the other output.
+    load_config has refused a nonempty --config it could not read.
     """
     named: dict[str, str] = {}  # each real path seen, and the flag that gave it
     for flag in ("graph", "config", "out", "rounds_out"):
@@ -172,9 +172,9 @@ def _check_paths(args: argparse.Namespace) -> None:
         if path is None:
             continue
         name = "--" + flag.replace("_", "-")
+        if not path:
+            raise UsageError(f"{name} is empty")
         if flag != "config":
-            if not path:
-                raise UsageError(f"{name} is empty")
             if os.path.isdir(path):
                 raise UsageError(f"{name} {path} is a directory")
             if flag == "graph":

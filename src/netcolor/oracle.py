@@ -115,28 +115,29 @@ def _available(used, own: int, strategy: Strategy, k: int) -> tuple[int, ...]:
     return tuple(sorted(free + [own]))
 
 
-def _joint_draws(g: Graph, colors, movers, strategy: Strategy, k: int, what: str):
-    """Available sets of the movers and the size of their joint support."""
-    used_of = {u: {colors[w] for w in g.neighbors(u)} for u in movers}
-    return _draws(colors, used_of, strategy, k, what)
+def _draws(g: Graph, colors, vertices, strategy: Strategy, k: int, what: str):
+    """The movers of one round among vertices, their available sets and
+    the size of their joint support: (movers, avails, size).
 
-
-def _draws(colors, used_of: dict, strategy: Strategy, k: int, what: str):
-    """Available sets of the movers u whose neighbors hold the colors
-    used_of[u], in that order, and the size of their joint support.
-
-    Each set is sized first, as _available would list it, and the
-    palette and support refused as _check_palette and _support_size do,
-    before any set is listed. The size returned is the product of the
-    listed sets' lengths, so a law's weights always fit what it lists.
+    The movers are the unhappy vertices of vertices, in order; each one's
+    neighbors' colors decide that it moves and give its set. Each set is
+    sized first, as _available would list it, and the palette and
+    support refused as _check_palette and _support_size do, before any
+    set is listed. The size returned is the product of the listed sets'
+    lengths, so a law's weights always fit what it lists.
     """
+    used_of = {}
+    for u in vertices:
+        used = {colors[w] for w in g.neighbors(u)}
+        if colors[u] in used:
+            used_of[u] = used
     if used_of:
         _check_palette(k)
     keeps_own = strategy._value_ == "frugal"  # frugal's own color stays available
     sizes = [k - len(used) + (keeps_own and colors[u] in used) for u, used in used_of.items()]
     _support_size(colors, used_of, sizes, what)
     avails = [_available(used, colors[u], strategy, k) for u, used in used_of.items()]
-    return avails, math.prod(len(a) for a in avails)
+    return list(used_of), avails, math.prod(len(a) for a in avails)
 
 
 def _support_size(colors, movers, sizes, what: str) -> int:
@@ -155,21 +156,6 @@ def _support_size(colors, movers, sizes, what: str) -> int:
         text = str(size) if size <= 10**18 else f"~10^{math.log10(size):.1f}"
         raise EnumerationLimitError(f"{what} {text} exceeds enumeration cap {ENUMERATION_CAP}")
     return size
-
-
-def _next_colorings(g: Graph, colors, movers, strategy: Strategy, k: int, what: str):
-    """Per-vertex options of one round and the size of their product.
-
-    Happy vertices keep their color and the unhappy movers range over
-    their sorted available sets, so itertools.product(*options) lists
-    every next coloring once, each with probability 1/size, in sorted
-    order.
-    """
-    avails, size = _joint_draws(g, colors, movers, strategy, k, what)
-    options = [(c,) for c in colors]
-    for u, a in zip(movers, avails):
-        options[u] = a
-    return options, size
 
 
 def _relabel(colors) -> tuple[int, ...]:
@@ -212,9 +198,11 @@ def one_round_distribution(g: Graph, s: ColoringState, strategy: Strategy, k: in
     """Exact law of the next state: happy vertices stick, unhappy draw jointly."""
     colors = s.colors
     check_coloring(g, colors, k)
-    options, size = _next_colorings(
-        g, colors, _unhappy_list(g, colors), strategy, k, "joint support"
-    )
+    movers, avails, size = _draws(g, colors, range(g.n), strategy, k, "joint support")
+    # happy vertices keep their color: product lists each next coloring once
+    options = [(c,) for c in colors]
+    for u, a in zip(movers, avails):
+        options[u] = a
     p = Fraction(1, size)
     support = tuple((ColoringState(c, s.round + 1), p) for c in itertools.product(*options))
     return Distribution(support=support)
@@ -267,11 +255,7 @@ def available_size_distribution(
     """
     colors = s.colors
     _check_vertex_state(g, colors, v, k)
-    nbrs = g.neighbors(v)
-    # Each vertex of v's closed neighborhood gets its neighbors' colors once:
-    # that set decides whether it moves, and sizes and lists its available set.
-    used_v = {colors[u] for u in nbrs}
-    if colors[v] not in used_v:
+    if not _is_unhappy(g, colors, v):
         raise ContractViolation(f"vertex {v} is happy; the size law is defined for unhappy vertices")
     key = None
     if cache is not None:
@@ -279,14 +263,9 @@ def available_size_distribution(
         hit = cache.get(key)
         if hit is not None:
             return hit
-    # the neighbors' colors of each vertex of the closed neighborhood that moves
-    used_of = {}
-    for u in sorted((v, *nbrs)):
-        used = used_v if u == v else {colors[w] for w in g.neighbors(u)}
-        if colors[u] in used:
-            used_of[u] = used
-    avails, size = _draws(colors, used_of, strategy, k, "joint support")
-    avail_of = dict(zip(used_of, avails))
+    nbrs = g.neighbors(v)
+    movers, avails, size = _draws(g, colors, sorted((v, *nbrs)), strategy, k, "joint support")
+    avail_of = dict(zip(movers, avails))
     # one bit per color a neighbor can hold after the round, handed out as
     # the colors appear, so masks stay as short as the neighborhood's
     # colors whatever k is
@@ -398,8 +377,7 @@ def two_round_happiness_prob(
     ball1 = [v, *g.neighbors(v)]
     m = len(ball1)
     ball = ball1 + sorted({w for u in ball1 for w in g.neighbors(u)} - set(ball1))
-    movers1 = [u for u in sorted(ball) if _is_unhappy(g, colors, u)]
-    avails1, size1 = _joint_draws(g, colors, movers1, strategy, k, "round-one joint support")
+    movers1, avails1, size1 = _draws(g, colors, sorted(ball), strategy, k, "round-one joint support")
     col = {u: i for i, u in enumerate(ball)}
     # the arcs out of N[v]: all that round two reads
     arcs = np.array([(i, col[w]) for i, u in enumerate(ball1) for w in g.neighbors(u)]).T
@@ -489,10 +467,11 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     1 / fan-out. The class table maps the successors to their classes.
     The caps count colorings, as if every member of a class were expanded: a
     state space k^n above STATE_CAP is refused before anything is
-    explored, and a level holding a transition fan-out above
-    ENUMERATION_CAP, more than ENUMERATION_CAP transitions summed over
-    the members of its classes, or an empty available set, is refused
-    before its successors are expanded.
+    explored, and a level is refused before its successors are expanded
+    if it holds an empty available set, else a transition fan-out above
+    ENUMERATION_CAP (both by _support_size, as the laws refuse theirs),
+    else more than ENUMERATION_CAP transitions summed over the members
+    of its classes.
 
     Each explored class's happy count is recorded. Happiness is monotone,
     so a transition that lowers it raises ContractViolation; this checks
@@ -551,17 +530,12 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
             break
         allowed = _option_table(g.arcs(), colors, unhappy, cfg.strategy, k)
         sizes = allowed.sum(axis=2)
-        empty = np.argwhere(sizes == 0)
-        if empty.size:
-            row, u = empty[0]
-            raise ContractViolation(
-                f"empty available set at vertex {u} in coloring {tuple(colors[row].tolist())}"
-            )
         fan = sizes.prod(axis=1)
-        if fan.max() > ENUMERATION_CAP:
-            raise EnumerationLimitError(
-                f"transition fan-out {int(fan.max())} exceeds enumeration cap {ENUMERATION_CAP}"
-            )
+        # the first row with an empty set, else the first with the largest
+        # fan-out: the one row _support_size needs to refuse the level
+        empty = (sizes == 0).any(axis=1)
+        row = int(np.argmax(empty if empty.any() else fan))
+        _support_size(colors[row].tolist(), range(n), sizes[row].tolist(), "transition fan-out")
         level = int(members[frontier] @ fan)
         if level > ENUMERATION_CAP:
             raise EnumerationLimitError(

@@ -458,6 +458,19 @@ def test_an_input_path_that_is_a_directory_is_refused_before_any_work(
     assert snapshot(tmp_path) == before
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_empty_config_path_is_refused_before_any_work(tmp_path, monkeypatch, capsys, no_work, command):
+    # main skips loading a falsy --config, so the path check must see it
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", "", "--family", "complete", "--n", "3", "--strategy", "frugal",
+            "--trials", "2"]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --config is empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "first, second, command",
     [

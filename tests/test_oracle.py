@@ -253,7 +253,7 @@ def test_oracle_refuses_what_is_not_a_state_of_the_game(monkeypatch, colors, v, 
         get = reached
 
     monkeypatch.setattr(oracle, "_is_unhappy", reached)
-    monkeypatch.setattr(oracle, "_joint_draws", reached)
+    monkeypatch.setattr(oracle, "_draws", reached)
     s = ColoringState(colors, 1)
     with pytest.raises(ConfigError, match=message):
         available_size_distribution(TRIANGLE, s, v, Strategy.FRUGAL, 3, cache=Reached())
@@ -328,7 +328,7 @@ def two_round_by_loop(g, s, v, strategy, k, *, shortcut=True, cache=None):
     ball1 = [v, *g.neighbors(v)]
     ball2 = sorted({w for u in ball1 for w in (u, *g.neighbors(u))})
     movers1 = [u for u in ball2 if oracle._is_unhappy(g, colors, u)]
-    avails1, size1 = oracle._joint_draws(g, colors, movers1, strategy, k, "round-one joint support")
+    _, avails1, size1 = oracle._draws(g, colors, movers1, strategy, k, "round-one joint support")
     happy = 0
     favourable: dict[int, int] = {}
     work = list(colors)
@@ -354,7 +354,7 @@ def two_round_by_loop(g, s, v, strategy, k, *, shortcut=True, cache=None):
 def second_round_by_listing(g, colors1, v, ball1, strategy, k) -> tuple[int, int]:
     """(draws leaving v happy, all draws) of one more round from colors1, within ball1."""
     movers = [u for u in ball1 if oracle._is_unhappy(g, colors1, u)]
-    avails, size = oracle._joint_draws(g, colors1, movers, strategy, k, "round-two joint support")
+    _, avails, size = oracle._draws(g, colors1, movers, strategy, k, "round-two joint support")
     pos = {u: i for i, u in enumerate(movers)}
     own_at = pos.get(v)
     moving = [pos[u] for u in g.neighbors(v) if u in pos]
@@ -482,7 +482,7 @@ def brute_size_law(g, s, v, strategy, k):
     colors = s.colors
     nbrs = g.neighbors(v)
     movers = sorted(u for u in set(nbrs) | {v} if oracle._is_unhappy(g, colors, u))
-    avails, size = oracle._joint_draws(g, colors, movers, strategy, k, "joint support")
+    _, avails, size = oracle._draws(g, colors, movers, strategy, k, "joint support")
     pos = {u: i for i, u in enumerate(movers)}
     own_at = pos[v]
     moving = [pos[u] for u in nbrs if u in pos]
@@ -832,7 +832,10 @@ def expected_tau_by_dfs(g, cfg):
         if not movers:
             absorbing.add(state)
             continue
-        options, size = oracle._next_colorings(g, state, movers, cfg.strategy, k, "transition fan-out")
+        _, avails, size = oracle._draws(g, state, movers, cfg.strategy, k, "transition fan-out")
+        options = [(c,) for c in state]
+        for u, a in zip(movers, avails):
+            options[u] = a
         succ = list(itertools.product(*options))
         transitions[state] = (succ, 1.0 / size)
         for t in succ:
@@ -974,6 +977,18 @@ def test_expected_tau_counts_only_reachable_states():
     stuck = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, enforce_k_bound=False, initial=(0, 0, 1, 2))
     with pytest.raises(ContractViolation, match=r"empty available set at vertex 0 in coloring \(0, 0, 1, 2\)"):
         exact_expected_tau(star_graph(4), stuck)
+
+
+def test_expected_tau_refuses_an_empty_set_before_any_fan_out(monkeypatch):
+    # greedy 4-star at k = 3: the (0, 0, 0, 0) class's fan-out of 16 comes
+    # first in code order, but an empty set anywhere in the level is refused first
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", 15)
+    uniform = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, enforce_k_bound=False)
+    with pytest.raises(ContractViolation, match=r"empty available set at vertex 0 in coloring \(0, 0, 1, 2\)"):
+        exact_expected_tau(star_graph(4), uniform)
+    zeros = GameConfig(k=3, strategy=Strategy.GREEDY, seed=0, enforce_k_bound=False, initial=(0,) * 4)
+    with pytest.raises(EnumerationLimitError, match="transition fan-out 16 exceeds enumeration cap 15"):
+        exact_expected_tau(star_graph(4), zeros)
 
 
 def test_expected_tau_refuses_fan_out_before_expanding(monkeypatch):

@@ -70,6 +70,19 @@ MUTANTS = {
         "sizes = [k - len(used) for u, used in used_of.items()]",
         ["tests/test_oracle.py"],
     ),
+    "a happy vertex moves": (
+        ORACLE,
+        "if colors[u] in used:",
+        "if True:",
+        ["tests/test_oracle.py"],
+    ),
+    # the 4-star's (0, 0, 0, 0) fan-out is then refused before its level's empty set
+    "the chain refuses the largest fan-out first": (
+        ORACLE,
+        "np.argmax(empty if empty.any() else fan)",
+        "np.argmax(fan)",
+        ["tests/test_oracle.py"],
+    ),
     "two-round law never relabels its outcomes": (
         ORACLE,
         "named = _relabel_rows(rows) if k > width else rows",
