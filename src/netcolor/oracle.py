@@ -20,12 +20,13 @@ colorings, and reads its traps and I - Q off that matrix.
 Both strategies are equivariant under any permutation of the palette:
 renaming colors renames the available sets and leaves every draw
 uniform. Probabilities of happiness therefore depend on a coloring only
-up to renaming, and available_size_distribution and
-two_round_happiness_prob memoize on colorings relabeled by first
-appearance (:func:`_relabel`). For the same reason exact_expected_tau's
-chain lumps onto the classes of colorings under the permutations that
-fix its start. Its reachable_states and trapped_states are sums of class
-sizes, so they count colorings, and its caps count colorings too.
+up to renaming: two_round_happiness_prob memoizes on colorings relabeled
+by first appearance (:func:`_relabel`), and verify's floor scans call
+each law once per palette class (:func:`_palette_classes`). For the same
+reason exact_expected_tau's chain lumps onto the classes of colorings
+under the permutations that fix its start. Its reachable_states and
+trapped_states are sums of class sizes, so they count colorings, and its
+caps count colorings too.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def _draws(g: Graph, colors, vertices, strategy: Strategy, k: int, what: str):
     if used_of:
         _check_palette(k)
     keeps_own = strategy._value_ == "frugal"  # frugal's own color stays available
-    sizes = [k - len(used) + (keeps_own and colors[u] in used) for u, used in used_of.items()]
+    sizes = [k - len(used) + keeps_own for used in used_of.values()]
     _support_size(colors, used_of, sizes, what)
     avails = [_available(used, colors[u], strategy, k) for u, used in used_of.items()]
     return list(used_of), avails, math.prod(len(a) for a in avails)
@@ -194,6 +195,17 @@ def _relabel_rows(rows, fixed=()) -> np.ndarray:
     return cols.T
 
 
+def _palette_classes(n: int, k: int, fixed=()):
+    """(place, classes, members) for the k^n colorings of n vertices, each
+    coded as the sum of color_v * place[v]: classes[code] is the code of
+    its class (:func:`_relabel_rows` with fixed), and members[code] the
+    size of the class code represents, else 0.
+    """
+    place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    classes = _relabel_rows(np.arange(k**n)[:, None] // place % k, fixed) @ place
+    return place, classes, np.bincount(classes, minlength=k**n)
+
+
 def one_round_distribution(g: Graph, s: ColoringState, strategy: Strategy, k: int) -> Distribution:
     """Exact law of the next state: happy vertices stick, unhappy draw jointly."""
     colors = s.colors
@@ -230,8 +242,6 @@ def available_size_distribution(
     v: int,
     strategy: Strategy,
     k: int,
-    *,
-    cache: dict | None = None,
 ) -> AvailableSizeCheck:
     """Exact law of the size of v's next-round available set.
 
@@ -248,21 +258,11 @@ def available_size_distribution(
     count by whether own' is covered, which gives size k - |C'| + 1, or
     not, which gives k - |C'|. The joint support is still sized first and
     refused past ENUMERATION_CAP.
-
-    cache memoizes results for one graph, as in two_round_happiness_prob:
-    entries are keyed ("available_size", v, strategy, k, relabeled
-    coloring), so colorings that differ only by color names share one.
     """
     colors = s.colors
     _check_vertex_state(g, colors, v, k)
     if not _is_unhappy(g, colors, v):
         raise ContractViolation(f"vertex {v} is happy; the size law is defined for unhappy vertices")
-    key = None
-    if cache is not None:
-        key = ("available_size", v, strategy, k, _relabel(colors))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
     nbrs = g.neighbors(v)
     movers, avails, size = _draws(g, colors, sorted((v, *nbrs)), strategy, k, "joint support")
     avail_of = dict(zip(movers, avails))
@@ -299,7 +299,7 @@ def available_size_distribution(
             counts[free] = counts.get(free, 0) + ways * (len(own) - clash)
     dist = Distribution(tuple((sz, Fraction(c, size)) for sz, c in sorted(counts.items())))
     good = sum(c for sz, c in counts.items() if 5 * sz >= k - f)
-    result = AvailableSizeCheck(
+    return AvailableSizeCheck(
         distribution=dist,
         threshold=Fraction(k - f, 5),
         prob_at_least=Fraction(good, size),
@@ -308,9 +308,6 @@ def available_size_distribution(
         # good / size >= AVAILABLE_SIZE_FLOOR, in integers
         holds=good * AVAILABLE_SIZE_FLOOR.denominator >= AVAILABLE_SIZE_FLOOR.numerator * size,
     )
-    if key is not None:
-        cache[key] = result
-    return result
 
 
 def two_round_floor_holds(prob) -> bool:
@@ -455,9 +452,9 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
     the chain lumps onto the classes (strong lumpability: Kemeny and
     Snell, Finite Markov Chains, 1960, ch. 6). A class is represented by
     its code-smallest member (:func:`_relabel_rows`); one relabeling of
-    all k^n colorings gives every coloring's class and, counted, every
-    class's size, (k-f)!/(k-f-j)! for the f colors the start fixes and
-    the j other colors its members use.
+    all k^n colorings (:func:`_palette_classes`) gives every coloring's
+    class and, counted, every class's size, (k-f)!/(k-f-j)! for the f
+    colors the start fixes and the j other colors its members use.
 
     From the start's classes, the reachable classes are expanded in numpy
     one BFS level at a time: each level's unhappy masks come from the
@@ -499,17 +496,12 @@ def exact_expected_tau(g: Graph, cfg: GameConfig) -> ExpectedTau:
             # k^n itself can have more digits than str() accepts
             space = k**n if n * k.bit_length() <= 64 else f"{k}^{n}"
             raise EnumerationLimitError(f"state space k^n = {space} exceeds state cap {STATE_CAP}")
-    place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    fixed = () if cfg.initial is None else tuple(sorted(set(cfg.initial)))
+    place, classes, members = _palette_classes(n, k, fixed)
     if cfg.initial is None:
-        fixed = ()
         start = np.arange(states, dtype=np.int64)
     else:
-        fixed = tuple(sorted(set(cfg.initial)))
         start = np.array([sum(c * int(p) for c, p in zip(cfg.initial, place))], dtype=np.int64)
-    # the code of every coloring's class, the colorings of each class, and
-    # the start's classes
-    classes = _relabel_rows(np.arange(states)[:, None] // place % k, fixed) @ place
-    members = np.bincount(classes, minlength=states)
     init = sorted_distinct(classes[start])
 
     seen = np.zeros(states, dtype=bool)

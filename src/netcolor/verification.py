@@ -31,7 +31,8 @@ from .engine import (
 from .errors import ConfigError, EnumerationLimitError, check_int
 from .graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from .oracle import (
-    _unhappy_list,
+    _palette_classes,
+    _unhappy_mask,
     available_size_distribution,
     one_round_distribution,
     two_round_floor_holds,
@@ -88,45 +89,52 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-def _floor_scan(level: str, law, holds, fields) -> tuple[list, list[dict]]:
+def _floor_scan(level: str, law, holds, fields) -> tuple[list, int, list[dict]]:
     """law at every unhappy vertex of every conflicted coloring of the level's corpus.
 
-    law is called as ``law(graph, state, v, Strategy.FRUGAL, k, cache=cache)``
-    with one fresh cache per instance. Returns (every value of law, in
-    order; one violation record per value failing holds, which gives its
-    instance, coloring and vertex followed by ``fields(value)``).
+    Both laws are equivariant under renaming colors, so law is called as
+    ``law(graph, state, v, Strategy.FRUGAL, k)`` only at the unhappy vertices
+    of each palette class's representative (:func:`oracle._palette_classes`).
+    Returns (every value of law, in order; the (coloring, vertex) cases they
+    stand for, counted; one violation record per case failing holds, in
+    coloring then vertex order, which gives its instance, coloring and
+    vertex followed by ``fields(value)``).
     """
-    values = []
-    violations = []
+    values, checked, violations = [], 0, []
     for inst in corpus_for(level):
-        cache: dict = {}
-        for colors in conflicted_colorings(inst.graph, inst.k):
-            state = ColoringState(colors, 1)
-            for v in _unhappy_list(inst.graph, colors):
-                value = law(inst.graph, state, v, Strategy.FRUGAL, inst.k, cache=cache)
+        g, k = inst.graph, inst.k
+        place, classes, members = _palette_classes(g.n, k)
+        reps = np.flatnonzero(members)
+        colorings = reps[:, None] // place % k
+        failing = []
+        for rep, colors, unhappy in zip(reps, colorings.tolist(), _unhappy_mask(g.arcs(), colorings)):
+            for v in np.flatnonzero(unhappy).tolist():
+                value = law(g, ColoringState(tuple(colors), 1), v, Strategy.FRUGAL, k)
                 values.append(value)
+                checked += int(members[rep])
                 if not holds(value):
-                    violations.append({"instance": inst.name, "coloring": list(colors),
-                                       "vertex": v, **fields(value)})
-    return values, violations
+                    failing += [(code, v, fields(value)) for code in np.flatnonzero(classes == rep)]
+        violations += [{"instance": inst.name, "coloring": (code // place % k).tolist(),
+                        "vertex": v, **record} for code, v, record in sorted(failing)]
+    return values, checked, violations
 
 
 def check_available_size_floor(level: str = "full") -> CheckResult:
     """Exact tail floor on |available set| after one round, corpus-wide."""
-    laws, violations = _floor_scan(
+    _, checked, violations = _floor_scan(
         level, available_size_distribution, lambda law: law.holds,
         lambda law: {"prob": str(law.prob_at_least), "threshold": str(law.threshold)},
     )
     return CheckResult(
         name="available_size_floor",
         passed=not violations,
-        details={"level": level, "checked": len(laws), "violations": violations},
+        details={"level": level, "checked": checked, "violations": violations},
     )
 
 
 def check_two_round_floor(level: str = "full") -> CheckResult:
     """Exact two-round happiness floor, corpus-wide, with the worst case reported."""
-    probs, violations = _floor_scan(
+    probs, checked, violations = _floor_scan(
         level, two_round_happiness_prob, two_round_floor_holds, lambda prob: {"prob": str(prob)}
     )
     return CheckResult(
@@ -134,7 +142,7 @@ def check_two_round_floor(level: str = "full") -> CheckResult:
         passed=not violations,
         details={
             "level": level,
-            "checked": len(probs),
+            "checked": checked,
             "violations": violations,
             "min_prob": str(min(probs, default=None)),
         },

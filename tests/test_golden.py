@@ -5,11 +5,13 @@ the per-vertex ``rng.randrange(k)`` round-1 coloring. The bulk readers of
 the same MT19937 stream must reproduce them exactly.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +25,7 @@ from netcolor import (
     initial_state,
     run_campaign,
 )
+import netcolor.verification as verification
 from netcolor.cli import main
 from netcolor.graph import format_edge_list
 from netcolor.verification import (
@@ -210,3 +213,63 @@ def test_agreement_sampler_digest(index, digest):
 def test_exact_floor_details_digest(check, digest):
     # counts and exact Fraction strings: the same on every numpy and scipy
     assert sha256(json.dumps(check("full").details).encode()) == digest
+
+
+# chi2_threshold is scipy.special.chdtri's critical value, whose last bits
+# may move between scipy releases; the oldest scipy the package accepts
+# must pass these digests too, so they hash the report less its
+# chi2_threshold lines, and the values are pinned beside them to 1e-12
+@pytest.mark.parametrize(
+    "level, seed, digest",
+    [
+        ("fast", [], "7f90b9341d0070189ec107006f68d8e30c74e5774a8ca3ac46f1000764838d2f"),
+        ("fast", ["--seed", "7"], "7cfe05cfaf392a50600ae4b4ec7238e43b1b980b757889d73dabc9ff52b05ede"),
+        ("full", [], "45a6a707b81b7264be3a77238d4c8b8f54cf493236dfda9eb6f9e15ad7dadbb6"),
+        ("full", ["--seed", "7"], "54af14c3e3ab92037ceb18377704def059a2ad5238069459fd47d92bdea3447f"),
+    ],
+    ids=["fast_default_seed", "fast_seed_7", "full_default_seed", "full_seed_7"],
+)
+def test_verify_stdout_digest(level, seed, digest, capsys):
+    # verify's whole report, as test_cli.py::test_verify_fast runs it
+    assert main(["verify", "--level", level, *seed]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    thresholds = [line for line in lines if line.lstrip().startswith('"chi2_threshold": ')]
+    values = [float(line.split(":")[1].rstrip(",\n")) for line in thresholds]
+    assert values == pytest.approx([16.26623619623813] * len(AGREEMENT_INSTANCES), rel=1e-12)
+    kept = "".join(line for line in lines if line not in thresholds)
+    assert sha256(kept.encode()) == digest
+
+
+def test_planted_size_floor_violations_digest(monkeypatch):
+    # every corpus tail is 1, so no floor up to 1 fails a case: flip the
+    # verdict of each law with three possible sizes instead, a property of
+    # its palette class, and pin the records of the failing colorings
+    law = verification.available_size_distribution
+
+    def flipped(*args, **kwargs):
+        got = law(*args, **kwargs)
+        if len(got.distribution.support) != 3:
+            return got
+        return dataclasses.replace(got, holds=not got.holds)
+
+    monkeypatch.setattr(verification, "available_size_distribution", flipped)
+    result = check_available_size_floor("full")
+    violations = result.details["violations"]
+    assert result.details["checked"] == 612 and len(violations) == 132
+    assert violations[0] == {"instance": "triangle_k3", "coloring": [0, 0, 0], "vertex": 0,
+                             "prob": "1", "threshold": "3/5"}
+    assert sha256(json.dumps(result.to_dict(), sort_keys=True).encode()) == (
+        "6578748fa09d683e26ee3f7fde1c52d907714844ec7c0d1eef4bd443110beba3"
+    )
+
+
+def test_planted_two_round_floor_violations_digest(monkeypatch):
+    monkeypatch.setattr(verification, "two_round_floor_holds", lambda p: p >= Fraction(3, 4))
+    result = check_two_round_floor("full")
+    violations = result.details["violations"]
+    assert result.details["checked"] == 612 and len(violations) == 59
+    assert violations[0] == {"instance": "triangle_k3", "coloring": [0, 0, 0], "vertex": 0,
+                             "prob": "58/81"}
+    assert sha256(json.dumps(result.to_dict(), sort_keys=True).encode()) == (
+        "4318ebb34ce5a0a3de27703a52aad21a9c25a6d1480685b5303487224bad0296"
+    )

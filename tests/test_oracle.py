@@ -212,22 +212,6 @@ def test_two_round_cache_is_shareable():
     assert a == b == Fraction(3, 4)
 
 
-def test_available_size_memo_checks_happiness_before_the_cache():
-    cache = {}
-    res = available_size_distribution(TRIANGLE, S001, 0, Strategy.FRUGAL, 3, cache=cache)
-    renamed = ColoringState((2, 2, 0), 1)
-    assert available_size_distribution(TRIANGLE, renamed, 0, Strategy.FRUGAL, 3, cache=cache) is res
-
-    class Answers(dict):
-        """A cache that holds an answer for every key."""
-
-        def get(self, key, default=None):
-            return res
-
-    with pytest.raises(ContractViolation, match="happy"):
-        available_size_distribution(TRIANGLE, S001, 2, Strategy.FRUGAL, 3, cache=Answers())
-
-
 @pytest.mark.parametrize(
     "colors,v,message",
     [
@@ -256,16 +240,17 @@ def test_oracle_refuses_what_is_not_a_state_of_the_game(monkeypatch, colors, v, 
     monkeypatch.setattr(oracle, "_draws", reached)
     s = ColoringState(colors, 1)
     with pytest.raises(ConfigError, match=message):
-        available_size_distribution(TRIANGLE, s, v, Strategy.FRUGAL, 3, cache=Reached())
+        available_size_distribution(TRIANGLE, s, v, Strategy.FRUGAL, 3)
     with pytest.raises(ConfigError, match=message):
         two_round_happiness_prob(TRIANGLE, s, v, Strategy.FRUGAL, 3, cache=Reached())
     if v in range(3):  # the one-round law takes no vertex
         with pytest.raises(ConfigError, match=message):
             one_round_distribution(TRIANGLE, s, Strategy.FRUGAL, 3)
     # k = 2.5 passes 0 <= c < k for every color, and range(2.5) would raise TypeError
-    for law in (available_size_distribution, two_round_happiness_prob):
-        with pytest.raises(ConfigError, match="k must be an integer, got 2.5"):
-            law(TRIANGLE, S001, 0, Strategy.FRUGAL, 2.5, cache=Reached())
+    with pytest.raises(ConfigError, match="k must be an integer, got 2.5"):
+        available_size_distribution(TRIANGLE, S001, 0, Strategy.FRUGAL, 2.5)
+    with pytest.raises(ConfigError, match="k must be an integer, got 2.5"):
+        two_round_happiness_prob(TRIANGLE, S001, 0, Strategy.FRUGAL, 2.5, cache=Reached())
     with pytest.raises(ConfigError, match="k must be an integer, got 2.5"):
         one_round_distribution(TRIANGLE, S001, Strategy.FRUGAL, 2.5)
 
@@ -602,18 +587,14 @@ def test_floor_probabilities_do_not_depend_on_color_names(data):
     rename = data.draw(st.permutations(range(k)))
     renamed = tuple(rename[c] for c in colors)
     s, t = ColoringState(colors, 1), ColoringState(renamed, 1)
-    cache = {}
     for v in range(g.n):
         if not any(colors[u] == colors[v] for u in g.neighbors(v)):
             with pytest.raises(ContractViolation, match="happy"):
-                available_size_distribution(g, s, v, strategy, k, cache=cache)
+                available_size_distribution(g, s, v, strategy, k)
             continue
         a = available_size_distribution(g, s, v, strategy, k)
         b = available_size_distribution(g, t, v, strategy, k)
         assert a.distribution == b.distribution and a.prob_at_least == b.prob_at_least
-        # the renamed coloring hits the entry of the first
-        assert available_size_distribution(g, s, v, strategy, k, cache=cache) == a
-        assert available_size_distribution(g, t, v, strategy, k, cache=cache) == b
         assert two_round_happiness_prob(g, s, v, strategy, k) == two_round_happiness_prob(
             g, t, v, strategy, k
         )

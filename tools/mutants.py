@@ -29,6 +29,7 @@ CAMPAIGN = "src/netcolor/campaign.py"
 CLI = "src/netcolor/cli.py"
 ENGINE = "src/netcolor/engine.py"
 ORACLE = "src/netcolor/oracle.py"
+VERIFICATION = "src/netcolor/verification.py"
 
 # name: (file, old text, new text, test files that must kill it)
 MUTANTS = {
@@ -66,8 +67,8 @@ MUTANTS = {
     # only the refusal reads the sizes, so the refused support's number changes
     "the size of a frugal available set drops the player's own color": (
         ORACLE,
-        "sizes = [k - len(used) + (keeps_own and colors[u] in used) for u, used in used_of.items()]",
-        "sizes = [k - len(used) for u, used in used_of.items()]",
+        "sizes = [k - len(used) + keeps_own for used in used_of.values()]",
+        "sizes = [k - len(used) for used in used_of.values()]",
         ["tests/test_oracle.py"],
     ),
     "a happy vertex moves": (
@@ -81,7 +82,7 @@ MUTANTS = {
         ORACLE,
         "np.argmax(empty if empty.any() else fan)",
         "np.argmax(fan)",
-        ["tests/test_oracle.py"],
+        ["tests/test_oracle.py::test_expected_tau_matches_the_python_chain"],
     ),
     "two-round law never relabels its outcomes": (
         ORACLE,
@@ -105,20 +106,27 @@ MUTANTS = {
         ORACLE,
         "dijkstra(chain.T, indices=proper, min_only=True, unweighted=True)",
         "dijkstra(chain, indices=proper, min_only=True, unweighted=True)",
-        ["tests/test_oracle.py"],
+        ["tests/test_oracle.py::test_expected_tau_single_edge_frugal"],
     ),
     # every class that misses the first proper class then counts as trapped
     "trap search starts from the first proper class only": (
         ORACLE,
         "dijkstra(chain.T, indices=proper, min_only=True, unweighted=True)",
         "dijkstra(chain.T, indices=proper[:1], min_only=True, unweighted=True)",
-        ["tests/test_oracle.py"],
+        ["tests/test_oracle.py::test_expected_tau_from_given_start"],
     ),
     "chain probabilities read at the target's fan-out": (
         ORACLE,
         "chain = csr_array((1.0 / fanout[src], (src, dst)), shape=(states, states))",
         "chain = csr_array((1.0 / fanout[dst], (src, dst)), shape=(states, states))",
-        ["tests/test_oracle.py"],
+        ["tests/test_oracle.py::test_expected_tau_triangle_frugal"],
+    ),
+    # the floor-details digest pins each floor's count of cases checked
+    "the floor walk counts each class once": (
+        VERIFICATION,
+        "checked += int(members[rep])",
+        "checked += 1",
+        ["tests/test_golden.py::test_exact_floor_details_digest"],
     ),
     "a scalar-round mover never draws its largest available color": (
         ENGINE,
